@@ -24,11 +24,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import RawDocument, tokenize
+from .corpus import RawDocument
 from .model import (
     TopicModel,
     TrainConfig,
     _config_to_dict,
+    _count_terms,
+    _fold_counts,
     stage_seed,
     train,
 )
@@ -150,20 +152,6 @@ def make_folds(docs: Sequence[RawDocument], plan: SplitPlan) -> list[tuple[int, 
     return [tuple(sorted(fold)) for fold in folds]
 
 
-def _count_in_vocab(
-    model: TopicModel, doc: RawDocument
-) -> tuple[dict[str, int], int, int]:
-    tokens = tokenize(doc.text, model.config.tokenizer)
-    counts: dict[str, int] = {}
-    oov = 0
-    for token in tokens:
-        if token in model.vocabulary:
-            counts[token] = counts.get(token, 0) + 1
-        else:
-            oov += 1
-    return counts, oov, len(tokens)
-
-
 def doc_log_likelihood(
     model: TopicModel,
     doc: RawDocument,
@@ -180,22 +168,16 @@ def doc_log_likelihood(
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    counts, oov, total = _count_in_vocab(model, doc)
+    counts, oov, total = _count_terms(model, doc)
     terms = [oov * math.log(delta)] if oov else []
     if counts:
         if word_dist is None:
-            col = np.zeros(model.n_terms)
-            for term, count in counts.items():
-                i = model.vocabulary.index[term]
-                col[i] = count * model.global_weights.clamped[i]
-            pwd = col / col.sum()
-            ptd = np.einsum("mk,m->k", model.topic_given_word, pwd)
+            ptd = _fold_counts(model, counts, doc.doc_id)
             mix = np.einsum("km,k->m", model.word_given_topic, ptd)
         else:
             mix = np.asarray(word_dist, dtype=np.float64)
-        for term in sorted(counts):
-            i = model.vocabulary.index[term]
-            terms.append(counts[term] * math.log(delta + mix[i]))
+        for i in sorted(counts):
+            terms.append(counts[i] * math.log(delta + mix[i]))
     return math.fsum(terms), oov, total
 
 

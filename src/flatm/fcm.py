@@ -7,19 +7,17 @@ objective is non-increasing across iterations up to rounding; the loop
 stops when the largest membership change falls to the threshold or the
 iteration cap is hit.
 
-The per-iteration arithmetic lives in :mod:`flatm._kernels` and runs on
-either the numba or the numpy backend.
+The per-iteration kernels below take C-contiguous float64 arrays and use
+plain squared Euclidean distances; ``fuzzifier`` is the exponent q > 1.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Callable
 
 import numpy as np
-
-from ._kernels import active_backend
 
 __all__ = [
     "FcmConfig",
@@ -103,21 +101,43 @@ def initial_membership(
     return u / u.sum(axis=1, keepdims=True)
 
 
-def _fix_degenerate(
-    centers: np.ndarray,
-    wsum: np.ndarray,
-    x: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    # A cluster with zero total membership mass has no defined center;
-    # restart it at a random data point rather than dividing by zero.
-    for k in np.flatnonzero(wsum == 0.0):
-        j = int(rng.integers(x.shape[0]))
-        centers[k] = x[j]
-        logger.warning(
-            "cluster %d lost all membership mass; re-seeded at data point %d", k, j
-        )
-    return centers
+def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, shape (n_points, n_clusters)."""
+    n, c = x.shape[0], centers.shape[0]
+    d2 = np.empty((n, c))
+    # Per-cluster loop keeps the temporary at (n, dims) and the einsum
+    # contraction order fixed, so results do not depend on memory pressure.
+    for k in range(c):
+        diff = x - centers[k]
+        d2[:, k] = np.einsum("nd,nd->n", diff, diff)
+    return d2
+
+
+def _memberships(d2: np.ndarray, fuzzifier: float) -> np.ndarray:
+    """Membership rows from squared distances.
+
+    For point j with all distances positive:
+        u_jk = (dmin_j / d2_jk)^(1/(q-1)) / sum_l (dmin_j / d2_jl)^(1/(q-1))
+    which equals the reciprocal-ratio update written on unsquared
+    distances, but never divides by a tiny d2. A point at distance zero
+    from one or more centers splits its membership equally among those
+    centers and gives the rest zero.
+    """
+    expo = 1.0 / (fuzzifier - 1.0)
+    dmin = d2.min(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = (dmin / d2) ** expo
+        u = w / w.sum(axis=1, keepdims=True)
+    singular = np.flatnonzero(dmin.ravel() <= 0.0)
+    if singular.size:
+        hits = d2[singular] == 0.0
+        u[singular] = hits / hits.sum(axis=1, keepdims=True)
+    return u
+
+
+def _objective(d2: np.ndarray, u: np.ndarray, fuzzifier: float) -> float:
+    """Weighted within-cluster scatter: sum_jk u_jk^q d2_jk."""
+    return float(((u**fuzzifier) * d2).sum())
 
 
 def update_memberships(
@@ -126,8 +146,7 @@ def update_memberships(
     """One membership update against fixed centers."""
     x = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
     v = np.ascontiguousarray(np.asarray(centers, dtype=np.float64))
-    backend = active_backend()
-    return backend.memberships(backend.sq_dists(x, v), fuzzifier)
+    return _memberships(_sq_dists(x, v), fuzzifier)
 
 
 def update_centers(
@@ -136,13 +155,27 @@ def update_centers(
     fuzzifier: float,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """One center update against fixed memberships."""
+    """One center update against fixed memberships.
+
+    center_k = sum_j u_jk^q x_j / sum_j u_jk^q. A cluster with zero total
+    membership mass has no defined center; it restarts at a data point
+    drawn from ``rng`` rather than dividing by zero.
+    """
     x = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
     u = np.ascontiguousarray(np.asarray(membership, dtype=np.float64))
-    centers, wsum = active_backend().centers(x, u, fuzzifier)
+    um = u**fuzzifier
+    wsum = um.sum(axis=0)
+    centers = np.einsum("nc,nd->cd", um, x)
+    centers /= np.where(wsum > 0.0, wsum, 1.0)[:, None]
     if rng is None:
         rng = np.random.default_rng(0)
-    return _fix_degenerate(centers, wsum, x, rng)
+    for k in np.flatnonzero(wsum == 0.0):
+        j = int(rng.integers(x.shape[0]))
+        centers[k] = x[j]
+        logger.warning(
+            "cluster %d lost all membership mass; re-seeded at data point %d", k, j
+        )
+    return centers
 
 
 def objective(
@@ -155,8 +188,7 @@ def objective(
     x = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
     u = np.ascontiguousarray(np.asarray(membership, dtype=np.float64))
     v = np.ascontiguousarray(np.asarray(centers, dtype=np.float64))
-    backend = active_backend()
-    return float(backend.objective(backend.sq_dists(x, v), u, fuzzifier))
+    return _objective(_sq_dists(x, v), u, fuzzifier)
 
 
 def fcm_run(
@@ -164,39 +196,31 @@ def fcm_run(
     config: FcmConfig,
     on_iteration: Callable[[int, np.ndarray, np.ndarray, float, float], None]
     | None = None,
-    diagnostics: TextIO | None = None,
 ) -> FcmResult:
     """Run the full alternating loop.
 
     ``on_iteration(iteration, membership, centers, objective, max_delta)``
-    is called after each completed iteration; ``diagnostics`` receives the
-    same numbers as TSV rows. Results are a pure function of ``data`` and
-    ``config`` for a fixed backend.
+    is called after each completed iteration. Results are a pure function
+    of ``data`` and ``config``.
     """
     x = _check_data(data, config.n_clusters)
-    backend = active_backend()
     rng = np.random.default_rng(config.seed)
     u = initial_membership(x.shape[0], config.n_clusters, rng)
-    if diagnostics is not None:
-        diagnostics.write("iteration\tobjective\tmax-delta-mu\n")
     trace: list[float] = []
     centers = np.zeros((config.n_clusters, x.shape[1]))
     converged = False
     iterations = 0
     for iteration in range(1, config.max_iterations + 1):
-        centers, wsum = backend.centers(x, u, config.fuzzifier)
-        centers = _fix_degenerate(centers, wsum, x, rng)
-        d2 = backend.sq_dists(x, centers)
-        u_new = backend.memberships(d2, config.fuzzifier)
+        centers = update_centers(x, u, config.fuzzifier, rng)
+        d2 = _sq_dists(x, centers)
+        u_new = _memberships(d2, config.fuzzifier)
         max_delta = float(np.abs(u_new - u).max())
-        value = float(backend.objective(d2, u_new, config.fuzzifier))
+        value = _objective(d2, u_new, config.fuzzifier)
         trace.append(value)
         u = u_new
         iterations = iteration
         if on_iteration is not None:
             on_iteration(iteration, u, centers, value, max_delta)
-        if diagnostics is not None:
-            diagnostics.write(f"{iteration}\t{value!r}\t{max_delta!r}\n")
         if max_delta <= config.threshold:
             converged = True
             break

@@ -362,13 +362,35 @@ def train(
     )
 
 
-def _weighted_column(model: TopicModel, term_counts: dict[str, int]) -> np.ndarray:
-    col = np.zeros(model.n_terms)
-    for term, count in term_counts.items():
-        i = model.vocabulary.index.get(term)
+def _count_terms(
+    model: TopicModel, doc: RawDocument
+) -> tuple[dict[int, int], int, int]:
+    """Tokenize ``doc`` with the model's tokenizer and count it.
+
+    Returns (counts by vocabulary index, out-of-vocabulary tokens, all
+    tokens).
+    """
+    tokens = tokenize(doc.text, model.config.tokenizer)
+    index = model.vocabulary.index
+    counts: dict[int, int] = {}
+    for token in tokens:
+        i = index.get(token)
         if i is not None:
-            col[i] = count * model.global_weights.clamped[i]
-    return col
+            counts[i] = counts.get(i, 0) + 1
+    return counts, len(tokens) - sum(counts.values()), len(tokens)
+
+
+def _fold_counts(
+    model: TopicModel, counts: dict[int, int], doc_id: str
+) -> np.ndarray:
+    """P(T|D) from term counts: weight, normalize, mix through P(T|W)."""
+    col = np.zeros(model.n_terms)
+    for i, count in counts.items():
+        col[i] = count * model.global_weights.clamped[i]
+    mass = col.sum()
+    if not mass > 0:
+        raise OutOfVocabularyError(doc_id)
+    return np.einsum("mk,m->k", model.topic_given_word, col / mass)
 
 
 def fold_in(model: TopicModel, doc: RawDocument) -> np.ndarray:
@@ -379,15 +401,8 @@ def fold_in(model: TopicModel, doc: RawDocument) -> np.ndarray:
     mixed through the stored P(T|W). Unknown terms are ignored; a document
     with no known terms raises :class:`OutOfVocabularyError`.
     """
-    counts: dict[str, int] = {}
-    for token in tokenize(doc.text, model.config.tokenizer):
-        counts[token] = counts.get(token, 0) + 1
-    col = _weighted_column(model, counts)
-    mass = col.sum()
-    if not mass > 0:
-        raise OutOfVocabularyError(doc.doc_id)
-    pwd = col / mass
-    return np.einsum("mk,m->k", model.topic_given_word, pwd)
+    counts, _, _ = _count_terms(model, doc)
+    return _fold_counts(model, counts, doc.doc_id)
 
 
 def top_words(
@@ -486,10 +501,34 @@ def model_to_json(model: TopicModel) -> str:
     return json.dumps(doc, ensure_ascii=False, allow_nan=False) + "\n"
 
 
+# Slack for rounding in stored probabilities: a column of P(T|D) mixing
+# P(T|W) rows that are all 1.0 can sum to 1.0000000000000002.
+_TABLE_TOLERANCE = 1e-9
+
+
+def _table(name: str, values, shape: tuple[int, ...], axis: int) -> np.ndarray:
+    """A stored probability table, checked for shape, range and sums."""
+    a = np.array(values, dtype=np.float64)
+    if a.shape != shape:
+        raise InputFormatError(
+            f"model file {name} has shape {a.shape}, expected {shape}"
+        )
+    if not np.all(np.isfinite(a)):
+        raise InputFormatError(f"model file {name} has a non-finite entry")
+    if a.min() < -_TABLE_TOLERANCE or a.max() > 1.0 + _TABLE_TOLERANCE:
+        raise InputFormatError(f"model file {name} has an entry outside [0, 1]")
+    if np.abs(a.sum(axis=axis) - 1.0).max() > _TABLE_TOLERANCE:
+        raise InputFormatError(f"model file {name} does not sum to 1")
+    return a
+
+
 def model_from_json(text: str) -> TopicModel:
     """Inverse of :func:`model_to_json`; arrays come back bit-identical.
 
-    Raises :class:`InputFormatError` when the text is not a model file.
+    Raises :class:`InputFormatError` when the text is not a model file:
+    bad JSON, a missing field, an invalid config or vocabulary, stored
+    clamped weights that disagree with the raw ones, or a probability
+    table of the wrong shape, outside [0, 1] or not summing to 1.
     """
     try:
         doc = json.loads(text)
@@ -502,25 +541,35 @@ def model_from_json(text: str) -> TopicModel:
         raise InputFormatError(f"unsupported model format version: {version!r}")
     try:
         config = _config_from_dict(doc["config"])
+        vocabulary = Vocabulary(terms=tuple(doc["vocabulary"]))
         gw = doc["global_weights"]
-        weights = GlobalWeightVector(
-            method=GtwMethod(gw["method"]),
-            raw=_decode_raw(gw["raw"]),
-            clamped=np.asarray(gw["clamped"], dtype=np.float64),
-            epsilon=gw["epsilon"],
+        weights = GlobalWeightVector.from_raw(
+            GtwMethod(gw["method"]), _decode_raw(gw["raw"]), epsilon=gw["epsilon"]
         )
         ptd = doc["topic_given_doc"]
+        doc_ids = tuple(ptd["doc_ids"])
+        m, k, n = len(vocabulary), config.n_topics, len(doc_ids)
+        if len(weights) != m or not np.array_equal(
+            np.array(gw["clamped"], dtype=np.float64), weights.clamped
+        ):
+            raise InputFormatError(
+                "model file clamped weights do not match max(raw, epsilon)"
+            )
         return TopicModel(
-            vocabulary=Vocabulary(terms=tuple(doc["vocabulary"])),
+            vocabulary=vocabulary,
             config=config,
             global_weights=weights,
-            topic_given_word=np.array(doc["topic_given_word"], dtype=np.float64),
-            word_prob=np.array(doc["word_prob"], dtype=np.float64),
-            word_given_topic=np.array(doc["word_given_topic"], dtype=np.float64),
-            topic_given_doc=np.array(ptd["values"], dtype=np.float64),
-            doc_ids=tuple(ptd["doc_ids"]),
+            topic_given_word=_table(
+                "topic_given_word", doc["topic_given_word"], (m, k), axis=1
+            ),
+            word_prob=_table("word_prob", doc["word_prob"], (m,), axis=0),
+            word_given_topic=_table(
+                "word_given_topic", doc["word_given_topic"], (k, m), axis=1
+            ),
+            topic_given_doc=_table("topic_given_doc", ptd["values"], (k, n), axis=0),
+            doc_ids=doc_ids,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"model file missing or malformed field: {exc}") from exc
 
 

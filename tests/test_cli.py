@@ -39,6 +39,48 @@ def run_cli(*args, env_extra=None, check=False):
     return proc
 
 
+def _set(path, change):
+    def mutate(doc):
+        *parents, leaf = path
+        for key in parents:
+            doc = doc[key]
+        doc[leaf] = change(doc[leaf])
+
+    return mutate
+
+
+# Each turns a valid model file into one that must be rejected on load.
+MODEL_MUTATIONS = {
+    "truncated-clamped": _set(("global_weights", "clamped"), lambda v: v[:-1]),
+    "clamped-not-from-raw": _set(
+        ("global_weights", "clamped"), lambda v: [2 * x for x in v]
+    ),
+    "truncated-topic-given-word": _set(("topic_given_word",), lambda v: v[:-1]),
+    "negative-topic-given-word": _set(
+        ("topic_given_word",), lambda v: [[1.5, -0.5]] + v[1:]
+    ),
+    "truncated-word-given-topic-rows": _set(
+        ("word_given_topic",), lambda v: [row[:5] for row in v]
+    ),
+    "word-prob-not-normalized": _set(("word_prob",), lambda v: [2 * x for x in v]),
+    "nan-topic-given-doc": _set(
+        ("topic_given_doc", "values"), lambda v: [[float("nan")] + v[0][1:]] + v[1:]
+    ),
+    "unknown-weighting-method": _set(("global_weights", "method"), lambda v: "tf"),
+    "unknown-config-weighting": _set(("config", "gtw"), lambda v: "tf"),
+    "unsorted-vocabulary": _set(("vocabulary",), lambda v: v[::-1]),
+    "one-topic": _set(("config", "n_topics"), lambda v: 1),
+}
+
+
+def run_model_command(command, model, tmp_path):
+    if command == "top-words":
+        return run_cli("top-words", "--model", model)
+    docs_file = tmp_path / "docs.txt"
+    docs_file.write_text("c0w0 c0w1\n")
+    return run_cli("infer", "--model", model, "--input", docs_file)
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Corpus and trained model shared across the CLI tests."""
@@ -197,13 +239,32 @@ class TestInfer:
         assert lines[2].endswith("ERROR_OOV")
         assert "no in-vocabulary terms" in proc.stderr
 
-    def test_corrupt_model_exits_2(self, tmp_path):
+    def test_corrupt_model_exits_2(self, workspace, tmp_path):
+        valid = (workspace / "model.json").read_text()
+        cases = {"not-json": "{ not json"}
+        for name, mutate in MODEL_MUTATIONS.items():
+            doc = json.loads(valid)
+            mutate(doc)
+            cases[name] = json.dumps(doc)
         bad = tmp_path / "bad.json"
-        bad.write_text("{ not json")
-        docs_file = tmp_path / "docs.txt"
-        docs_file.write_text("c0w0\n")
-        proc = run_cli("infer", "--model", bad, "--input", docs_file)
-        assert proc.returncode == 2
+        for name, text in cases.items():
+            bad.write_text(text)
+            for command in ("infer", "top-words"):
+                proc = run_model_command(command, bad, tmp_path)
+                assert proc.returncode == 2, (name, command, proc.stderr)
+                assert proc.stderr.startswith("flatm: error: "), (name, command)
+                assert proc.stdout == "", (name, command)
+
+    def test_rounded_probability_still_loads(self, workspace, tmp_path):
+        # Assembly can round a P(T|D) entry to just above 1.
+        doc = json.loads((workspace / "model.json").read_text())
+        doc["topic_given_doc"]["values"][0][0] = 1.0000000000000002
+        doc["topic_given_doc"]["values"][1][0] = 0.0
+        rounded = tmp_path / "rounded.json"
+        rounded.write_text(json.dumps(doc))
+        for command in ("infer", "top-words"):
+            proc = run_model_command(command, rounded, tmp_path)
+            assert proc.returncode == 0, (command, proc.stderr)
 
 
 class TestTopWords:

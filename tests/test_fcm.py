@@ -205,16 +205,19 @@ class TestFcmRun:
         seen = []
 
         def check(iteration, u, centers, value, delta):
-            seen.append(iteration)
+            seen.append((iteration, value))
             np.testing.assert_allclose(u.sum(axis=1), 1.0, atol=1e-9)
             assert u.min() >= 0.0 and u.max() <= 1.0 + 1e-12
             col = u.sum(axis=0)
             assert np.all(col > 0.0) and np.all(col < u.shape[0])
+            assert 0.0 <= delta <= 1.0
 
         result = fcm_run(
             data, FcmConfig(n_clusters=3, seed=4), on_iteration=check
         )
-        assert seen == list(range(1, result.iterations + 1))
+        assert [i for i, _ in seen] == list(range(1, result.iterations + 1))
+        for iteration, value in seen:
+            assert value == result.objective_trace[iteration - 1]
 
     def test_objective_trace_non_increasing(self):
         rng = np.random.default_rng(8)
@@ -277,20 +280,6 @@ class TestFcmRun:
         soft = fcm_run(data, FcmConfig(n_clusters=2, seed=3, fuzzifier=3.0))
         hard = fcm_run(data, FcmConfig(n_clusters=2, seed=3, fuzzifier=1.2))
         assert soft.membership.max(axis=1).mean() < hard.membership.max(axis=1).mean()
-
-    def test_diagnostics_stream_format(self):
-        import io
-
-        data = blob_pair(np.random.default_rng(4), n_per=10, dims=2)
-        stream = io.StringIO()
-        result = fcm_run(data, FcmConfig(n_clusters=2, seed=0), diagnostics=stream)
-        lines = stream.getvalue().splitlines()
-        assert lines[0] == "iteration\tobjective\tmax-delta-mu"
-        assert len(lines) == result.iterations + 1
-        first = lines[1].split("\t")
-        assert int(first[0]) == 1
-        assert float(first[1]) == result.objective_trace[0]
-        assert 0.0 <= float(first[2]) <= 1.0
 
     def test_unseparated_data_still_satisfies_constraints(self):
         rng = np.random.default_rng(55)
