@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands: train, infer, top-words, eval classify, eval loglik,
-gen-synth. Every knob can also come from a JSON file via --config
-(object keyed by the flag names with dashes turned into underscores);
-explicit flags win over the file, the file wins over built-in defaults.
+gen-synth. Every flag can also come from a JSON file via --config: an
+object keyed by the flag names with dashes turned into underscores. The
+file's settings become flag tokens placed ahead of the command line's own,
+so they pass the same checks as flags and explicit flags win. ``true``
+turns a switch on, ``false`` leaves it off, a list is joined with commas,
+and numbers and strings are read as the flag's text.
 
 Exit codes: 0 success, 1 bad arguments, 2 unreadable or malformed input
 files, 3 numerical or pipeline failure. Warnings go to stderr and never
@@ -53,7 +56,6 @@ EXIT_IO = 2
 EXIT_PIPELINE = 3
 
 _GTW_CHOICES = tuple(m.value for m in GtwMethod)
-_DEFAULT_SCHEDULE = CascadeSchedule().counts
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,127 +64,105 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # A subcommand's parser receives the tokens after its command words,
+        # so --config settings are spliced in ahead of the user's own flags.
+        if any(action.dest == "config" for action in self._actions):
+            args = self._splice_config(list(args))
+        return super().parse_known_args(args, namespace)
+
+    def _splice_config(self, args: list[str]) -> list[str]:
+        spliced, rest = [], []
+        i = 0
+        while i < len(args):
+            flag, eq, path = args[i].partition("=")
+            if self._names_config(flag) and (eq or i + 1 < len(args)):
+                spliced += self._config_tokens(path if eq else args[i + 1])
+                i += 1 if eq else 2
+            else:
+                rest.append(args[i])
+                i += 1
+        return spliced + rest
+
+    def _names_config(self, flag: str) -> bool:
+        # argparse's rule: an option is named in full or by a unique prefix.
+        names = [
+            name
+            for action in self._actions
+            for name in action.option_strings
+            if name.startswith(flag)
+        ]
+        return flag.startswith("--") and names == ["--config"]
+
+    def _config_tokens(self, path: str) -> list[str]:
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            self.error(f"--config: {exc}")
+        except ValueError as exc:
+            self.error(f"--config: invalid JSON: {exc}")
+        if not isinstance(data, dict):
+            self.error("--config must hold a JSON object")
+        flags = {
+            action.dest: action
+            for action in self._actions
+            if action.option_strings and action.dest not in ("help", "config")
+        }
+        unknown = sorted(set(data) - set(flags))
+        if unknown:
+            self.error(f"--config: unknown keys: {', '.join(unknown)}")
+        tokens = []
+        for key, value in data.items():
+            flag = flags[key].option_strings[0]
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            if isinstance(value, bool) and flags[key].nargs == 0:
+                if value:
+                    tokens.append(flag)
+            elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+                tokens.append(f"{flag}={value}")
+            else:
+                self.error(f"--config: {key} cannot be {json.dumps(value)}")
+        return tokens
+
+
+def _checked(convert, kind: str, ok, requirement: str):
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {kind}: {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(requirement)
+        return value
+
+    return parse
+
 
 def _int_at_least(minimum: int):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}")
-        return value
-
-    return parse
+    return _checked(int, "an integer", lambda v: v >= minimum, f"must be >= {minimum}")
 
 
-def _seed_arg(text: str) -> int:
+def _float_above(minimum: float):
+    return _checked(float, "a number", lambda v: v > minimum, f"must be > {minimum}")
+
+
+_seed_arg = _checked(
+    int, "an integer", lambda v: 0 <= v < 2**64, "seed must fit in 64 unsigned bits"
+)
+_fraction_arg = _checked(
+    float, "a number", lambda v: 0.0 < v < 1.0, "must be strictly between 0 and 1"
+)
+_overlap_arg = _checked(
+    float, "a number", lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"
+)
+
+
+def _schedule_arg(text: str) -> CascadeSchedule:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return value
-
-
-def _float_above(minimum: float, inclusive: bool = False):
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-        if value < minimum or (not inclusive and value == minimum):
-            op = ">=" if inclusive else ">"
-            raise argparse.ArgumentTypeError(f"must be {op} {minimum}")
-        return value
-
-    return parse
-
-
-def _fraction_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError("must be strictly between 0 and 1")
-    return value
-
-
-def _overlap_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError("must be in [0, 1)")
-    return value
-
-
-def _schedule_arg(text: str) -> tuple[int, ...]:
-    try:
-        counts = tuple(int(part) for part in text.split(","))
-        CascadeSchedule(counts)
+        return CascadeSchedule(tuple(int(part) for part in text.split(",")))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    return counts
-
-
-def _merge(args: argparse.Namespace, defaults: dict, parser) -> dict:
-    """Layer settings: built-in defaults, then --config, then flags."""
-    settings = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            data = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            parser.error(f"--config: {exc}")
-        except json.JSONDecodeError as exc:
-            parser.error(f"--config: invalid JSON: {exc}")
-        if not isinstance(data, dict):
-            parser.error("--config must hold a JSON object")
-        unknown = sorted(set(data) - set(defaults))
-        if unknown:
-            parser.error(f"--config: unknown keys: {', '.join(unknown)}")
-        settings.update(data)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-    return settings
-
-
-def _require(settings: dict, key: str, parser) -> None:
-    if settings.get(key) is None:
-        parser.error(f"--{key.replace('_', '-')} is required")
-
-
-_MODEL_DEFAULTS = {
-    "gtw": "entropy",
-    "topics": None,
-    "seed": 0,
-    "schedule": _DEFAULT_SCHEDULE,
-    "no_cascade": False,
-    "fuzzifier": 2.0,
-    "threshold": 1e-5,
-    "max_iterations": 100,
-    "epsilon": 1e-6,
-    "idf_variant": "total-frequency",
-    "min_df": 1,
-    "stopwords": None,
-    "no_lowercase": False,
-    "min_token_length": 2,
-    "keep_numeric": False,
-}
-
-_PLAN_DEFAULTS = {
-    "folds": 5,
-    "train_fraction": 0.8,
-    "no_stratified": False,
-    "delta": 1e-9,
-    "threads": None,
-}
 
 
 def _add_config_flag(p) -> None:
@@ -194,12 +174,12 @@ def _add_config_flag(p) -> None:
 
 
 def _add_corpus_flags(p, default_format: str) -> None:
-    p.add_argument("--input", metavar="PATH", help="corpus to read")
+    p.add_argument("--input", metavar="PATH", required=True, help="corpus to read")
     p.add_argument(
         "--format",
         choices=CORPUS_FORMATS,
-        default=None,
-        help=f"corpus layout (default: {default_format})",
+        default=default_format,
+        help="corpus layout (default: %(default)s)",
     )
 
 
@@ -207,151 +187,126 @@ def _add_model_flags(p) -> None:
     p.add_argument(
         "--gtw",
         choices=_GTW_CHOICES,
-        default=None,
-        help="global weighting scheme (default: entropy)",
+        default="entropy",
+        help="global weighting scheme (default: %(default)s)",
     )
     p.add_argument(
-        "--topics", type=_int_at_least(2), default=None, metavar="K",
+        "--topics", type=_int_at_least(2), required=True, metavar="K",
         help="number of topics",
     )
     p.add_argument(
-        "--seed", type=_seed_arg, default=None,
-        help="master seed for every clustering stage (default: 0)",
+        "--seed", type=_seed_arg, default=0,
+        help="master seed for every clustering stage (default: %(default)s)",
     )
     p.add_argument(
-        "--schedule", type=_schedule_arg, default=None, metavar="C1,C2,...",
+        "--schedule", type=_schedule_arg, metavar="C1,C2,...",
+        default=",".join(map(str, CascadeSchedule().counts)),
         help="descending cluster counts for the reduction cascade "
-        "(default: 10,9,8,7,6,5,4,3,2)",
+        "(default: %(default)s)",
     )
     p.add_argument(
-        "--no-cascade", action="store_true", default=None,
+        "--no-cascade", action="store_true",
         help="cluster the weighted matrix directly instead of reducing first",
     )
     p.add_argument(
-        "--fuzzifier", type=_float_above(1.0), default=None, metavar="Q",
-        help="membership exponent q > 1 (default: 2.0)",
+        "--fuzzifier", type=_float_above(1.0), default=2.0, metavar="Q",
+        help="membership exponent q > 1 (default: %(default)s)",
     )
     p.add_argument(
-        "--threshold", type=_float_above(0.0), default=None,
-        help="convergence threshold on membership change (default: 1e-5)",
+        "--threshold", type=_float_above(0.0), default=1e-5,
+        help="convergence threshold on membership change (default: %(default)s)",
     )
     p.add_argument(
-        "--max-iterations", type=_int_at_least(1), default=None,
-        help="iteration cap per clustering run (default: 100)",
+        "--max-iterations", type=_int_at_least(1), default=100,
+        help="iteration cap per clustering run (default: %(default)s)",
     )
     p.add_argument(
-        "--epsilon", type=_float_above(0.0), default=None,
-        help="clamp floor for global weights (default: 1e-6)",
+        "--epsilon", type=_float_above(0.0), default=1e-6,
+        help="clamp floor for global weights (default: %(default)s)",
     )
     p.add_argument(
         "--idf-variant",
         choices=("total-frequency", "document-frequency"),
-        default=None,
-        help="denominator for the idf scheme (default: total-frequency)",
+        default="total-frequency",
+        help="denominator for the idf scheme (default: %(default)s)",
     )
     p.add_argument(
-        "--min-df", type=_int_at_least(1), default=None,
-        help="drop terms seen in fewer documents (default: 1)",
+        "--min-df", type=_int_at_least(1), default=1,
+        help="drop terms seen in fewer documents (default: %(default)s)",
     )
     p.add_argument(
-        "--stopwords", metavar="FILE", default=None,
+        "--stopwords", metavar="FILE",
         help="stop-word list file; defaults to the bundled English list",
     )
+    p.add_argument("--no-lowercase", action="store_true", help="keep token case")
     p.add_argument(
-        "--no-lowercase", action="store_true", default=None,
-        help="keep token case",
+        "--min-token-length", type=_int_at_least(1), default=2,
+        help="shortest token kept (default: %(default)s)",
     )
     p.add_argument(
-        "--min-token-length", type=_int_at_least(1), default=None,
-        help="shortest token kept (default: 2)",
-    )
-    p.add_argument(
-        "--keep-numeric", action="store_true", default=None,
-        help="keep purely numeric tokens",
+        "--keep-numeric", action="store_true", help="keep purely numeric tokens",
     )
 
 
-def _add_plan_flags(p) -> None:
+def _add_plan_flags(p, min_folds: int) -> None:
     p.add_argument(
-        "--folds", type=_int_at_least(1), default=None,
-        help="cross-validation folds / repeated splits (default: 5)",
+        "--folds", type=_int_at_least(min_folds), default=5,
+        help="cross-validation folds / repeated splits (default: %(default)s)",
     )
     p.add_argument(
-        "--train-fraction", type=_fraction_arg, default=None,
-        help="train share for held-out splits (default: 0.8)",
+        "--train-fraction", type=_fraction_arg, default=0.8,
+        help="train share for held-out splits (default: %(default)s)",
     )
     p.add_argument(
-        "--no-stratified", action="store_true", default=None,
+        "--no-stratified", action="store_true",
         help="ignore labels when splitting",
     )
     p.add_argument(
-        "--delta", type=_float_above(0.0), default=None,
-        help="likelihood smoothing constant (default: 1e-9)",
+        "--delta", type=_float_above(0.0), default=1e-9,
+        help="likelihood smoothing constant (default: %(default)s)",
     )
     p.add_argument(
-        "--threads", type=_int_at_least(1), default=None,
+        "--threads", type=_int_at_least(1),
         help=f"parallel training jobs (default: ${THREADS_ENV_VAR} or 1); "
         "never changes results",
     )
 
 
-def _train_config(settings: dict, parser) -> TrainConfig:
+def _train_config(args: argparse.Namespace) -> TrainConfig:
+    tokenizer = TokenizerConfig(
+        lowercase=not args.no_lowercase,
+        min_token_length=args.min_token_length,
+        drop_numeric=not args.keep_numeric,
+        stopwords=(
+            load_stopwords(args.stopwords) if args.stopwords else default_stopwords()
+        ),
+    )
+    return TrainConfig(
+        n_topics=args.topics,
+        gtw=args.gtw,
+        schedule=args.schedule,
+        cascade=not args.no_cascade,
+        fuzzifier=args.fuzzifier,
+        threshold=args.threshold,
+        max_iterations=args.max_iterations,
+        seed=args.seed,
+        epsilon=args.epsilon,
+        idf_variant=args.idf_variant,
+        min_df=args.min_df,
+        tokenizer=tokenizer,
+    )
+
+
+def _threads(args: argparse.Namespace) -> int:
+    if args.threads is not None:
+        return args.threads
+    env = os.environ.get(THREADS_ENV_VAR, "").strip()
+    if not env:
+        return 1
     try:
-        stopwords = (
-            load_stopwords(settings["stopwords"])
-            if settings["stopwords"]
-            else default_stopwords()
-        )
-        tokenizer = TokenizerConfig(
-            lowercase=not settings["no_lowercase"],
-            min_token_length=settings["min_token_length"],
-            drop_numeric=not settings["keep_numeric"],
-            stopwords=stopwords,
-        )
-        return TrainConfig(
-            n_topics=settings["topics"],
-            gtw=GtwMethod(settings["gtw"]),
-            schedule=CascadeSchedule(tuple(int(c) for c in settings["schedule"])),
-            cascade=not settings["no_cascade"],
-            fuzzifier=float(settings["fuzzifier"]),
-            threshold=float(settings["threshold"]),
-            max_iterations=int(settings["max_iterations"]),
-            seed=int(settings["seed"]),
-            epsilon=float(settings["epsilon"]),
-            idf_variant=settings["idf_variant"],
-            min_df=int(settings["min_df"]),
-            tokenizer=tokenizer,
-        )
-    except (ValueError, TypeError) as exc:
-        parser.error(str(exc))
-
-
-def _split_plan(settings: dict, parser) -> SplitPlan:
-    try:
-        return SplitPlan(
-            seed=int(settings["seed"]),
-            train_fraction=float(settings["train_fraction"]),
-            folds=int(settings["folds"]),
-            stratified=not settings["no_stratified"],
-        )
-    except (ValueError, TypeError) as exc:
-        parser.error(str(exc))
-
-
-def _threads(settings: dict, parser) -> int:
-    value = settings.get("threads")
-    if value is None:
-        env = os.environ.get(THREADS_ENV_VAR, "").strip()
-        if not env:
-            return 1
-        try:
-            value = int(env)
-        except ValueError:
-            parser.error(f"{THREADS_ENV_VAR} must be an integer, got {env!r}")
-    value = int(value)
-    if value < 1:
-        parser.error("threads must be >= 1")
-    return value
+        return _int_at_least(1)(env)
+    except argparse.ArgumentTypeError as exc:
+        args.parser.error(f"{THREADS_ENV_VAR}: {exc}")
 
 
 def _write_or_print(text: str, path: str | None) -> None:
@@ -362,24 +317,15 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    parser = args.parser
-    defaults = dict(_MODEL_DEFAULTS)
-    defaults.update(
-        {"input": None, "format": "dir-of-txt", "output": None, "dump_weights": None}
-    )
-    settings = _merge(args, defaults, parser)
-    _require(settings, "input", parser)
-    _require(settings, "output", parser)
-    _require(settings, "topics", parser)
-    config = _train_config(settings, parser)
-    docs = load_corpus(settings["input"], settings["format"])
+    config = _train_config(args)
+    docs = load_corpus(args.input, args.format)
     stages: list[tuple[int, FcmResult]] = []
     started = time.perf_counter()
     model = train(docs, config, on_stage=lambda s, r: stages.append((s, r)))
     elapsed = time.perf_counter() - started
-    save_model(model, settings["output"])
-    if settings["dump_weights"]:
-        Path(settings["dump_weights"]).write_text(
+    save_model(model, args.output)
+    if args.dump_weights:
+        Path(args.dump_weights).write_text(
             global_weights_tsv(model.vocabulary, model.global_weights),
             encoding="utf-8",
         )
@@ -403,18 +349,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    parser = args.parser
-    defaults = {
-        "model": None,
-        "input": None,
-        "format": "lines",
-        "output": None,
-    }
-    settings = _merge(args, defaults, parser)
-    _require(settings, "model", parser)
-    _require(settings, "input", parser)
-    model = load_model(settings["model"])
-    docs = load_corpus(settings["input"], settings["format"], allow_empty=True)
+    model = load_model(args.model)
+    docs = load_corpus(args.input, args.format, allow_empty=True)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["doc_id"] + [f"topic_{k}" for k in range(model.n_topics)])
@@ -427,7 +363,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
             oov += 1
             continue
         writer.writerow([doc.doc_id] + [repr(float(v)) for v in vec])
-    _write_or_print(buffer.getvalue(), settings["output"])
+    _write_or_print(buffer.getvalue(), args.output)
     if oov:
         print(
             f"warning: {oov} document(s) had no in-vocabulary terms",
@@ -437,62 +373,38 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def cmd_top_words(args: argparse.Namespace) -> int:
-    parser = args.parser
-    defaults = {"model": None, "count": 10, "topic": None, "output": None}
-    settings = _merge(args, defaults, parser)
-    _require(settings, "model", parser)
-    model = load_model(settings["model"])
-    if settings["topic"] is not None:
-        topics = [int(settings["topic"])]
-    else:
-        topics = list(range(model.n_topics))
+    model = load_model(args.model)
+    topics = [args.topic] if args.topic is not None else range(model.n_topics)
     lines = ["topic\trank\tterm\tprob"]
     for topic in topics:
         for rank, (term, prob) in enumerate(
-            top_words(model, topic, int(settings["count"])), start=1
+            top_words(model, topic, args.count), start=1
         ):
             lines.append(f"{topic}\t{rank}\t{term}\t{prob!r}")
-    _write_or_print("\n".join(lines) + "\n", settings["output"])
+    _write_or_print("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
 def _run_eval(args: argparse.Namespace, protocol: str) -> int:
-    parser = args.parser
-    defaults = dict(_MODEL_DEFAULTS)
-    defaults.update(_PLAN_DEFAULTS)
-    defaults.update(
-        {
-            "input": None,
-            "format": "labeled-tsv",
-            "output": None,
-            "csv": None,
-            "text": False,
-        }
+    config = _train_config(args)
+    plan = SplitPlan(
+        seed=args.seed,
+        train_fraction=args.train_fraction,
+        folds=args.folds,
+        stratified=not args.no_stratified,
     )
-    settings = _merge(args, defaults, parser)
-    _require(settings, "input", parser)
-    _require(settings, "topics", parser)
-    config = _train_config(settings, parser)
-    plan = _split_plan(settings, parser)
-    threads = _threads(settings, parser)
-    delta = float(settings["delta"])
-    docs = load_corpus(settings["input"], settings["format"])
-    if protocol == "classify":
-        report = classify(docs, config, plan, delta=delta, threads=threads)
-    else:
-        report = heldout_loglik(docs, config, plan, delta=delta, threads=threads)
+    threads = _threads(args)
+    docs = load_corpus(args.input, args.format)
+    run = classify if protocol == "classify" else heldout_loglik
+    report = run(docs, config, plan, delta=args.delta, threads=threads)
     json_text = json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2) + "\n"
-    emitted = False
-    if settings["output"]:
-        Path(settings["output"]).write_text(json_text, encoding="utf-8")
-        emitted = True
-    if settings["csv"]:
-        Path(settings["csv"]).write_text(report.to_csv(), encoding="utf-8")
-        emitted = True
-    if settings["text"]:
+    if args.output:
+        Path(args.output).write_text(json_text, encoding="utf-8")
+    if args.csv:
+        Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
+    if args.text:
         sys.stdout.write(report.to_text())
-        emitted = True
-    if not emitted:
+    if not (args.output or args.csv or args.text):
         sys.stdout.write(json_text)
     return EXIT_OK
 
@@ -506,30 +418,16 @@ def cmd_eval_loglik(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_synth(args: argparse.Namespace) -> int:
-    parser = args.parser
-    defaults = {
-        "seed": 0,
-        "classes": 3,
-        "vocab_per_class": 50,
-        "docs_per_class": 100,
-        "doc_length": 50,
-        "overlap": 0.0,
-        "output": None,
-    }
-    settings = _merge(args, defaults, parser)
-    try:
-        docs = generate_synthetic(
-            seed=int(settings["seed"]),
-            n_classes=int(settings["classes"]),
-            vocab_per_class=int(settings["vocab_per_class"]),
-            docs_per_class=int(settings["docs_per_class"]),
-            doc_length=int(settings["doc_length"]),
-            overlap_fraction=float(settings["overlap"]),
-        )
-    except (ValueError, TypeError) as exc:
-        parser.error(str(exc))
+    docs = generate_synthetic(
+        seed=args.seed,
+        n_classes=args.classes,
+        vocab_per_class=args.vocab_per_class,
+        docs_per_class=args.docs_per_class,
+        doc_length=args.doc_length,
+        overlap_fraction=args.overlap,
+    )
     lines = [f"{doc.label}\t{doc.text}" for doc in docs]
-    _write_or_print("\n".join(lines) + "\n", settings["output"])
+    _write_or_print("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
@@ -542,7 +440,9 @@ def build_parser() -> _Parser:
     _add_config_flag(p)
     _add_corpus_flags(p, "dir-of-txt")
     _add_model_flags(p)
-    p.add_argument("--output", metavar="FILE", help="where to write the model")
+    p.add_argument(
+        "--output", metavar="FILE", required=True, help="where to write the model"
+    )
     p.add_argument(
         "--dump-weights", metavar="FILE",
         help="also write per-term global weights as TSV",
@@ -553,20 +453,20 @@ def build_parser() -> _Parser:
         "infer", help="fold unseen documents into a model; topic mix as CSV"
     )
     _add_config_flag(p)
-    p.add_argument("--model", metavar="FILE", help="trained model file")
+    p.add_argument("--model", metavar="FILE", required=True, help="trained model file")
     _add_corpus_flags(p, "lines")
     p.add_argument("--output", metavar="FILE", help="CSV destination (default: stdout)")
     p.set_defaults(func=cmd_infer, parser=p)
 
     p = subs.add_parser("top-words", help="highest-probability terms per topic")
     _add_config_flag(p)
-    p.add_argument("--model", metavar="FILE", help="trained model file")
+    p.add_argument("--model", metavar="FILE", required=True, help="trained model file")
     p.add_argument(
-        "--count", type=_int_at_least(1), default=None,
-        help="terms per topic (default: 10)",
+        "--count", type=_int_at_least(1), default=10,
+        help="terms per topic (default: %(default)s)",
     )
     p.add_argument(
-        "--topic", type=_int_at_least(0), default=None,
+        "--topic", type=_int_at_least(0),
         help="only this topic (default: all)",
     )
     p.add_argument("--output", metavar="FILE", help="TSV destination (default: stdout)")
@@ -575,32 +475,32 @@ def build_parser() -> _Parser:
     p = subs.add_parser("eval", help="evaluation protocols")
     p.set_defaults(func=None, parser=p)
     eval_subs = p.add_subparsers(dest="protocol", metavar="PROTOCOL")
-    for name, func, extra_help in (
-        ("classify", cmd_eval_classify, "cross-validated per-class likelihood"),
-        ("loglik", cmd_eval_loglik, "held-out log-likelihood"),
+    for name, func, min_folds, extra_help in (
+        ("classify", cmd_eval_classify, 2, "cross-validated per-class likelihood"),
+        ("loglik", cmd_eval_loglik, 1, "held-out log-likelihood"),
     ):
         q = eval_subs.add_parser(name, help=extra_help)
         _add_config_flag(q)
         _add_corpus_flags(q, "labeled-tsv")
         _add_model_flags(q)
-        _add_plan_flags(q)
+        _add_plan_flags(q, min_folds)
         q.add_argument("--output", metavar="FILE", help="JSON report destination")
         q.add_argument("--csv", metavar="FILE", help="also write fold,metric,value CSV")
         q.add_argument(
-            "--text", action="store_true", default=None,
+            "--text", action="store_true",
             help="print an aligned text table to stdout",
         )
         q.set_defaults(func=func, parser=q)
 
     p = subs.add_parser("gen-synth", help="generate a labeled synthetic corpus")
     _add_config_flag(p)
-    p.add_argument("--seed", type=_seed_arg, default=None, help="generator seed")
-    p.add_argument("--classes", type=_int_at_least(1), default=None)
-    p.add_argument("--vocab-per-class", type=_int_at_least(1), default=None)
-    p.add_argument("--docs-per-class", type=_int_at_least(1), default=None)
-    p.add_argument("--doc-length", type=_int_at_least(1), default=None)
+    p.add_argument("--seed", type=_seed_arg, default=0, help="generator seed")
+    p.add_argument("--classes", type=_int_at_least(1), default=3)
+    p.add_argument("--vocab-per-class", type=_int_at_least(1), default=50)
+    p.add_argument("--docs-per-class", type=_int_at_least(1), default=100)
+    p.add_argument("--doc-length", type=_int_at_least(1), default=50)
     p.add_argument(
-        "--overlap", type=_overlap_arg, default=None,
+        "--overlap", type=_overlap_arg, default=0.0,
         help="shared-vocabulary fraction in [0, 1)",
     )
     p.add_argument(
@@ -619,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (InputFormatError, OSError) as exc:
+    except (InputFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"flatm: error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, ArithmeticError, RuntimeError) as exc:

@@ -152,6 +152,11 @@ def make_folds(docs: Sequence[RawDocument], plan: SplitPlan) -> list[tuple[int, 
     return [tuple(sorted(fold)) for fold in folds]
 
 
+def _check_delta(delta: float) -> None:
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+
+
 def doc_log_likelihood(
     model: TopicModel,
     doc: RawDocument,
@@ -166,8 +171,7 @@ def doc_log_likelihood(
     word distribution instead, e.g. the unigram P(w). Unknown tokens and
     fully out-of-vocabulary documents contribute log(delta) per token.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    _check_delta(delta)
     counts, oov, total = _count_terms(model, doc)
     terms = [oov * math.log(delta)] if oov else []
     if counts:
@@ -229,6 +233,7 @@ def classify(
     documents. Per-model seeds derive from ``config.seed`` and the
     (fold, class) pair, so thread count never changes results.
     """
+    _check_delta(delta)
     if plan.folds < 2:
         raise ValueError("classification needs at least 2 folds")
     unlabeled = [d.doc_id for d in docs if d.label is None]
@@ -337,6 +342,7 @@ def heldout_loglik(
     per-document topic mixture with the corpus-wide P(w). Fails if a round
     leaves no test document with any in-vocabulary term.
     """
+    _check_delta(delta)
     splits = [
         _split_indices(docs, plan, stage_seed(plan.seed, f))
         for f in range(plan.folds)

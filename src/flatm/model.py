@@ -54,7 +54,6 @@ __all__ = [
     "MODEL_FORMAT_VERSION",
     "stage_seed",
     "cascade_reduce",
-    "topic_memberships",
     "word_probabilities",
     "word_given_topic",
     "word_given_doc",
@@ -224,30 +223,6 @@ def cascade_reduce(
             on_stage(stage, result)
         x = result.membership
     return x
-
-
-def topic_memberships(
-    reduced: np.ndarray,
-    n_topics: int,
-    *,
-    fuzzifier: float = 2.0,
-    threshold: float = 1e-5,
-    max_iterations: int = 100,
-    seed: int = 0,
-) -> np.ndarray:
-    """Cluster the reduced term rows into K topics; rows are P(T|W_i).
-
-    ``seed`` is used as-is for this single run; callers composing the full
-    pipeline derive it from their master seed first.
-    """
-    config = FcmConfig(
-        n_clusters=n_topics,
-        fuzzifier=fuzzifier,
-        threshold=threshold,
-        max_iterations=max_iterations,
-        seed=seed,
-    )
-    return fcm_run(np.asarray(reduced, dtype=np.float64), config).membership
 
 
 def word_probabilities(

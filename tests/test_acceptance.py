@@ -12,9 +12,11 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import flatm
 from flatm import (
     CascadeSchedule,
     FcmConfig,
@@ -275,8 +277,14 @@ def test_08_heldout_likelihood_beats_unigram_baseline():
     assert wins >= 8, f"model beat the unigram baseline on only {wins}/10 seeds"
 
 
+# Children run the same flatm package that these tests import.
+FLATM_PATH = os.pathsep.join(
+    filter(None, [str(Path(flatm.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
+
+
 def _cli(*args, threads=None):
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONPATH=FLATM_PATH)
     env.pop("FLATM_THREADS", None)
     if threads is not None:
         env["FLATM_THREADS"] = str(threads)

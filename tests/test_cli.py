@@ -4,11 +4,18 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flatm
 from flatm import RawDocument, fold_in, load_model, top_words
+
+# Children run the same flatm package that these tests import.
+FLATM_PATH = os.pathsep.join(
+    filter(None, [str(Path(flatm.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 GEN_ARGS = [
     "gen-synth",
@@ -21,7 +28,7 @@ TRAIN_ARGS = ["--topics", "2", "--schedule", "4,2", "--seed", "3"]
 
 
 def run_cli(*args, env_extra=None, check=False):
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONPATH=FLATM_PATH)
     env.pop("FLATM_THREADS", None)
     if env_extra:
         env.update(env_extra)
@@ -186,6 +193,22 @@ class TestTrain:
             "--output", tmp_path / "m.json",
         )
         assert proc.returncode == 2
+
+    def test_undecodable_input_files_exit_2(self, workspace, tmp_path):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"class0\tcaf\xe9 c0w1\n")
+        train = [
+            "train", "--format", "labeled-tsv", *TRAIN_ARGS,
+            "--output", tmp_path / "m.json",
+        ]
+        for argv in (
+            [*train, "--input", bad],
+            [*train, "--input", workspace / "corpus.tsv", "--stopwords", bad],
+            ["infer", "--model", bad, "--input", workspace / "corpus.tsv"],
+        ):
+            proc = run_cli(*argv)
+            assert proc.returncode == 2, (argv, proc.stderr)
+            assert "decode" in proc.stderr
 
     def test_pipeline_error_exits_3(self, workspace, tmp_path):
         proc = run_cli(
@@ -433,6 +456,80 @@ class TestConfigFile:
         )
         assert proc.returncode == 1
         assert "truncate" in proc.stderr
+
+    def test_bad_values_exit_1_like_flags(self, workspace, tmp_path):
+        train = [
+            "train", "--input", workspace / "corpus.tsv", "--format", "labeled-tsv",
+            *TRAIN_ARGS, "--output", tmp_path / "m.json",
+        ]
+        classify = [
+            "eval", "classify", "--input", workspace / "corpus.tsv",
+            "--topics", "2", "--schedule", "4,2",
+        ]
+        top = ["top-words", "--model", workspace / "model.json"]
+        cases = [
+            (train, {"no_cascade": "false"}),
+            (train, {"min_df": 1.5}),
+            (classify, {"folds": 2.7}),
+            (classify + ["--folds", "2"], {"threads": 2.7}),
+            (classify + ["--folds", "2"], {"min_df": 1.5}),
+            (classify + ["--folds", "2"], {"seed": 2**64}),
+            (classify + ["--folds", "2"], {"seed": -1}),
+            (classify + ["--folds", "2"], {"delta": 0}),
+            (classify + ["--folds", "2"], {"output": None}),
+            (top, {"count": 0}),
+            (top, {"topic": -1}),
+        ]
+        config = tmp_path / "bad.json"
+        for argv, settings in cases:
+            config.write_text(json.dumps(settings))
+            proc = run_cli(*argv, "--config", config)
+            assert proc.returncode == 1, (argv[0], settings, proc.stderr)
+            [key] = settings
+            assert key.replace("_", "-") in proc.stderr, (settings, proc.stderr)
+
+    def test_keys_must_name_a_flag_exactly(self, workspace, tmp_path):
+        config = tmp_path / "run.json"
+        for key in ("top", "config"):
+            config.write_text(json.dumps({key: 2}))
+            proc = run_cli(
+                "eval", "classify", "--input", workspace / "corpus.tsv",
+                "--schedule", "4,2", "--folds", "2", "--config", config,
+            )
+            assert proc.returncode == 1, (key, proc.stderr)
+            assert f"unknown keys: {key}" in proc.stderr
+
+    def test_schedule_as_text_or_list(self, workspace, tmp_path):
+        config = tmp_path / "run.json"
+        reports = []
+        for schedule in ("4,2", [4, 2]):
+            config.write_text(json.dumps({"schedule": schedule}))
+            proc = run_cli(
+                "eval", "classify", "--input", workspace / "corpus.tsv",
+                "--topics", "2", "--seed", "3", "--folds", "2", "--config", config,
+            )
+            assert proc.returncode == 0, (schedule, proc.stderr)
+            reports.append(proc.stdout)
+        assert reports[0] == reports[1]
+
+    def test_config_of_defaults_changes_nothing(self, workspace, tmp_path):
+        config = tmp_path / "defaults.json"
+        config.write_text(json.dumps({
+            "format": "labeled-tsv", "gtw": "entropy", "seed": 0,
+            "schedule": [10, 9, 8, 7, 6, 5, 4, 3, 2], "no_cascade": False,
+            "fuzzifier": 2.0, "threshold": 1e-5, "max_iterations": 100,
+            "epsilon": 1e-6, "idf_variant": "total-frequency", "min_df": 1,
+            "no_lowercase": False, "min_token_length": 2, "keep_numeric": False,
+            "folds": 5, "train_fraction": 0.8, "no_stratified": False,
+            "delta": 1e-9, "text": False,
+        }))
+        command = [
+            "eval", "loglik", "--input", workspace / "corpus.tsv", "--topics", "2",
+        ]
+        plain = run_cli(*command)
+        configured = run_cli(*command, "--config", config)
+        assert plain.returncode == 0, plain.stderr
+        assert configured.stdout == plain.stdout
 
     def test_malformed_config_exits_1(self, workspace, tmp_path):
         config = tmp_path / "run.json"

@@ -428,3 +428,14 @@ class TestHeldoutLoglik:
         report = heldout_loglik(docs, fast_config(), SplitPlan(folds=2))
         for value, detail in zip(report.per_fold, report.details):
             assert value > detail["baseline_loglik"]
+
+
+def test_protocols_reject_bad_delta_before_training(monkeypatch):
+    def no_training(docs, config):
+        raise AssertionError("trained before checking delta")
+
+    monkeypatch.setattr("flatm.evaluation.train", no_training)
+    for protocol in (classify, heldout_loglik):
+        for delta in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="delta"):
+                protocol(small_corpus(), fast_config(), SplitPlan(folds=2), delta=delta)

@@ -21,7 +21,6 @@ from flatm import (
     stage_seed,
     top_words,
     topic_given_doc,
-    topic_memberships,
     train,
     word_given_doc,
     word_given_topic,
@@ -141,15 +140,6 @@ class TestCascadeReduce:
             sp.csr_matrix(x), CascadeSchedule(counts=(3, 2)), seed=1
         )
         np.testing.assert_array_equal(dense, sparse)
-
-
-class TestTopicMemberships:
-    def test_rows_are_distributions(self):
-        rng = np.random.default_rng(5)
-        reduced = rng.random((14, 3))
-        ptw = topic_memberships(reduced, 4, seed=2)
-        assert ptw.shape == (14, 4)
-        np.testing.assert_allclose(ptw.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestWordProbabilities:
