@@ -37,6 +37,7 @@ from .fcm import FcmResult
 from .model import (
     CascadeSchedule,
     OutOfVocabularyError,
+    ScheduleError,
     TrainConfig,
     fold_in,
     load_model,
@@ -201,8 +202,9 @@ def _add_model_flags(p) -> None:
     p.add_argument(
         "--schedule", type=_schedule_arg, metavar="C1,C2,...",
         default=",".join(map(str, CascadeSchedule().counts)),
-        help="descending cluster counts for the reduction cascade "
-        "(default: %(default)s)",
+        help="descending cluster counts for the reduction cascade; the first "
+        "must be below the term count of every model trained, which for eval "
+        "classify is each class's own vocabulary (default: %(default)s)",
     )
     p.add_argument(
         "--no-cascade", action="store_true",
@@ -374,6 +376,11 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 def cmd_top_words(args: argparse.Namespace) -> int:
     model = load_model(args.model)
+    if args.topic is not None and args.topic >= model.n_topics:
+        args.parser.error(
+            f"argument --topic: must be in [0, {model.n_topics}) for this "
+            f"model, got {args.topic}"
+        )
     topics = [args.topic] if args.topic is not None else range(model.n_topics)
     lines = ["topic\trank\tterm\tprob"]
     for topic in topics:
@@ -522,6 +529,13 @@ def main(argv: list[str] | None = None) -> int:
     except (InputFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"flatm: error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ScheduleError as exc:
+        print(
+            f"flatm: error: {exc}; the first --schedule count must be below "
+            "the term count of every model trained",
+            file=sys.stderr,
+        )
+        return EXIT_PIPELINE
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"flatm: error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE

@@ -26,6 +26,7 @@ import numpy as np
 
 from .corpus import RawDocument
 from .model import (
+    ScheduleError,
     TopicModel,
     TrainConfig,
     _config_to_dict,
@@ -211,13 +212,26 @@ def corpus_log_likelihood(
     }
 
 
+def _train_one(job: tuple[str, Sequence[RawDocument], TrainConfig]) -> TopicModel:
+    name, docs, config = job
+    try:
+        return train(docs, config)
+    except ScheduleError as exc:
+        raise ScheduleError(f"{name}: {exc}") from exc
+
+
 def _train_many(
-    jobs: Sequence[tuple[Sequence[RawDocument], TrainConfig]], threads: int
+    jobs: Sequence[tuple[str, Sequence[RawDocument], TrainConfig]], threads: int
 ) -> list[TopicModel]:
+    """Train one model per (name, docs, config) job.
+
+    A schedule too long for a job's vocabulary raises a
+    :class:`ScheduleError` that names the job.
+    """
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda job: train(job[0], job[1]), jobs))
-    return [train(docs, config) for docs, config in jobs]
+            return list(pool.map(_train_one, jobs))
+    return [_train_one(job) for job in jobs]
 
 
 def classify(
@@ -258,7 +272,7 @@ def classify(
                 if i not in test_set and d.label == label
             ]
             seed = stage_seed(config.seed, f, li)
-            jobs.append((class_docs, replace(config, seed=seed)))
+            jobs.append((f"class {label!r}", class_docs, replace(config, seed=seed)))
     models = _train_many(jobs, threads)
     per_fold = []
     details = []
@@ -348,7 +362,11 @@ def heldout_loglik(
         for f in range(plan.folds)
     ]
     jobs = [
-        ([docs[i] for i in train_idx], replace(config, seed=stage_seed(config.seed, f)))
+        (
+            f"round {f}",
+            [docs[i] for i in train_idx],
+            replace(config, seed=stage_seed(config.seed, f)),
+        )
         for f, (train_idx, _) in enumerate(splits)
     ]
     models = _train_many(jobs, threads)

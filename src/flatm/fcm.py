@@ -7,8 +7,20 @@ objective is non-increasing across iterations up to rounding; the loop
 stops when the largest membership change falls to the threshold or the
 iteration cap is hit.
 
-The per-iteration kernels below take C-contiguous float64 arrays and use
-plain squared Euclidean distances; ``fuzzifier`` is the exponent q > 1.
+Points are the rows of a float64 matrix, dense or scipy sparse;
+``fuzzifier`` is the exponent q > 1. The input type picks the kernels.
+A dense matrix takes the direct difference, d2_jk = sum_i (x_ji - v_ki)^2,
+and centers as an einsum over memberships. A sparse matrix never becomes
+dense: distances use the expansion d2_jk = |x_j|^2 - 2 x_j.v_k + |v_k|^2,
+clamped at 0, and centers are (U^q)^T X / sum_j u_jk^q as a sparse
+product.
+
+The expansion suits a sparse term-by-document matrix, whose rows are
+far from each other and from the centers. It does not suit the dense
+membership rows that later cascade stages cluster: those rows are
+nearly identical, with d2 around 1e-13 against |x|^2 around 0.1, and
+cancellation would cost about 1e-4 relative. So dense input keeps the
+direct difference.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "FcmConfig",
@@ -79,11 +92,21 @@ class FcmResult:
     converged: bool
 
 
-def _check_data(data: np.ndarray, n_clusters: int) -> np.ndarray:
-    x = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+_Points = np.ndarray | sp.csr_matrix
+
+
+def _as_points(data) -> _Points:
+    """CSR for sparse input, a C-contiguous array otherwise; float64."""
+    if sp.issparse(data):
+        return sp.csr_matrix(data, dtype=np.float64)
+    return np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+
+
+def _check_data(data, n_clusters: int) -> _Points:
+    x = _as_points(data)
     if x.ndim != 2:
         raise ValueError("data must be a 2-d array")
-    if not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(x.data if sp.issparse(x) else x)):
         raise ValueError("data must be finite")
     if x.shape[0] <= n_clusters:
         raise ValueError(
@@ -101,8 +124,13 @@ def initial_membership(
     return u / u.sum(axis=1, keepdims=True)
 
 
-def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _sq_dists(x: _Points, centers: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, shape (n_points, n_clusters)."""
+    if sp.issparse(x):
+        x_sq = np.asarray(x.multiply(x).sum(axis=1)).ravel()
+        d2 = x_sq[:, None] - 2.0 * (x @ centers.T)
+        d2 += np.einsum("cd,cd->c", centers, centers)
+        return np.maximum(d2, 0.0, out=d2)
     n, c = x.shape[0], centers.shape[0]
     d2 = np.empty((n, c))
     # Per-cluster loop keeps the temporary at (n, dims) and the einsum
@@ -141,16 +169,16 @@ def _objective(d2: np.ndarray, u: np.ndarray, fuzzifier: float) -> float:
 
 
 def update_memberships(
-    data: np.ndarray, centers: np.ndarray, fuzzifier: float
+    data: np.ndarray | sp.spmatrix, centers: np.ndarray, fuzzifier: float
 ) -> np.ndarray:
     """One membership update against fixed centers."""
-    x = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+    x = _as_points(data)
     v = np.ascontiguousarray(np.asarray(centers, dtype=np.float64))
     return _memberships(_sq_dists(x, v), fuzzifier)
 
 
 def update_centers(
-    data: np.ndarray,
+    data: np.ndarray | sp.spmatrix,
     membership: np.ndarray,
     fuzzifier: float,
     rng: np.random.Generator | None = None,
@@ -161,17 +189,20 @@ def update_centers(
     membership mass has no defined center; it restarts at a data point
     drawn from ``rng`` rather than dividing by zero.
     """
-    x = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+    x = _as_points(data)
     u = np.ascontiguousarray(np.asarray(membership, dtype=np.float64))
     um = u**fuzzifier
     wsum = um.sum(axis=0)
-    centers = np.einsum("nc,nd->cd", um, x)
+    if sp.issparse(x):
+        centers = np.ascontiguousarray((x.T @ um).T)
+    else:
+        centers = np.einsum("nc,nd->cd", um, x)
     centers /= np.where(wsum > 0.0, wsum, 1.0)[:, None]
     if rng is None:
         rng = np.random.default_rng(0)
     for k in np.flatnonzero(wsum == 0.0):
         j = int(rng.integers(x.shape[0]))
-        centers[k] = x[j]
+        centers[k] = x[j].toarray()[0] if sp.issparse(x) else x[j]
         logger.warning(
             "cluster %d lost all membership mass; re-seeded at data point %d", k, j
         )
@@ -179,20 +210,20 @@ def update_centers(
 
 
 def objective(
-    data: np.ndarray,
+    data: np.ndarray | sp.spmatrix,
     membership: np.ndarray,
     centers: np.ndarray,
     fuzzifier: float,
 ) -> float:
     """Weighted within-cluster scatter for the given state."""
-    x = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+    x = _as_points(data)
     u = np.ascontiguousarray(np.asarray(membership, dtype=np.float64))
     v = np.ascontiguousarray(np.asarray(centers, dtype=np.float64))
     return _objective(_sq_dists(x, v), u, fuzzifier)
 
 
 def fcm_run(
-    data: np.ndarray,
+    data: np.ndarray | sp.spmatrix,
     config: FcmConfig,
     on_iteration: Callable[[int, np.ndarray, np.ndarray, float, float], None]
     | None = None,

@@ -14,6 +14,11 @@ memberships P(T|W):
     P(W_i | T_k)  = P(W_i, T_k) / sum_i P(W_i, T_k)
     P(W_i | D_j)  = a_ij / sum_i a_ij
     P(T_k | D_j)  = sum_i P(T_k | W_i) P(W_i | D_j)
+
+The weighted matrix stays sparse (CSR) throughout training: stage 0 of
+the cascade, or the topic run without a cascade, clusters it as CSR,
+and P(W|D) is its column-normalized CSR copy, so P(T|D) is a sparse
+product. Memory follows the non-zeros, not terms x documents.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ __all__ = [
     "TrainConfig",
     "TopicModel",
     "OutOfVocabularyError",
+    "ScheduleError",
     "MODEL_FORMAT_VERSION",
     "stage_seed",
     "cascade_reduce",
@@ -78,6 +84,10 @@ class OutOfVocabularyError(ValueError):
     def __init__(self, doc_id: str):
         super().__init__(f"document {doc_id!r} has no in-vocabulary terms")
         self.doc_id = doc_id
+
+
+class ScheduleError(ValueError):
+    """The cascade schedule needs more terms than the corpus has."""
 
 
 @dataclass(frozen=True)
@@ -178,12 +188,10 @@ def stage_seed(master_seed: int, *indices: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _dense(values: WeightedMatrix | sp.spmatrix | np.ndarray) -> np.ndarray:
+def _csr(values: WeightedMatrix | sp.spmatrix | np.ndarray) -> sp.csr_matrix:
     if isinstance(values, WeightedMatrix):
         values = values.values
-    if sp.issparse(values):
-        values = values.toarray()
-    return np.ascontiguousarray(np.asarray(values, dtype=np.float64))
+    return sp.csr_matrix(values, dtype=np.float64)
 
 
 def cascade_reduce(
@@ -202,11 +210,15 @@ def cascade_reduce(
     ``schedule.counts[s]`` clusters and keeps the membership matrix as the
     next input, so the result has shape (m, schedule.counts[-1]). Stage
     seeds derive from ``seed`` by stage index. Requires more terms than
-    the first stage's cluster count.
+    the first stage's cluster count; raises :class:`ScheduleError`
+    otherwise.
+
+    Stage 0 always clusters ``values`` in CSR form, so dense and sparse
+    inputs give identical results; later stages cluster dense memberships.
     """
-    x = _dense(values)
+    x = _csr(values)
     if x.shape[0] <= schedule.counts[0]:
-        raise ValueError(
+        raise ScheduleError(
             f"cascade needs more terms than the first stage's clusters: "
             f"{x.shape[0]} terms, schedule starts at {schedule.counts[0]}"
         )
@@ -229,11 +241,11 @@ def word_probabilities(
     values: WeightedMatrix | sp.spmatrix | np.ndarray,
 ) -> np.ndarray:
     """Marginal P(W_i): row mass over total mass of the weighted matrix."""
-    a = _dense(values)
+    a = _csr(values)
     total = a.sum()
     if not total > 0:
         raise ValueError("weighted matrix has zero total mass")
-    return a.sum(axis=1) / total
+    return np.asarray(a.sum(axis=1)).ravel() / total
 
 
 def word_given_topic(
@@ -250,26 +262,33 @@ def word_given_topic(
     return (joint / topic_mass).T
 
 
-def word_given_doc(values: WeightedMatrix | sp.spmatrix | np.ndarray) -> np.ndarray:
-    """Column-normalized weighted matrix: P(W_i|D_j). Dense (m, n)."""
-    a = _dense(values)
-    col_mass = a.sum(axis=0)
+def word_given_doc(
+    values: WeightedMatrix | sp.spmatrix | np.ndarray,
+) -> sp.csr_matrix:
+    """Column-normalized weighted matrix: P(W_i|D_j). CSR (m, n)."""
+    a = _csr(values)
+    col_mass = np.asarray(a.sum(axis=0)).ravel()
     empty = np.flatnonzero(col_mass == 0.0)
     if empty.size:
         j = int(empty[0])
         doc_ids = values.doc_ids if isinstance(values, WeightedMatrix) else None
         name = doc_ids[j] if doc_ids is not None else str(j)
         raise ValueError(f"document {name!r} has zero weighted mass")
-    return a / col_mass
+    pwd = a.copy()
+    pwd.data /= col_mass[pwd.indices]
+    return pwd
 
 
 def topic_given_doc(
-    topic_given_word: np.ndarray, word_given_doc: np.ndarray
+    topic_given_word: np.ndarray, word_given_doc: sp.spmatrix | np.ndarray
 ) -> np.ndarray:
-    """Mix P(T|W) over each document's word distribution; columns sum to 1."""
+    """Mix P(T|W) over each document's word distribution; columns sum to 1.
+
+    Computed as the sparse product P(W|D)^T P(T|W); dense (K, n).
+    """
     ptw = np.asarray(topic_given_word, dtype=np.float64)
-    pwd = np.asarray(word_given_doc, dtype=np.float64)
-    return np.einsum("mk,mn->kn", ptw, pwd)
+    pwd = sp.csr_matrix(word_given_doc, dtype=np.float64)
+    return np.ascontiguousarray((pwd.T @ ptw).T)
 
 
 def train(
@@ -308,7 +327,7 @@ def train(
         )
         topic_stage = len(config.schedule)
     else:
-        reduced = _dense(weighted)
+        reduced = weighted.values
         topic_stage = 0
     topic_config = FcmConfig(
         n_clusters=config.n_topics,

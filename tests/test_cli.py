@@ -319,11 +319,12 @@ class TestTopWords:
         assert len(lines) == 2
         assert all(line.startswith("1\t") for line in lines)
 
-    def test_out_of_range_topic_exits_3(self, workspace):
+    def test_out_of_range_topic_exits_1(self, workspace):
         proc = run_cli(
             "top-words", "--model", workspace / "model.json", "--topic", "9",
         )
-        assert proc.returncode == 3
+        assert proc.returncode == 1
+        assert "--topic: must be in [0, 2)" in proc.stderr
 
 
 class TestEval:
@@ -406,6 +407,22 @@ class TestEval:
             *TRAIN_ARGS, "--folds", "2",
         )
         assert a.stdout == b.stdout
+
+    def test_class_below_schedule_is_named(self, tmp_path):
+        corpus = tmp_path / "small.tsv"
+        run_cli(
+            "gen-synth", "--classes", "2", "--vocab-per-class", "10",
+            "--docs-per-class", "8", "--doc-length", "10",
+            "--output", corpus,
+            check=True,
+        )
+        proc = run_cli(
+            "eval", "classify", "--input", corpus, "--topics", "2", "--folds", "2",
+        )
+        assert proc.returncode == 3
+        assert "class 'class0'" in proc.stderr
+        assert "10 terms, schedule starts at 10" in proc.stderr
+        assert "--schedule" in proc.stderr
 
 
 class TestConfigFile:

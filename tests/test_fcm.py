@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
 from flatm import (
@@ -50,14 +51,16 @@ class TestConfigValidation:
 class TestDataValidation:
     def test_more_points_than_clusters_required(self):
         data = np.zeros((3, 2)) + np.arange(3)[:, None]
-        with pytest.raises(ValueError, match="more points than clusters"):
-            fcm_run(data, FcmConfig(n_clusters=3))
-        fcm_run(np.vstack([data, [9.0, 9.0]]), FcmConfig(n_clusters=3))
+        for kind in (np.asarray, sp.csr_matrix):
+            with pytest.raises(ValueError, match="more points than clusters"):
+                fcm_run(kind(data), FcmConfig(n_clusters=3))
+            fcm_run(kind(np.vstack([data, [9.0, 9.0]])), FcmConfig(n_clusters=3))
 
     def test_non_finite_rejected(self):
         data = np.array([[0.0, 1.0], [1.0, np.nan], [2.0, 0.0]])
-        with pytest.raises(ValueError, match="finite"):
-            fcm_run(data, FcmConfig(n_clusters=2))
+        for kind in (np.asarray, sp.csr_matrix):
+            with pytest.raises(ValueError, match="finite"):
+                fcm_run(kind(data), FcmConfig(n_clusters=2))
 
     def test_one_dimensional_rejected(self):
         with pytest.raises(ValueError, match="2-d"):
@@ -145,12 +148,17 @@ class TestCenterUpdate:
     def test_dead_cluster_reseeded_from_data(self, caplog):
         data = np.arange(8.0).reshape(4, 2)
         u = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-        rng = np.random.default_rng(123)
-        with caplog.at_level(logging.WARNING, logger="flatm.fcm"):
-            centers = update_centers(data, u, 2.0, rng=rng)
-        assert "lost all membership mass" in caplog.text
-        np.testing.assert_allclose(centers[0], data.mean(axis=0), atol=1e-12)
-        assert any((centers[1] == row).all() for row in data)
+        for kind in (np.asarray, sp.csr_matrix):
+            rng = np.random.default_rng(123)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="flatm.fcm"):
+                centers = update_centers(kind(data), u, 2.0, rng=rng)
+            assert "lost all membership mass" in caplog.text
+            np.testing.assert_allclose(centers[0], data.mean(axis=0), atol=1e-12)
+            assert any((centers[1] == row).all() for row in data)
+            after = update_memberships(kind(data), centers, 2.0)
+            assert np.all(np.isfinite(after))
+            np.testing.assert_allclose(after.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestObjective:
@@ -286,6 +294,40 @@ class TestFcmRun:
         data = rng.random((15, 2))
         result = fcm_run(data, FcmConfig(n_clusters=4, seed=9))
         np.testing.assert_allclose(result.membership.sum(axis=1), 1.0, atol=1e-9)
+
+
+class TestSparseInput:
+    """A CSR matrix takes the expanded-distance kernels; results agree."""
+
+    def test_kernels_and_run_match_dense(self):
+        rng = np.random.default_rng(61)
+        dense = blob_pair(rng, n_per=40, dims=6, separation=10.0)
+        dense[np.abs(dense) < 0.5] = 0.0
+        csr = sp.csr_matrix(dense)
+        u = rng.random((80, 3))
+        u /= u.sum(axis=1, keepdims=True)
+        centers = update_centers(dense, u, 2.0)
+        np.testing.assert_allclose(
+            update_centers(csr, u, 2.0), centers, atol=1e-12, rtol=0
+        )
+        np.testing.assert_allclose(
+            update_memberships(csr, centers, 1.7),
+            update_memberships(dense, centers, 1.7),
+            atol=1e-12,
+            rtol=0,
+        )
+        assert objective(csr, u, centers, 2.0) == pytest.approx(
+            objective(dense, u, centers, 2.0), rel=1e-12
+        )
+        config = FcmConfig(n_clusters=2, seed=5)
+        a = fcm_run(dense, config)
+        b = fcm_run(csr, config)
+        assert a.converged and b.iterations == a.iterations
+        np.testing.assert_allclose(b.membership, a.membership, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(b.centers, a.centers, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(
+            b.objective_trace, a.objective_trace, rtol=1e-12
+        )
 
 
 class TestSeedDerivation:

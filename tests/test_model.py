@@ -10,6 +10,7 @@ from flatm import (
     InputFormatError,
     OutOfVocabularyError,
     RawDocument,
+    ScheduleError,
     TokenizerConfig,
     TrainConfig,
     cascade_reduce,
@@ -121,7 +122,7 @@ class TestCascadeReduce:
 
     def test_needs_more_terms_than_first_stage(self):
         x = np.random.default_rng(2).random((6, 4))
-        with pytest.raises(ValueError, match="more terms"):
+        with pytest.raises(ScheduleError, match="6 terms, schedule starts at 6$"):
             cascade_reduce(x, CascadeSchedule(counts=(6, 2)), seed=0)
 
     def test_deterministic_per_seed(self):
@@ -186,7 +187,7 @@ class TestWordGivenDoc:
     def test_columns_normalized(self):
         a = np.array([[1.0, 0.0], [1.0, 3.0]])
         np.testing.assert_allclose(
-            word_given_doc(a), [[0.5, 0.0], [0.5, 1.0]]
+            word_given_doc(a).toarray(), [[0.5, 0.0], [0.5, 1.0]]
         )
 
     def test_zero_column_names_document(self):
@@ -298,6 +299,25 @@ class TestTrain:
         np.testing.assert_allclose(
             model.topic_given_word.sum(axis=1), 1.0, atol=1e-9
         )
+
+    def test_never_densifies_the_weighted_matrix(self, monkeypatch):
+        def guard(method):
+            def checked(self, *args, **kwargs):
+                if self.shape[0] > 1:
+                    raise AssertionError(f"densified a {self.shape} sparse matrix")
+                return method(self, *args, **kwargs)
+
+            return checked
+
+        for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+            for name in ("toarray", "todense"):
+                monkeypatch.setattr(cls, name, guard(getattr(cls, name)))
+        docs = two_class_docs()
+        for cascade in (True, False):
+            model = train(docs, tiny_config(cascade=cascade))
+            np.testing.assert_allclose(
+                model.topic_given_doc.sum(axis=0), 1.0, atol=1e-9
+            )
 
     def test_gtw_none_uses_unit_weights(self):
         docs = two_class_docs()
