@@ -1,8 +1,9 @@
 """Fuzzy topic models over globally weighted term-document matrices.
 
-Train with :func:`train`, fold unseen documents in with :func:`fold_in`,
-and evaluate with :func:`classify` or :func:`heldout_loglik`. The same
-operations are available on the command line as ``flatm``.
+Train with :func:`train`, fold unseen documents in with :func:`fold_in` or
+:func:`fold_in_many`, and evaluate with :func:`classify` or
+:func:`heldout_loglik`. The same operations are available on the command
+line as ``flatm``.
 """
 
 from .corpus import (
@@ -33,6 +34,7 @@ from .model import (
     TrainConfig,
     cascade_reduce,
     fold_in,
+    fold_in_many,
     load_model,
     model_from_json,
     model_to_json,
@@ -117,6 +119,7 @@ __all__ = [
     "TrainConfig",
     "cascade_reduce",
     "fold_in",
+    "fold_in_many",
     "load_model",
     "model_from_json",
     "model_to_json",

@@ -36,10 +36,9 @@ from .evaluation import SplitPlan, classify, generate_synthetic, heldout_loglik
 from .fcm import FcmResult
 from .model import (
     CascadeSchedule,
-    OutOfVocabularyError,
     ScheduleError,
     TrainConfig,
-    fold_in,
+    fold_in_many,
     load_model,
     save_model,
     top_words,
@@ -356,16 +355,14 @@ def cmd_infer(args: argparse.Namespace) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["doc_id"] + [f"topic_{k}" for k in range(model.n_topics)])
-    oov = 0
-    for doc in docs:
-        try:
-            vec = fold_in(model, doc)
-        except OutOfVocabularyError:
+    ptd, known = fold_in_many(model, docs)
+    for j, doc in enumerate(docs):
+        if known[j]:
+            writer.writerow([doc.doc_id] + [repr(v) for v in ptd[:, j].tolist()])
+        else:
             writer.writerow([doc.doc_id, "ERROR_OOV"])
-            oov += 1
-            continue
-        writer.writerow([doc.doc_id] + [repr(float(v)) for v in vec])
     _write_or_print(buffer.getvalue(), args.output)
+    oov = int((~known).sum())
     if oov:
         print(
             f"warning: {oov} document(s) had no in-vocabulary terms",

@@ -8,8 +8,10 @@ lexicographic order, columns are documents in input order.
 from __future__ import annotations
 
 import importlib.resources
+import itertools
 import re
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -141,15 +143,24 @@ class TermDocMatrix:
 
     ``counts`` is CSR with shape (n_terms, n_docs) and float64 values that
     are exact nonnegative integers. Row order matches the vocabulary,
-    column order matches ``doc_ids``.
+    column order matches ``doc_ids``. ``tokens`` holds each document's
+    filtered token total, counted or not; a column's out-of-vocabulary
+    tokens are ``tokens`` minus its column sum. It defaults to the column
+    sums, i.e. no token left out.
     """
 
     counts: sp.csr_matrix
     doc_ids: tuple[str, ...]
+    tokens: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.counts.shape[1] != len(self.doc_ids):
             raise ValueError("column count does not match doc_ids")
+        if self.tokens is None:
+            column_sums = np.asarray(self.counts.sum(axis=0)).ravel()
+            object.__setattr__(self, "tokens", column_sums.astype(np.int64))
+        elif len(self.tokens) != len(self.doc_ids):
+            raise ValueError("token totals do not match doc_ids")
 
     @property
     def n_terms(self) -> int:
@@ -184,9 +195,14 @@ def load_corpus(
         return _load_dir_of_txt(path, allow_empty)
     if not path.is_file():
         raise InputFormatError(f"not a file: {path}")
-    text = path.read_text(encoding="utf-8")
+    # Universal-newline reading turns \r\n and \r into \n; only \n then
+    # separates documents. str.splitlines would also split at form feeds,
+    # vertical tabs, \x1c-\x1e, \x85, U+2028 and U+2029 inside a line.
+    lines = path.read_text(encoding="utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
     docs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if format == "labeled-tsv":
             label, sep, body = line.partition("\t")
             if not sep:
@@ -227,37 +243,71 @@ def build_matrix(
     docs: Sequence[RawDocument],
     config: TokenizerConfig | None = None,
     min_df: int = 1,
+    *,
+    vocabulary: Vocabulary | None = None,
 ) -> tuple[Vocabulary, TermDocMatrix]:
     """Tokenize ``docs`` and build the count matrix.
 
-    Terms appearing in fewer than ``min_df`` documents are pruned. Raises
-    ``ValueError`` if no documents were given or every document tokenizes
-    to nothing.
+    This is the one place text becomes counts: training, fold-in and
+    scoring all call it. Each document's tokens are mapped to term ids as
+    soon as it is tokenized, so only ids and counts outlive a document.
+    The result's ``tokens`` holds every document's filtered token total.
+
+    Without ``vocabulary``, the vocabulary is every term found in at least
+    ``min_df`` documents, sorted; raises ``ValueError`` if no documents
+    were given or no term survives. With ``vocabulary``, only its terms are
+    counted, ``min_df`` is ignored and the vocabulary is returned as given;
+    empty and fully out-of-vocabulary documents give empty columns, and
+    an empty ``docs`` gives zero columns.
     """
-    if not docs:
-        raise ValueError("corpus is empty")
-    if min_df < 1:
-        raise ValueError("min_df must be >= 1")
     if config is None:
         config = TokenizerConfig()
-    token_counts = [Counter(tokenize(doc.text, config)) for doc in docs]
-    df: Counter[str] = Counter()
-    for counts in token_counts:
-        df.update(counts.keys())
-    terms = sorted(t for t, d in df.items() if d >= min_df)
-    if not terms:
-        raise ValueError("every document tokenized to nothing; no vocabulary")
-    vocab = Vocabulary(terms=tuple(terms))
-    rows, cols, data = [], [], []
-    for j, counts in enumerate(token_counts):
-        for term, count in counts.items():
-            i = vocab.index.get(term)
-            if i is not None:
-                rows.append(i)
-                cols.append(j)
-                data.append(float(count))
-    counts_csr = sp.csr_matrix(
-        (data, (rows, cols)), shape=(len(vocab), len(docs)), dtype=np.float64
+    if vocabulary is None:
+        if not docs:
+            raise ValueError("corpus is empty")
+        if min_df < 1:
+            raise ValueError("min_df must be >= 1")
+        # Provisional ids in order of first appearance; sorted at the end.
+        provisional = defaultdict(itertools.count().__next__)
+
+        def term_ids(counts: Counter) -> Iterable[int]:
+            return map(provisional.__getitem__, counts)
+
+    else:
+        index = vocabulary.index
+
+        def term_ids(counts: Counter) -> Iterable[int]:
+            return map(index.get, counts, itertools.repeat(-1))
+
+    # Term ids (-1 for unknown terms) and counts, column after column.
+    ids, values = array("i"), array("i")
+    indptr = np.zeros(len(docs) + 1, dtype=np.int64)
+    tokens = np.empty(len(docs), dtype=np.int64)
+    for j, doc in enumerate(docs):
+        counts = Counter(tokenize(doc.text, config))
+        ids.extend(term_ids(counts))
+        values.extend(counts.values())
+        indptr[j + 1] = len(ids)
+        tokens[j] = counts.total()
+    row = np.frombuffer(ids, dtype=np.intc)
+    if vocabulary is None:
+        df = np.bincount(row, minlength=len(provisional))
+        kept = sorted(t for t, i in provisional.items() if df[i] >= min_df)
+        if not kept:
+            raise ValueError("every document tokenized to nothing; no vocabulary")
+        vocabulary = Vocabulary(terms=tuple(kept))
+        final = np.full(len(provisional), -1, dtype=np.intc)
+        final[[provisional[t] for t in kept]] = np.arange(len(kept))
+        row = final[row]
+    data = np.frombuffer(values, dtype=np.intc).astype(np.float64)
+    known = row >= 0
+    if not known.all():
+        row, data = row[known], data[known]
+        indptr = np.concatenate(([0], np.cumsum(known)))[indptr]
+    columns = sp.csc_matrix(
+        (data, row, indptr), shape=(len(vocabulary), len(docs)), dtype=np.float64
     )
     doc_ids = tuple(doc.doc_id for doc in docs)
-    return vocab, TermDocMatrix(counts=counts_csr, doc_ids=doc_ids)
+    return vocabulary, TermDocMatrix(
+        counts=columns.tocsr(), doc_ids=doc_ids, tokens=tokens
+    )

@@ -12,6 +12,10 @@ where P(T|d) comes from folding the document into class c's model.
 Tokens unknown to a model contribute log(delta) each, so a fully
 out-of-vocabulary document is scored, not skipped. Ties go to the
 lexicographically smallest class label.
+
+Scoring runs on whole document sets: the documents are counted and folded
+in as a batch, and the mixture is formed only at each document's non-zero
+counts, O(nnz * K). Per-document totals are exact ``math.fsum`` sums.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ from .model import (
     TopicModel,
     TrainConfig,
     _config_to_dict,
-    _count_terms,
-    _fold_counts,
+    _fold_chunks,
     stage_seed,
     train,
 )
@@ -158,6 +161,50 @@ def _check_delta(delta: float) -> None:
         raise ValueError("delta must be positive")
 
 
+def _score_many(
+    model: TopicModel,
+    docs: Sequence[RawDocument],
+    delta: float,
+    word_dist: np.ndarray | None = None,
+) -> list[tuple[float, int, int]]:
+    """(loglik, oov_tokens, total_tokens) for each document, in order.
+
+    Documents are counted and folded in by the model's batch fold-in. The
+    mixture sum_k P(w|T_k) P(T_k|d), or ``word_dist[w]``, is formed only
+    at each document's non-zero counts, O(nnz * K); a length-m mixture is
+    never built. Every step is elementwise or confined to one document,
+    and each document's terms are summed exactly by ``math.fsum``, so a
+    score has the same bits alone or inside any batch.
+    """
+    _check_delta(delta)
+    log_delta = math.log(delta)
+    scores = []
+    for _, tdm, ptd, _ in _fold_chunks(model, docs):
+        counts = tdm.counts.tocsc()
+        rows = counts.indices
+        if word_dist is None:
+            cols = np.repeat(np.arange(tdm.n_docs), np.diff(counts.indptr))
+            mix = np.zeros(counts.nnz)
+            for k in range(model.n_topics):
+                mix += model.word_given_topic[k, rows] * ptd[k, cols]
+        else:
+            mix = np.asarray(word_dist, dtype=np.float64)[rows]
+        shifted = delta + mix
+        for j in range(tdm.n_docs):
+            entries = slice(counts.indptr[j], counts.indptr[j + 1])
+            doc_counts = counts.data[entries].tolist()
+            terms = [
+                c * math.log(x)
+                for c, x in zip(doc_counts, shifted[entries].tolist())
+            ]
+            total = int(tdm.tokens[j])
+            oov = total - int(sum(doc_counts))
+            if oov:
+                terms.append(oov * log_delta)
+            scores.append((math.fsum(terms), oov, total))
+    return scores
+
+
 def doc_log_likelihood(
     model: TopicModel,
     doc: RawDocument,
@@ -171,19 +218,10 @@ def doc_log_likelihood(
     from fold-in; pass ``word_dist`` (length m) to score against a fixed
     word distribution instead, e.g. the unigram P(w). Unknown tokens and
     fully out-of-vocabulary documents contribute log(delta) per token.
+    The result has the same bits as this document's score inside
+    :func:`corpus_log_likelihood`.
     """
-    _check_delta(delta)
-    counts, oov, total = _count_terms(model, doc)
-    terms = [oov * math.log(delta)] if oov else []
-    if counts:
-        if word_dist is None:
-            ptd = _fold_counts(model, counts, doc.doc_id)
-            mix = np.einsum("km,k->m", model.word_given_topic, ptd)
-        else:
-            mix = np.asarray(word_dist, dtype=np.float64)
-        for i in sorted(counts):
-            terms.append(counts[i] * math.log(delta + mix[i]))
-    return math.fsum(terms), oov, total
+    return _score_many(model, [doc], delta, word_dist)[0]
 
 
 def corpus_log_likelihood(
@@ -193,22 +231,12 @@ def corpus_log_likelihood(
     word_dist: np.ndarray | None = None,
 ) -> dict:
     """Totals over a document set; order-invariant thanks to exact sums."""
-    per_doc = []
-    oov_total = 0
-    token_total = 0
-    scored = 0
-    for doc in docs:
-        ll, oov, total = doc_log_likelihood(model, doc, delta, word_dist)
-        per_doc.append(ll)
-        oov_total += oov
-        token_total += total
-        if oov < total:
-            scored += 1
+    scores = _score_many(model, docs, delta, word_dist)
     return {
-        "loglik": math.fsum(per_doc),
-        "oov_tokens": oov_total,
-        "n_tokens": token_total,
-        "docs_with_known_terms": scored,
+        "loglik": math.fsum(ll for ll, _, _ in scores),
+        "oov_tokens": sum(oov for _, oov, _ in scores),
+        "n_tokens": sum(total for _, _, total in scores),
+        "docs_with_known_terms": sum(1 for _, oov, total in scores if oov < total),
     }
 
 
@@ -280,14 +308,18 @@ def classify(
         fold_models = dict(
             zip(labels, models[f * len(labels) : (f + 1) * len(labels)])
         )
+        test_docs = [docs[i] for i in folds[f]]
+        scores = {
+            label: _score_many(model, test_docs, delta)
+            for label, model in fold_models.items()
+        }
         correct = 0
         oov_tokens = 0
-        for i in folds[f]:
-            doc = docs[i]
+        for t, doc in enumerate(test_docs):
             best_label = None
             best_ll = -math.inf
             for label in labels:
-                ll, oov, _ = doc_log_likelihood(fold_models[label], doc, delta)
+                ll, oov, _ = scores[label][t]
                 if ll > best_ll:
                     best_ll, best_label = ll, label
                 if label == doc.label:

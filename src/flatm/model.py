@@ -19,6 +19,11 @@ The weighted matrix stays sparse (CSR) throughout training: stage 0 of
 the cascade, or the topic run without a cascade, clusters it as CSR,
 and P(W|D) is its column-normalized CSR copy, so P(T|D) is a sparse
 product. Memory follows the non-zeros, not terms x documents.
+
+Fold-in is the same assembly applied to new columns: unseen documents are
+counted over the model vocabulary by ``build_matrix``, weighted with the
+stored global weights, column-normalized and mixed through the stored
+P(T|W) by the functions training uses, in O(nnz * K).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,10 +39,10 @@ import scipy.sparse as sp
 from .corpus import (
     InputFormatError,
     RawDocument,
+    TermDocMatrix,
     TokenizerConfig,
     Vocabulary,
     build_matrix,
-    tokenize,
 )
 from .fcm import FcmConfig, FcmResult, fcm_run
 from .weighting import (
@@ -66,6 +71,7 @@ __all__ = [
     "topic_given_doc",
     "train",
     "fold_in",
+    "fold_in_many",
     "top_words",
     "model_to_json",
     "model_from_json",
@@ -267,7 +273,8 @@ def word_given_doc(
 ) -> sp.csr_matrix:
     """Column-normalized weighted matrix: P(W_i|D_j). CSR (m, n)."""
     a = _csr(values)
-    col_mass = np.asarray(a.sum(axis=0)).ravel()
+    # Each column's entries added in row order, as a.sum(axis=0) adds them.
+    col_mass = np.bincount(a.indices, weights=a.data, minlength=a.shape[1])
     empty = np.flatnonzero(col_mass == 0.0)
     if empty.size:
         j = int(empty[0])
@@ -356,47 +363,81 @@ def train(
     )
 
 
-def _count_terms(
-    model: TopicModel, doc: RawDocument
-) -> tuple[dict[int, int], int, int]:
-    """Tokenize ``doc`` with the model's tokenizer and count it.
+# Documents counted and folded in per chunk; a chunk's intermediates take a
+# few KB per document. Peak RSS (VmHWM) of `flatm infer` on 20000 unseen
+# documents against a 3060-term model, 2 vCPUs: 83.1 MB one document at a
+# time, 83.2-84.0 MB with chunks of 256, 83.4-85.3 MB with 512,
+# 85.1-86.8 MB with 1024 and 95.2 MB with 2048, against 83.2-83.4 MB for the
+# per-document routine this replaced. Wall time was the same from 256 to
+# 1024.
+_CHUNK_DOCS = 256
 
-    Returns (counts by vocabulary index, out-of-vocabulary tokens, all
-    tokens).
+
+def _fold_chunk(
+    model: TopicModel, docs: Sequence[RawDocument]
+) -> tuple[TermDocMatrix, np.ndarray, np.ndarray]:
+    """Counts over the model vocabulary, P(T|D) (K, n) and known mask.
+
+    Columns of documents without a known term are all zero in P(T|D). A
+    function of its own, so a chunk's intermediates are freed before the
+    next chunk is counted.
     """
-    tokens = tokenize(doc.text, model.config.tokenizer)
-    index = model.vocabulary.index
-    counts: dict[int, int] = {}
-    for token in tokens:
-        i = index.get(token)
-        if i is not None:
-            counts[i] = counts.get(i, 0) + 1
-    return counts, len(tokens) - sum(counts.values()), len(tokens)
+    _, tdm = build_matrix(
+        docs, model.config.tokenizer, vocabulary=model.vocabulary
+    )
+    weighted = apply_gtw(tdm, model.global_weights).values
+    known = weighted.getnnz(axis=0) > 0
+    if not known.all():
+        weighted = weighted[:, known]
+    ptd = np.zeros((model.n_topics, tdm.n_docs))
+    if known.any():
+        pwd = word_given_doc(weighted)
+        ptd[:, known] = topic_given_doc(model.topic_given_word, pwd)
+    return tdm, ptd, known
 
 
-def _fold_counts(
-    model: TopicModel, counts: dict[int, int], doc_id: str
-) -> np.ndarray:
-    """P(T|D) from term counts: weight, normalize, mix through P(T|W)."""
-    col = np.zeros(model.n_terms)
-    for i, count in counts.items():
-        col[i] = count * model.global_weights.clamped[i]
-    mass = col.sum()
-    if not mass > 0:
-        raise OutOfVocabularyError(doc_id)
-    return np.einsum("mk,m->k", model.topic_given_word, col / mass)
+def _fold_chunks(
+    model: TopicModel, docs: Sequence[RawDocument]
+) -> Iterator[tuple[int, TermDocMatrix, np.ndarray, np.ndarray]]:
+    """:func:`_fold_chunk` over successive chunks, each with its start index."""
+    for start in range(0, len(docs), _CHUNK_DOCS):
+        yield (start, *_fold_chunk(model, docs[start : start + _CHUNK_DOCS]))
+
+
+def fold_in_many(
+    model: TopicModel, docs: Sequence[RawDocument]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Infer P(T|D) for unseen documents without retraining.
+
+    Returns P(T|D) of shape (K, n) and a boolean mask of shape (n,) that
+    is False for documents with no in-vocabulary term; their columns are
+    zero. Fold-in is the training assembly applied to new columns: the
+    documents are counted over the model vocabulary by ``build_matrix``,
+    weighted by ``apply_gtw`` with the stored global weights, normalized
+    by ``word_given_doc`` and mixed through the stored P(T|W) by
+    ``topic_given_doc``, in O(nnz * K). A column's arithmetic depends only
+    on that document, so a training document gets back its stored
+    P(T|D) column bit for bit, and a document gets the same bits alone
+    or inside any batch.
+    """
+    ptd = np.zeros((model.n_topics, len(docs)))
+    known = np.zeros(len(docs), dtype=bool)
+    for start, tdm, chunk_ptd, chunk_known in _fold_chunks(model, docs):
+        ptd[:, start : start + tdm.n_docs] = chunk_ptd
+        known[start : start + tdm.n_docs] = chunk_known
+    return ptd, known
 
 
 def fold_in(model: TopicModel, doc: RawDocument) -> np.ndarray:
-    """Infer P(T|D) for an unseen document without retraining.
+    """P(T|D) of one unseen document: :func:`fold_in_many` on a batch of one.
 
-    The document is tokenized with the model's tokenizer, counted against
-    the model vocabulary, weighted with the stored clamped weights, and
-    mixed through the stored P(T|W). Unknown terms are ignored; a document
-    with no known terms raises :class:`OutOfVocabularyError`.
+    Unknown terms are ignored; a document with no known terms raises
+    :class:`OutOfVocabularyError`.
     """
-    counts, _, _ = _count_terms(model, doc)
-    return _fold_counts(model, counts, doc.doc_id)
+    ptd, known = fold_in_many(model, [doc])
+    if not known[0]:
+        raise OutOfVocabularyError(doc.doc_id)
+    return ptd[:, 0]
 
 
 def top_words(

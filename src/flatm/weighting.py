@@ -262,7 +262,8 @@ def apply_gtw(
             f"weight vector length {len(weights)} does not match "
             f"{counts.shape[0]} terms"
         )
-    values = counts.multiply(weights.clamped[:, None]).tocsr()
+    values = counts.copy()
+    values.data *= np.repeat(weights.clamped, np.diff(counts.indptr))
     doc_ids = (
         matrix.doc_ids
         if isinstance(matrix, TermDocMatrix)

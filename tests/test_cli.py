@@ -262,6 +262,19 @@ class TestInfer:
         assert lines[2].endswith("ERROR_OOV")
         assert "no in-vocabulary terms" in proc.stderr
 
+    def test_one_row_per_input_line(self, workspace, tmp_path):
+        # A form feed inside a line does not start a new document.
+        docs_file = tmp_path / "docs.txt"
+        docs_file.write_text(
+            "c0w0 c0w1\x0cc1w4 c1w5\nc1w5 c0w2\u2028zebra\n", encoding="utf-8"
+        )
+        proc = run_cli(
+            "infer", "--model", workspace / "model.json", "--input", docs_file,
+            check=True,
+        )
+        rows = list(csv.reader(io.StringIO(proc.stdout)))
+        assert [row[0] for row in rows[1:]] == ["1", "2"]
+
     def test_corrupt_model_exits_2(self, workspace, tmp_path):
         valid = (workspace / "model.json").read_text()
         cases = {"not-json": "{ not json"}

@@ -1,9 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatm import (
     InputFormatError,
     RawDocument,
+    TermDocMatrix,
     TokenizerConfig,
     Vocabulary,
     build_matrix,
@@ -127,6 +133,36 @@ class TestLoadCorpus:
         assert [d.doc_id for d in docs] == ["1", "2"]
         assert docs[1].text == "second doc"
 
+    def test_only_line_feeds_separate_documents(self, tmp_path):
+        # Form feeds (common in text extracted from PDFs), vertical tabs,
+        # \x1c-\x1e, NEL and U+2028/U+2029 stay inside their line.
+        inside = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+        path = tmp_path / "corpus.txt"
+        path.write_text(
+            "alpha beta\x0cgamma delta\r\nepsilon zeta\n", encoding="utf-8"
+        )
+        docs = load_corpus(path, "lines")
+        assert [(d.doc_id, d.text) for d in docs] == [
+            ("1", "alpha beta\x0cgamma delta"),
+            ("2", "epsilon zeta"),
+        ]
+        for char in inside:
+            path.write_text(f"one{char}two\nthree\n", encoding="utf-8")
+            assert [d.text for d in load_corpus(path, "lines")] == [
+                f"one{char}two",
+                "three",
+            ], repr(char)
+        tsv = tmp_path / "corpus.tsv"
+        tsv.write_text(
+            "renal\tkidney\u2028stone\ncardio\tstress\x0ctest\r\n",
+            encoding="utf-8",
+        )
+        docs = load_corpus(tsv, "labeled-tsv")
+        assert [(d.doc_id, d.label, d.text) for d in docs] == [
+            ("1", "renal", "kidney\u2028stone"),
+            ("2", "cardio", "stress\x0ctest"),
+        ]
+
     def test_empty_file_gives_empty_list(self, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_text("", encoding="utf-8")
@@ -230,3 +266,82 @@ class TestBuildMatrix:
         _, tdm_a = build_matrix(docs)
         _, tdm_b = build_matrix(docs)
         assert (tdm_a.counts != tdm_b.counts).nnz == 0
+
+    def test_vocabulary_counts_only_its_terms(self):
+        vocab = Vocabulary(terms=("cat", "dog", "yak"))
+        docs = _docs("dog cat fox dog", "", "fox owl", "yak")
+        got_vocab, tdm = build_matrix(docs, vocabulary=vocab)
+        assert got_vocab is vocab
+        np.testing.assert_array_equal(
+            tdm.counts.toarray(),
+            [[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+        )
+        assert tdm.tokens.tolist() == [4, 0, 2, 1]
+        assert tdm.doc_ids == ("1", "2", "3", "4")
+
+    def test_vocabulary_ignores_min_df_and_allows_no_documents(self):
+        vocab = Vocabulary(terms=("cat",))
+        _, tdm = build_matrix(_docs("cat"), min_df=5, vocabulary=vocab)
+        assert tdm.counts.toarray().tolist() == [[1.0]]
+        _, empty = build_matrix([], vocabulary=vocab)
+        assert empty.counts.shape == (1, 0)
+        assert empty.tokens.shape == (0,)
+
+    def test_token_totals_include_pruned_terms(self):
+        docs = _docs("cat dog", "cat fox fox", "cat dog")
+        vocab, tdm = build_matrix(docs, min_df=2)
+        assert vocab.terms == ("cat", "dog")
+        assert tdm.tokens.tolist() == [2, 3, 2]
+        assert np.asarray(tdm.counts.sum(axis=0)).ravel().tolist() == [2, 1, 2]
+
+    def test_own_vocabulary_reproduces_the_matrix(self):
+        docs = _docs("cat dog", "dog dog fox", "fox cat yak", "the of")
+        vocab, tdm = build_matrix(docs)
+        _, again = build_matrix(docs, vocabulary=vocab)
+        assert (tdm.counts != again.counts).nnz == 0
+        np.testing.assert_array_equal(tdm.tokens, again.tokens)
+
+    def test_token_totals_default_to_column_sums(self):
+        counts = sp.csr_matrix(np.array([[1.0, 0.0], [2.0, 3.0]]))
+        tdm = TermDocMatrix(counts=counts, doc_ids=("a", "b"))
+        assert tdm.tokens.tolist() == [3, 3]
+
+
+# Words that exercise the tokenizer: stop-words, digits, mixed case,
+# underscores, non-ASCII letters.
+_WORDS = st.sampled_from(
+    [
+        "The", "the", "and", "fever", "Fever", "FEVER", "kidney", "naïve",
+        "Straße", "x_ray", "c3po", "42", "2024", "a", "ct", "édema", "Édema",
+        "ß", "ΔΣ", "医院",
+    ]
+)
+_SEPARATORS = st.sampled_from([" ", "  ", "\r\n", "\t", ", ", "-", "_", ". "])
+_TEXTS = st.lists(
+    st.one_of(_WORDS, st.text(max_size=6)), max_size=25
+).flatmap(
+    lambda words: st.lists(
+        _SEPARATORS, min_size=len(words), max_size=len(words)
+    ).map(lambda seps: "".join(w + s for w, s in zip(words, seps)))
+)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    texts=st.lists(_TEXTS, max_size=6),
+    vocab_texts=st.lists(_TEXTS, min_size=1, max_size=4),
+    lowercase=st.booleans(),
+)
+def test_vocabulary_counts_equal_counter_of_tokens(texts, vocab_texts, lowercase):
+    config = TokenizerConfig(lowercase=lowercase)
+    terms = {t for text in vocab_texts for t in tokenize(text, config)}
+    vocab = Vocabulary(terms=tuple(sorted(terms | {"fever"})))
+    docs = _docs(*texts)
+    _, tdm = build_matrix(docs, config, vocabulary=vocab)
+    dense = tdm.counts.toarray()
+    for j, doc in enumerate(docs):
+        tokens = tokenize(doc.text, config)
+        expected = Counter(t for t in tokens if t in vocab)
+        got = {vocab.terms[i]: dense[i, j] for i in np.flatnonzero(dense[:, j])}
+        assert got == expected
+        assert tdm.tokens[j] == len(tokens)

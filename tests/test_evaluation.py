@@ -1,8 +1,11 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatm import (
     CascadeSchedule,
@@ -21,6 +24,8 @@ from flatm import (
     tokenize,
     train,
 )
+from flatm import model as model_module
+from flatm.evaluation import DEFAULT_DELTA, _score_many
 
 
 def small_corpus(**overrides):
@@ -224,6 +229,42 @@ class TestDocLogLikelihood:
         model, docs = self.make_model()
         with pytest.raises(ValueError, match="delta"):
             doc_log_likelihood(model, docs[0], 0.0)
+
+
+@pytest.fixture(scope="module")
+def small_model():
+    return train(small_corpus(), fast_config())
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    texts=st.lists(
+        st.lists(
+            st.sampled_from(["c0w0", "c0w3", "c1w1", "c1w7", "zebra", "the"]),
+            max_size=12,
+        ).map(" ".join),
+        min_size=1,
+        max_size=12,
+    ),
+    chunk=st.integers(min_value=1, max_value=5),
+    order=st.randoms(use_true_random=False),
+    unigram=st.booleans(),
+)
+def test_doc_score_has_the_bits_of_the_batch_row(
+    small_model, texts, chunk, order, unigram
+):
+    docs = [RawDocument(str(i), text) for i, text in enumerate(texts)]
+    order.shuffle(docs)
+    word_dist = small_model.word_prob if unigram else None
+    # Small chunks make every batch span several of them.
+    with mock.patch.object(model_module, "_CHUNK_DOCS", chunk):
+        rows = _score_many(small_model, docs, DEFAULT_DELTA, word_dist)
+        stats = corpus_log_likelihood(small_model, docs, word_dist=word_dist)
+    parts = [doc_log_likelihood(small_model, d, word_dist=word_dist) for d in docs]
+    assert [repr(p) for p in parts] == [repr(r) for r in rows]
+    assert stats["loglik"] == math.fsum(ll for ll, _, _ in parts)
+    assert stats["oov_tokens"] == sum(oov for _, oov, _ in parts)
+    assert stats["n_tokens"] == sum(total for _, _, total in parts)
 
 
 class TestCorpusLogLikelihood:

@@ -1,8 +1,11 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatm import (
     CascadeSchedule,
@@ -15,6 +18,7 @@ from flatm import (
     TrainConfig,
     cascade_reduce,
     fold_in,
+    fold_in_many,
     load_model,
     model_from_json,
     model_to_json,
@@ -27,6 +31,7 @@ from flatm import (
     word_given_topic,
     word_probabilities,
 )
+from flatm import model as model_module
 from flatm.weighting import WeightedMatrix
 
 from oracles import mixed_topic_given_doc
@@ -189,6 +194,12 @@ class TestWordGivenDoc:
         np.testing.assert_allclose(
             word_given_doc(a).toarray(), [[0.5, 0.0], [0.5, 1.0]]
         )
+        # Column masses carry the bits of scipy's column sums.
+        r = sp.random(400, 30, density=0.3, format="csr", random_state=4)
+        r.data = np.random.default_rng(4).lognormal(0.0, 3.0, r.nnz)
+        np.testing.assert_array_equal(
+            word_given_doc(r).toarray(), r.toarray() / np.asarray(r.sum(axis=0))
+        )
 
     def test_zero_column_names_document(self):
         values = WeightedMatrix(
@@ -333,9 +344,10 @@ class TestFoldIn:
         model = train(docs, tiny_config())
         for j in (0, 5, 23):
             got = fold_in(model, docs[j])
-            np.testing.assert_allclose(
-                got, model.topic_given_doc[:, j], atol=1e-9
-            )
+            np.testing.assert_array_equal(got, model.topic_given_doc[:, j])
+        ptd, known = fold_in_many(model, docs)
+        assert known.all()
+        np.testing.assert_array_equal(ptd, model.topic_given_doc)
 
     def test_returns_distribution_for_unseen_document(self):
         model = train(two_class_docs(), tiny_config())
@@ -361,6 +373,62 @@ class TestFoldIn:
         model = train(two_class_docs(), tiny_config())
         with pytest.raises(OutOfVocabularyError):
             fold_in(model, RawDocument("void", ""))
+
+    def test_many_flags_documents_without_known_terms(self):
+        model = train(two_class_docs(), tiny_config())
+        docs = [
+            RawDocument("a", "apple pear"),
+            RawDocument("b", "zzz qqq"),
+            RawDocument("c", ""),
+            RawDocument("d", "bolt nut zzz"),
+        ]
+        ptd, known = fold_in_many(model, docs)
+        assert ptd.shape == (2, 4)
+        assert known.tolist() == [True, False, False, True]
+        np.testing.assert_array_equal(ptd[:, ~known], 0.0)
+        np.testing.assert_array_equal(ptd[:, 0], fold_in(model, docs[0]))
+        np.testing.assert_array_equal(ptd[:, 3], fold_in(model, docs[3]))
+        empty, none_known = fold_in_many(model, [])
+        assert empty.shape == (2, 0) and none_known.shape == (0,)
+
+
+@pytest.fixture(scope="module")
+def two_class_model():
+    return train(two_class_docs(), tiny_config())
+
+
+_FOLD_WORDS = [
+    "apple", "pear", "plum", "grape", "melon",
+    "bolt", "nut", "screw", "washer", "rivet",
+    "zzz", "Apple", "42", "the",
+]
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    texts=st.lists(
+        st.lists(st.sampled_from(_FOLD_WORDS), max_size=12).map(" ".join),
+        min_size=1,
+        max_size=12,
+    ),
+    chunk=st.integers(min_value=1, max_value=5),
+    order=st.randoms(use_true_random=False),
+)
+def test_fold_in_has_the_bits_of_the_batch_row(
+    two_class_model, texts, chunk, order
+):
+    model = two_class_model
+    docs = [RawDocument(str(i), text) for i, text in enumerate(texts)]
+    order.shuffle(docs)
+    # Small chunks make every batch span several of them.
+    with mock.patch.object(model_module, "_CHUNK_DOCS", chunk):
+        ptd, known = fold_in_many(model, docs)
+    for j, doc in enumerate(docs):
+        if known[j]:
+            assert fold_in(model, doc).tobytes() == ptd[:, j].tobytes()
+        else:
+            with pytest.raises(OutOfVocabularyError):
+                fold_in(model, doc)
 
 
 class TestTopWords:
