@@ -552,6 +552,40 @@ class TestSerialization:
         back = load_model(path)
         assert model_to_json(back) == model_to_json(model)
 
+    @pytest.mark.parametrize("piece_floats", [1, 3, 7, 4096])
+    def test_pieces_join_to_the_one_shot_encoding(self, tmp_path, piece_floats):
+        # Tables are written in blocks of rows; at any block size the file
+        # must equal json.dumps of the whole document, byte for byte.
+        model = self.make_model()
+        weights = model.global_weights
+        one_shot = json.dumps(
+            {
+                "version": 1,
+                "config": json.loads(model_to_json(model))["config"],
+                "vocabulary": list(model.vocabulary.terms),
+                "word_prob": model.word_prob.tolist(),
+                "topic_given_word": model.topic_given_word.tolist(),
+                "word_given_topic": model.word_given_topic.tolist(),
+                "topic_given_doc": {
+                    "doc_ids": list(model.doc_ids),
+                    "values": model.topic_given_doc.tolist(),
+                },
+                "global_weights": {
+                    "method": weights.method.value,
+                    "epsilon": weights.epsilon,
+                    "raw": weights.raw.tolist(),
+                    "clamped": weights.clamped.tolist(),
+                },
+            },
+            ensure_ascii=False,
+            allow_nan=False,
+        ) + "\n"
+        path = tmp_path / "model.json"
+        with mock.patch.object(model_module, "_JSON_PIECE_FLOATS", piece_floats):
+            assert model_to_json(model) == one_shot
+            save_model(model, path)
+        assert path.read_bytes() == one_shot.encode("utf-8")
+
     def test_rejects_malformed_input(self):
         with pytest.raises(InputFormatError):
             model_from_json("not json at all {")
