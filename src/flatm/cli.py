@@ -268,8 +268,9 @@ def _add_plan_flags(p, min_folds: int) -> None:
     )
     p.add_argument(
         "--threads", type=_int_at_least(1),
-        help=f"parallel training jobs (default: ${THREADS_ENV_VAR} or 1); "
-        "never changes results",
+        help="worker processes that train and score the evaluation jobs, "
+        f"forked from this one (default: ${THREADS_ENV_VAR} or 1; at most one "
+        "per usable CPU); never changes results",
     )
 
 

@@ -21,10 +21,12 @@ counts, O(nnz * K). Per-document totals are exact ``math.fsum`` sums.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -52,6 +54,8 @@ __all__ = [
 ]
 
 DEFAULT_DELTA = 1e-9
+
+_R = TypeVar("_R")
 
 
 @dataclass(frozen=True)
@@ -240,26 +244,65 @@ def corpus_log_likelihood(
     }
 
 
-def _train_one(job: tuple[str, Sequence[RawDocument], TrainConfig]) -> TopicModel:
-    name, docs, config = job
+def _train_named(
+    name: str, docs: Sequence[RawDocument], config: TrainConfig
+) -> TopicModel:
     try:
         return train(docs, config)
     except ScheduleError as exc:
         raise ScheduleError(f"{name}: {exc}") from exc
 
 
-def _train_many(
-    jobs: Sequence[tuple[str, Sequence[RawDocument], TrainConfig]], threads: int
-) -> list[TopicModel]:
-    """Train one model per (name, docs, config) job.
+# A job is (name, train_docs, config, test_docs, delta): train one model and
+# score the test documents with it. A job returns only numbers, so a worker
+# process sends back a few kilobytes and the caller never holds the models.
+_Job = tuple[str, Sequence[RawDocument], TrainConfig, Sequence[RawDocument], float]
 
-    A schedule too long for a job's vocabulary raises a
+
+def _classify_job(job: _Job) -> list[tuple[float, int, int]]:
+    name, train_docs, config, test_docs, delta = job
+    return _score_many(_train_named(name, train_docs, config), test_docs, delta)
+
+
+def _loglik_job(job: _Job) -> tuple[dict, dict]:
+    """Topic-mixture totals and unigram-baseline totals over the test set."""
+    name, train_docs, config, test_docs, delta = job
+    model = _train_named(name, train_docs, config)
+    return (
+        corpus_log_likelihood(model, test_docs, delta),
+        corpus_log_likelihood(model, test_docs, delta, word_dist=model.word_prob),
+    )
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_jobs(
+    fn: Callable[[_Job], _R], jobs: Sequence[_Job], threads: int
+) -> list[_R]:
+    """``fn(job)`` for every job, in index order.
+
+    With more than one worker the jobs run in a pool of processes forked
+    from this one (the POSIX ``fork`` start method), so a worker starts
+    without importing numpy and scipy again; each job and its result
+    travel by pickle. Threads cannot share the work: each FCM iteration is
+    many small numpy calls that hold the GIL. Workers are capped by
+    ``threads``, the job count and the CPUs this process may run on. Every
+    job's seed is fixed in its config, so the worker count never changes a
+    result. The first job, in index order, that raises decides the error,
+    as it would serially: a job too small for its schedule raises a
     :class:`ScheduleError` that names the job.
     """
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_train_one, jobs))
-    return [_train_one(job) for job in jobs]
+    workers = min(threads, len(jobs), _usable_cpus())
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def classify(
@@ -272,8 +315,10 @@ def classify(
     """Cross-validated per-class-likelihood classification accuracy.
 
     Every document needs a label and every class at least ``plan.folds``
-    documents. Per-model seeds derive from ``config.seed`` and the
-    (fold, class) pair, so thread count never changes results.
+    documents. Each (fold, class) job trains its model and scores the
+    fold's test documents; up to ``threads`` forked worker processes run
+    the jobs. Per-model seeds derive from ``config.seed`` and the
+    (fold, class) pair, so the worker count never changes results.
     """
     _check_delta(delta)
     if plan.folds < 2:
@@ -290,6 +335,7 @@ def classify(
                 f"{plan.folds} for {plan.folds}-fold evaluation"
             )
     folds = make_folds(docs, plan)
+    fold_docs = [[docs[i] for i in fold] for fold in folds]
     jobs = []
     for f in range(plan.folds):
         test_set = set(folds[f])
@@ -300,22 +346,25 @@ def classify(
                 if i not in test_set and d.label == label
             ]
             seed = stage_seed(config.seed, f, li)
-            jobs.append((f"class {label!r}", class_docs, replace(config, seed=seed)))
-    models = _train_many(jobs, threads)
+            jobs.append(
+                (
+                    f"class {label!r}",
+                    class_docs,
+                    replace(config, seed=seed),
+                    fold_docs[f],
+                    delta,
+                )
+            )
+    job_scores = _run_jobs(_classify_job, jobs, threads)
     per_fold = []
     details = []
     for f in range(plan.folds):
-        fold_models = dict(
-            zip(labels, models[f * len(labels) : (f + 1) * len(labels)])
+        scores = dict(
+            zip(labels, job_scores[f * len(labels) : (f + 1) * len(labels)])
         )
-        test_docs = [docs[i] for i in folds[f]]
-        scores = {
-            label: _score_many(model, test_docs, delta)
-            for label, model in fold_models.items()
-        }
         correct = 0
         oov_tokens = 0
-        for t, doc in enumerate(test_docs):
+        for t, doc in enumerate(fold_docs[f]):
             best_label = None
             best_ll = -math.inf
             for label in labels:
@@ -386,7 +435,9 @@ def heldout_loglik(
     seed, trains on the train side, and sums the smoothed log-likelihood
     of the test side. Details include a unigram baseline that replaces the
     per-document topic mixture with the corpus-wide P(w). Fails if a round
-    leaves no test document with any in-vocabulary term.
+    leaves no test document with any in-vocabulary term. Up to ``threads``
+    forked worker processes train and score the rounds; per-round seeds
+    derive from ``config.seed``, so the worker count never changes results.
     """
     _check_delta(delta)
     splits = [
@@ -398,23 +449,21 @@ def heldout_loglik(
             f"round {f}",
             [docs[i] for i in train_idx],
             replace(config, seed=stage_seed(config.seed, f)),
+            [docs[i] for i in test_idx],
+            delta,
         )
-        for f, (train_idx, _) in enumerate(splits)
+        for f, (train_idx, test_idx) in enumerate(splits)
     ]
-    models = _train_many(jobs, threads)
+    results = _run_jobs(_loglik_job, jobs, threads)
     per_fold = []
     details = []
-    for f, (train_idx, test_idx) in enumerate(splits):
-        model = models[f]
-        test_docs = [docs[i] for i in test_idx]
-        stats = corpus_log_likelihood(model, test_docs, delta)
+    for f, ((train_idx, test_idx), (stats, baseline)) in enumerate(
+        zip(splits, results)
+    ):
         if stats["docs_with_known_terms"] == 0:
             raise ValueError(
                 f"round {f}: every held-out document is fully out of vocabulary"
             )
-        baseline = corpus_log_likelihood(
-            model, test_docs, delta, word_dist=model.word_prob
-        )
         per_fold.append(stats["loglik"])
         details.append(
             {

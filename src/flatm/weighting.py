@@ -122,7 +122,11 @@ class WeightedMatrix:
 def _as_counts(matrix: TermDocMatrix | sp.spmatrix) -> sp.csr_matrix:
     counts = matrix.counts if isinstance(matrix, TermDocMatrix) else matrix
     counts = sp.csr_matrix(counts, dtype=np.float64)
-    counts.eliminate_zeros()
+    if (counts.data == 0).any():
+        # csr_matrix() returns a float64 CSR input itself, not a copy: drop
+        # explicit zeros from a copy so the caller's matrix is left alone.
+        counts = counts.copy()
+        counts.eliminate_zeros()
     if counts.nnz and counts.data.min() < 0:
         raise ValueError("counts must be nonnegative")
     return counts

@@ -421,21 +421,45 @@ class TestEval:
         )
         assert a.stdout == b.stdout
 
-    def test_class_below_schedule_is_named(self, tmp_path):
+    def test_loglik_threads_do_not_change_output_bytes(self, workspace):
+        a, b = (
+            run_cli(
+                "eval", "loglik",
+                "--input", workspace / "corpus.tsv",
+                *TRAIN_ARGS, "--folds", "2", "--threads", threads,
+            )
+            for threads in ("1", "2")
+        )
+        assert a.returncode == b.returncode == 0
+        assert a.stdout == b.stdout
+
+    def classify_below_schedule(self, tmp_path, *extra):
         corpus = tmp_path / "small.tsv"
-        run_cli(
-            "gen-synth", "--classes", "2", "--vocab-per-class", "10",
-            "--docs-per-class", "8", "--doc-length", "10",
-            "--output", corpus,
-            check=True,
-        )
-        proc = run_cli(
+        if not corpus.exists():
+            run_cli(
+                "gen-synth", "--classes", "2", "--vocab-per-class", "10",
+                "--docs-per-class", "8", "--doc-length", "10",
+                "--output", corpus,
+                check=True,
+            )
+        return run_cli(
             "eval", "classify", "--input", corpus, "--topics", "2", "--folds", "2",
+            *extra,
         )
+
+    def test_class_below_schedule_is_named(self, tmp_path):
+        proc = self.classify_below_schedule(tmp_path)
         assert proc.returncode == 3
         assert "class 'class0'" in proc.stderr
         assert "10 terms, schedule starts at 10" in proc.stderr
         assert "--schedule" in proc.stderr
+
+    def test_schedule_error_crosses_worker_processes_intact(self, tmp_path):
+        serial = self.classify_below_schedule(tmp_path, "--threads", "1")
+        pooled = self.classify_below_schedule(tmp_path, "--threads", "2")
+        assert serial.returncode == pooled.returncode == 3
+        assert "class 'class0'" in pooled.stderr
+        assert pooled.stderr == serial.stderr
 
 
 class TestConfigFile:

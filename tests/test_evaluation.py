@@ -1,5 +1,7 @@
 import json
 import math
+import operator
+import os
 from unittest import mock
 
 import numpy as np
@@ -24,6 +26,7 @@ from flatm import (
     tokenize,
     train,
 )
+from flatm import evaluation
 from flatm import model as model_module
 from flatm.evaluation import DEFAULT_DELTA, _score_many
 
@@ -435,6 +438,45 @@ class TestWeightingQuality:
             config = TrainConfig(n_topics=5, gtw=gtw, seed=3)
             accuracies[gtw] = classify(docs, config, plan, threads=4).mean
         assert accuracies["entropy"] > accuracies["gfidf"], accuracies
+
+
+class TestRunJobs:
+    @pytest.mark.parametrize(
+        "threads, n_jobs, cpus, workers",
+        [
+            (4, 20, 2, 2),
+            (4, 3, 8, 3),
+            (2, 20, 8, 2),
+            (1, 20, 8, None),
+            (4, 1, 8, None),
+            (4, 20, 1, None),
+        ],
+    )
+    def test_workers_are_capped_by_threads_jobs_and_cpus(
+        self, monkeypatch, threads, n_jobs, cpus, workers
+    ):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context):
+                pools.append((max_workers, mp_context.get_start_method()))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+        )
+        jobs = list(range(n_jobs))
+        assert evaluation._run_jobs(operator.neg, jobs, threads) == [-j for j in jobs]
+        assert pools == ([] if workers is None else [(workers, "fork")])
 
 
 class TestHeldoutLoglik:

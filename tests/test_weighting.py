@@ -240,6 +240,19 @@ class TestApplyGtw:
         with pytest.raises(ValueError, match="does not match"):
             apply_gtw(f, none_weights(3))
 
+    def test_explicit_zeros_leave_the_callers_matrix_alone(self):
+        # [[1, 0], [0, 2]] with the zero at (0, 1) stored explicitly.
+        f = sp.csr_matrix(
+            (np.array([1.0, 0.0, 2.0]), np.array([0, 1, 1]), np.array([0, 2, 3])),
+            shape=(2, 2),
+        )
+        lw = local_weights(f)
+        a = apply_gtw(f, none_weights(2))
+        assert f.nnz == 3
+        np.testing.assert_array_equal(f.data, [1.0, 0.0, 2.0])
+        assert lw.counts.nnz == a.values.nnz == 2
+        np.testing.assert_array_equal(a.values.toarray(), [[1.0, 0.0], [0.0, 2.0]])
+
     def test_clamped_negative_weights_keep_rows_positive(self):
         lw = lw_from([[2.0, 2.0, 2.0, 2.0]])
         w = idf_weights(lw)
