@@ -61,7 +61,6 @@ from .weighting import (
     GlobalWeightVector,
     GtwMethod,
     LocalWeights,
-    WeightedMatrix,
     apply_gtw,
     compute_global_weights,
     entropy_weights,
@@ -93,7 +92,6 @@ __all__ = [
     "GlobalWeightVector",
     "GtwMethod",
     "LocalWeights",
-    "WeightedMatrix",
     "apply_gtw",
     "compute_global_weights",
     "entropy_weights",

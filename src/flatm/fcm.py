@@ -36,7 +36,6 @@ __all__ = [
     "FcmConfig",
     "FcmResult",
     "fcm_run",
-    "initial_membership",
     "update_memberships",
     "update_centers",
     "objective",
@@ -116,7 +115,7 @@ def _check_data(data, n_clusters: int) -> _Points:
     return x
 
 
-def initial_membership(
+def _initial_membership(
     n_points: int, n_clusters: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Random row-stochastic membership matrix."""
@@ -236,7 +235,7 @@ def fcm_run(
     """
     x = _check_data(data, config.n_clusters)
     rng = np.random.default_rng(config.seed)
-    u = initial_membership(x.shape[0], config.n_clusters, rng)
+    u = _initial_membership(x.shape[0], config.n_clusters, rng)
     trace: list[float] = []
     centers = np.zeros((config.n_clusters, x.shape[1]))
     converged = False

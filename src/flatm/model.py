@@ -23,7 +23,8 @@ product. Memory follows the non-zeros, not terms x documents.
 Fold-in is the same assembly applied to new columns: unseen documents are
 counted over the model vocabulary by ``build_matrix``, weighted with the
 stored global weights, column-normalized and mixed through the stored
-P(T|W) by the functions training uses, in O(nnz * K).
+P(T|W) by the functions training uses, in O(nnz * K). A document with no
+known term has an empty column, which stays zero in P(W|D) and P(T|D).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .weighting import (
     GlobalWeightVector,
     GtwMethod,
     IDF_VARIANTS,
-    WeightedMatrix,
     apply_gtw,
     compute_global_weights,
     local_weights,
@@ -195,14 +195,45 @@ def stage_seed(master_seed: int, *indices: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _csr(values: WeightedMatrix | sp.spmatrix | np.ndarray) -> sp.csr_matrix:
-    if isinstance(values, WeightedMatrix):
-        values = values.values
-    return sp.csr_matrix(values, dtype=np.float64)
+def _cluster_stages(
+    values: sp.spmatrix | np.ndarray,
+    counts: tuple[int, ...],
+    *,
+    fuzzifier: float,
+    threshold: float,
+    max_iterations: int,
+    seed: int,
+    on_stage: Callable[[int, FcmResult], None] | None,
+) -> np.ndarray:
+    """Cluster the rows into ``counts[0]`` clusters, those memberships into
+    ``counts[1]``, and so on; return the last membership matrix.
+
+    Stage s is seeded with ``stage_seed(seed, s)`` and reported to
+    ``on_stage``. Stage 0 clusters ``values`` as CSR.
+    """
+    x = sp.csr_matrix(values, dtype=np.float64)
+    if x.shape[0] <= counts[0]:
+        raise ScheduleError(
+            f"cascade needs more terms than the first stage's clusters: "
+            f"{x.shape[0]} terms, schedule starts at {counts[0]}"
+        )
+    for stage, n_clusters in enumerate(counts):
+        config = FcmConfig(
+            n_clusters=n_clusters,
+            fuzzifier=fuzzifier,
+            threshold=threshold,
+            max_iterations=max_iterations,
+            seed=stage_seed(seed, stage),
+        )
+        result = fcm_run(x, config)
+        if on_stage is not None:
+            on_stage(stage, result)
+        x = result.membership
+    return x
 
 
 def cascade_reduce(
-    values: WeightedMatrix | sp.spmatrix | np.ndarray,
+    values: sp.spmatrix | np.ndarray,
     schedule: CascadeSchedule,
     *,
     fuzzifier: float = 2.0,
@@ -223,32 +254,20 @@ def cascade_reduce(
     Stage 0 always clusters ``values`` in CSR form, so dense and sparse
     inputs give identical results; later stages cluster dense memberships.
     """
-    x = _csr(values)
-    if x.shape[0] <= schedule.counts[0]:
-        raise ScheduleError(
-            f"cascade needs more terms than the first stage's clusters: "
-            f"{x.shape[0]} terms, schedule starts at {schedule.counts[0]}"
-        )
-    for stage, n_clusters in enumerate(schedule.counts):
-        config = FcmConfig(
-            n_clusters=n_clusters,
-            fuzzifier=fuzzifier,
-            threshold=threshold,
-            max_iterations=max_iterations,
-            seed=stage_seed(seed, stage),
-        )
-        result = fcm_run(x, config)
-        if on_stage is not None:
-            on_stage(stage, result)
-        x = result.membership
-    return x
+    return _cluster_stages(
+        values,
+        schedule.counts,
+        fuzzifier=fuzzifier,
+        threshold=threshold,
+        max_iterations=max_iterations,
+        seed=seed,
+        on_stage=on_stage,
+    )
 
 
-def word_probabilities(
-    values: WeightedMatrix | sp.spmatrix | np.ndarray,
-) -> np.ndarray:
+def word_probabilities(values: sp.spmatrix | np.ndarray) -> np.ndarray:
     """Marginal P(W_i): row mass over total mass of the weighted matrix."""
-    a = _csr(values)
+    a = sp.csr_matrix(values, dtype=np.float64)
     total = a.sum()
     if not total > 0:
         raise ValueError("weighted matrix has zero total mass")
@@ -269,19 +288,16 @@ def word_given_topic(
     return (joint / topic_mass).T
 
 
-def word_given_doc(
-    values: WeightedMatrix | sp.spmatrix | np.ndarray,
-) -> sp.csr_matrix:
-    """Column-normalized weighted matrix: P(W_i|D_j). CSR (m, n)."""
-    a = _csr(values)
+def word_given_doc(values: sp.spmatrix | np.ndarray) -> sp.csr_matrix:
+    """Column-normalized weighted matrix: P(W_i|D_j). CSR (m, n).
+
+    A column with no mass, such as a document without a known term, stays
+    all zero.
+    """
+    a = sp.csr_matrix(values, dtype=np.float64)
     # Each column's entries added in row order, as a.sum(axis=0) adds them.
     col_mass = np.bincount(a.indices, weights=a.data, minlength=a.shape[1])
-    empty = np.flatnonzero(col_mass == 0.0)
-    if empty.size:
-        j = int(empty[0])
-        doc_ids = values.doc_ids if isinstance(values, WeightedMatrix) else None
-        name = doc_ids[j] if doc_ids is not None else str(j)
-        raise ValueError(f"document {name!r} has zero weighted mass")
+    col_mass[col_mass == 0.0] = 1.0
     pwd = a.copy()
     pwd.data /= col_mass[pwd.indices]
     return pwd
@@ -290,7 +306,8 @@ def word_given_doc(
 def topic_given_doc(
     topic_given_word: np.ndarray, word_given_doc: sp.spmatrix | np.ndarray
 ) -> np.ndarray:
-    """Mix P(T|W) over each document's word distribution; columns sum to 1.
+    """Mix P(T|W) over each document's word distribution; columns sum to 1,
+    except that an all-zero column of P(W|D) gives an all-zero column.
 
     Computed as the sparse product P(W|D)^T P(T|W); dense (K, n).
     """
@@ -309,7 +326,8 @@ def train(
     ``on_stage`` sees every clustering run: cascade stages first (indices
     0..len(schedule)-1), then the topic run with the next index. With
     ``cascade=False`` the topic clustering runs directly on the weighted
-    matrix and is stage 0.
+    matrix and is stage 0. A document left without a counted term raises
+    ``ValueError`` naming it, before any clustering.
     """
     vocab, tdm = build_matrix(docs, config.tokenizer, min_df=config.min_df)
     m = len(vocab)
@@ -323,31 +341,20 @@ def train(
         lw, config.gtw, epsilon=config.epsilon, idf_variant=config.idf_variant
     )
     weighted = apply_gtw(tdm, weights)
-    if config.cascade:
-        reduced = cascade_reduce(
-            weighted,
-            config.schedule,
-            fuzzifier=config.fuzzifier,
-            threshold=config.threshold,
-            max_iterations=config.max_iterations,
-            seed=config.seed,
-            on_stage=on_stage,
-        )
-        topic_stage = len(config.schedule)
-    else:
-        reduced = weighted.values
-        topic_stage = 0
-    topic_config = FcmConfig(
-        n_clusters=config.n_topics,
+    empty = np.flatnonzero(weighted.getnnz(axis=0) == 0)
+    if empty.size:
+        doc_id = tdm.doc_ids[empty[0]]
+        raise ValueError(f"document {doc_id!r} has no term in the vocabulary")
+    counts = config.schedule.counts if config.cascade else ()
+    ptw = _cluster_stages(
+        weighted,
+        counts + (config.n_topics,),
         fuzzifier=config.fuzzifier,
         threshold=config.threshold,
         max_iterations=config.max_iterations,
-        seed=stage_seed(config.seed, topic_stage),
+        seed=config.seed,
+        on_stage=on_stage,
     )
-    topic_result = fcm_run(reduced, topic_config)
-    if on_stage is not None:
-        on_stage(topic_stage, topic_result)
-    ptw = topic_result.membership
     pw = word_probabilities(weighted)
     pwt = word_given_topic(ptw, pw)
     pwd = word_given_doc(weighted)
@@ -386,15 +393,9 @@ def _fold_chunk(
     _, tdm = build_matrix(
         docs, model.config.tokenizer, vocabulary=model.vocabulary
     )
-    weighted = apply_gtw(tdm, model.global_weights).values
-    known = weighted.getnnz(axis=0) > 0
-    if not known.all():
-        weighted = weighted[:, known]
-    ptd = np.zeros((model.n_topics, tdm.n_docs))
-    if known.any():
-        pwd = word_given_doc(weighted)
-        ptd[:, known] = topic_given_doc(model.topic_given_word, pwd)
-    return tdm, ptd, known
+    weighted = apply_gtw(tdm, model.global_weights)
+    ptd = topic_given_doc(model.topic_given_word, word_given_doc(weighted))
+    return tdm, ptd, weighted.getnnz(axis=0) > 0
 
 
 def _fold_chunks(

@@ -24,7 +24,6 @@ __all__ = [
     "GtwMethod",
     "LocalWeights",
     "GlobalWeightVector",
-    "WeightedMatrix",
     "IDF_VARIANTS",
     "DEFAULT_EPSILON",
     "local_weights",
@@ -100,23 +99,6 @@ class GlobalWeightVector:
 
     def __len__(self) -> int:
         return len(self.raw)
-
-
-@dataclass(frozen=True)
-class WeightedMatrix:
-    """Globally weighted matrix ``a_ij = clamped_i * f_ij`` (CSR)."""
-
-    values: sp.csr_matrix
-    method: GtwMethod
-    doc_ids: tuple[str, ...]
-
-    @property
-    def n_terms(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_docs(self) -> int:
-        return self.values.shape[1]
 
 
 def _as_counts(matrix: TermDocMatrix | sp.spmatrix) -> sp.csr_matrix:
@@ -258,22 +240,21 @@ def compute_global_weights(
 
 def apply_gtw(
     matrix: TermDocMatrix | sp.spmatrix, weights: GlobalWeightVector
-) -> WeightedMatrix:
-    """Scale each count row by its clamped global weight."""
+) -> sp.csr_matrix:
+    """The weighted matrix ``a_ij = clamped_i * f_ij``, as a new float64 CSR.
+
+    Explicit zeros in the counts are dropped, so a column's non-zeros are
+    exactly the document's counted terms.
+    """
     counts = _as_counts(matrix)
     if counts.shape[0] != len(weights):
         raise ValueError(
             f"weight vector length {len(weights)} does not match "
             f"{counts.shape[0]} terms"
         )
-    values = counts.copy()
-    values.data *= np.repeat(weights.clamped, np.diff(counts.indptr))
-    doc_ids = (
-        matrix.doc_ids
-        if isinstance(matrix, TermDocMatrix)
-        else tuple(str(j) for j in range(counts.shape[1]))
-    )
-    return WeightedMatrix(values=values, method=weights.method, doc_ids=doc_ids)
+    weighted = counts.copy()
+    weighted.data *= np.repeat(weights.clamped, np.diff(counts.indptr))
+    return weighted
 
 
 def global_weights_tsv(vocab: Vocabulary, weights: GlobalWeightVector) -> str:

@@ -222,6 +222,19 @@ class TestTrain:
         assert proc.returncode == 3
         assert "n_topics" in proc.stderr
 
+    def test_document_without_counted_term_exits_3(self, tmp_path):
+        corpus = tmp_path / "docs"
+        corpus.mkdir()
+        for i in range(6):
+            (corpus / f"d{i}.txt").write_text(f"c0w{i} c0w{i + 1} c1w{i}\n")
+        (corpus / "hollow.txt").write_text("the and of\n")
+        proc = run_cli(
+            "train", "--input", corpus, *TRAIN_ARGS, "--output", tmp_path / "m.json"
+        )
+        assert proc.returncode == 3
+        assert "document 'hollow' has no term in the vocabulary" in proc.stderr
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestInfer:
     def test_matches_library_fold_in(self, workspace, tmp_path):

@@ -32,7 +32,6 @@ from flatm import (
     word_probabilities,
 )
 from flatm import model as model_module
-from flatm.weighting import WeightedMatrix
 
 from oracles import mixed_topic_given_doc
 
@@ -201,14 +200,16 @@ class TestWordGivenDoc:
             word_given_doc(r).toarray(), r.toarray() / np.asarray(r.sum(axis=0))
         )
 
-    def test_zero_column_names_document(self):
-        values = WeightedMatrix(
-            values=sp.csr_matrix(np.array([[1.0, 0.0], [2.0, 0.0]])),
-            method=GtwMethod.NONE,
-            doc_ids=("good", "hollow"),
+    def test_massless_columns_stay_zero(self):
+        # Column 1 is empty; column 2 holds only an explicit zero at (0, 2).
+        a = sp.csr_matrix(
+            (np.array([1.0, 0.0, 2.0, 4.0]), np.array([0, 2, 0, 3]), [0, 2, 4]),
+            shape=(2, 4),
         )
-        with pytest.raises(ValueError, match="hollow"):
-            word_given_doc(values)
+        pwd = word_given_doc(a).toarray()
+        assert np.all(np.isfinite(pwd))
+        np.testing.assert_array_equal(pwd[:, 1:3], 0.0)
+        np.testing.assert_array_equal(pwd[:, [0, 3]], [[1 / 3, 0.0], [2 / 3, 1.0]])
 
 
 class TestTopicGivenDoc:
@@ -291,6 +292,22 @@ class TestTrain:
         ]
         with pytest.raises(ValueError, match="n_topics"):
             train(docs, tiny_config(n_topics=3, cascade=False))
+
+    STOP_THE = TokenizerConfig(stopwords=frozenset({"the"}))
+
+    @pytest.mark.parametrize(
+        "text, overrides",
+        [("the the", dict(tokenizer=STOP_THE)), ("zebra quokka", dict(min_df=2))],
+    )
+    def test_document_without_counted_term_rejected_before_clustering(
+        self, text, overrides
+    ):
+        docs = two_class_docs() + [RawDocument("hollow", text)]
+        with mock.patch.object(
+            model_module, "fcm_run", side_effect=AssertionError("clustered")
+        ):
+            with pytest.raises(ValueError, match="'hollow' has no term"):
+                train(docs, tiny_config(**overrides))
 
     def test_stage_callback_indices(self):
         docs = two_class_docs()

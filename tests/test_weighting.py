@@ -213,7 +213,7 @@ class TestApplyGtw:
         w = GlobalWeightVector.from_raw(GtwMethod.NONE, np.array([1.0, 0.5]))
         a = apply_gtw(f, w)
         np.testing.assert_array_equal(
-            a.values.toarray(), [[1.0, 0.0], [0.5, 1.0]]
+            a.toarray(), [[1.0, 0.0], [0.5, 1.0]]
         )
 
     def test_none_is_identity(self):
@@ -223,8 +223,7 @@ class TestApplyGtw:
         ]
         vocab, tdm = build_matrix(docs)
         a = apply_gtw(tdm, none_weights(len(vocab)))
-        np.testing.assert_array_equal(a.values.toarray(), tdm.counts.toarray())
-        assert a.doc_ids == tdm.doc_ids
+        np.testing.assert_array_equal(a.toarray(), tdm.counts.toarray())
 
     def test_sparsity_pattern_preserved(self):
         rng = np.random.default_rng(17)
@@ -232,7 +231,7 @@ class TestApplyGtw:
         lw = lw_from(f)
         a = apply_gtw(sp.csr_matrix(f), entropy_weights(lw))
         np.testing.assert_array_equal(
-            a.values.toarray() != 0, np.asarray(f) != 0
+            a.toarray() != 0, np.asarray(f) != 0
         )
 
     def test_dimension_mismatch_rejected(self):
@@ -250,15 +249,15 @@ class TestApplyGtw:
         a = apply_gtw(f, none_weights(2))
         assert f.nnz == 3
         np.testing.assert_array_equal(f.data, [1.0, 0.0, 2.0])
-        assert lw.counts.nnz == a.values.nnz == 2
-        np.testing.assert_array_equal(a.values.toarray(), [[1.0, 0.0], [0.0, 2.0]])
+        assert lw.counts.nnz == a.nnz == 2
+        np.testing.assert_array_equal(a.toarray(), [[1.0, 0.0], [0.0, 2.0]])
 
     def test_clamped_negative_weights_keep_rows_positive(self):
         lw = lw_from([[2.0, 2.0, 2.0, 2.0]])
         w = idf_weights(lw)
         assert w.raw[0] < 0
         a = apply_gtw(lw.counts, w)
-        assert np.all(a.values.toarray() > 0)
+        assert np.all(a.toarray() > 0)
 
 
 class TestTsvExport:
