@@ -60,17 +60,10 @@ from .evaluation import (
 from .weighting import (
     GlobalWeightVector,
     GtwMethod,
-    LocalWeights,
     apply_gtw,
     compute_global_weights,
-    entropy_weights,
-    gfidf_weights,
     global_weights_tsv,
-    idf_weights,
     local_weights,
-    none_weights,
-    normal_weights,
-    probidf_weights,
 )
 
 __version__ = "0.1.0"
@@ -91,17 +84,10 @@ __all__ = [
     # weighting
     "GlobalWeightVector",
     "GtwMethod",
-    "LocalWeights",
     "apply_gtw",
     "compute_global_weights",
-    "entropy_weights",
-    "gfidf_weights",
     "global_weights_tsv",
-    "idf_weights",
     "local_weights",
-    "none_weights",
-    "normal_weights",
-    "probidf_weights",
     # fcm
     "FcmConfig",
     "FcmResult",

@@ -32,7 +32,6 @@ import numpy as np
 
 from .corpus import RawDocument
 from .model import (
-    ScheduleError,
     TopicModel,
     TrainConfig,
     _config_to_dict,
@@ -247,10 +246,14 @@ def corpus_log_likelihood(
 def _train_named(
     name: str, docs: Sequence[RawDocument], config: TrainConfig
 ) -> TopicModel:
+    """``train``, with the job's name before any ``ValueError`` it raises.
+
+    The error keeps its type, so a :class:`ScheduleError` stays one.
+    """
     try:
         return train(docs, config)
-    except ScheduleError as exc:
-        raise ScheduleError(f"{name}: {exc}") from exc
+    except ValueError as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
 
 
 # A job is (name, train_docs, config, test_docs, delta): train one model and
@@ -293,8 +296,8 @@ def _run_jobs(
     ``threads``, the job count and the CPUs this process may run on. Every
     job's seed is fixed in its config, so the worker count never changes a
     result. The first job, in index order, that raises decides the error,
-    as it would serially: a job too small for its schedule raises a
-    :class:`ScheduleError` that names the job.
+    as it would serially: a ``ValueError`` from a job's training, such as
+    a :class:`ScheduleError`, names the job.
     """
     workers = min(threads, len(jobs), _usable_cpus())
     if workers <= 1:

@@ -336,19 +336,19 @@ def train(
             f"n_topics={config.n_topics} needs a vocabulary larger than K; "
             f"corpus has {m} terms"
         )
-    lw = local_weights(tdm)
+    counts = local_weights(tdm)
     weights = compute_global_weights(
-        lw, config.gtw, epsilon=config.epsilon, idf_variant=config.idf_variant
+        counts, config.gtw, epsilon=config.epsilon, idf_variant=config.idf_variant
     )
-    weighted = apply_gtw(tdm, weights)
+    weighted = apply_gtw(counts, weights)
     empty = np.flatnonzero(weighted.getnnz(axis=0) == 0)
     if empty.size:
         doc_id = tdm.doc_ids[empty[0]]
         raise ValueError(f"document {doc_id!r} has no term in the vocabulary")
-    counts = config.schedule.counts if config.cascade else ()
+    cascade = config.schedule.counts if config.cascade else ()
     ptw = _cluster_stages(
         weighted,
-        counts + (config.n_topics,),
+        cascade + (config.n_topics,),
         fuzzifier=config.fuzzifier,
         threshold=config.threshold,
         max_iterations=config.max_iterations,

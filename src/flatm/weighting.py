@@ -1,9 +1,9 @@
-"""Local and global term weighting.
+"""Global term weighting of a term x document count matrix.
 
-Local weights are derived per (term, document) cell from the count matrix
-``f``: the binary indicator ``b`` and the per-term proportion ``p``.
-Global weights assign one number per term that rescales the whole row;
-the weighted matrix ``a`` feeds the clustering stages downstream.
+:func:`local_weights` checks the counts ``f`` and returns them as a float64
+CSR. :func:`compute_global_weights` turns per-term row statistics of ``f``
+into one number per term, and :func:`apply_gtw` rescales each term row by
+it; the weighted matrix ``a`` feeds the clustering stages downstream.
 
 All schemes use base-2 logarithms. Throughout, ``n`` is the number of
 documents, ``f_ij`` the count of term i in document j, ``df_i`` the number
@@ -22,17 +22,10 @@ from .corpus import TermDocMatrix, Vocabulary
 
 __all__ = [
     "GtwMethod",
-    "LocalWeights",
     "GlobalWeightVector",
     "IDF_VARIANTS",
     "DEFAULT_EPSILON",
     "local_weights",
-    "entropy_weights",
-    "idf_weights",
-    "probidf_weights",
-    "normal_weights",
-    "gfidf_weights",
-    "none_weights",
     "compute_global_weights",
     "apply_gtw",
     "global_weights_tsv",
@@ -55,19 +48,6 @@ class GtwMethod(enum.Enum):
 
 
 @dataclass(frozen=True)
-class LocalWeights:
-    """Per-cell local weights, all CSR with the count matrix's shape.
-
-    ``counts`` is the raw ``f``; ``binary`` has 1.0 wherever ``f > 0``;
-    ``proportions`` holds ``p_ij``, so every row sums to 1.
-    """
-
-    counts: sp.csr_matrix
-    binary: sp.csr_matrix
-    proportions: sp.csr_matrix
-
-
-@dataclass(frozen=True)
 class GlobalWeightVector:
     """One weight per term, before and after clamping.
 
@@ -86,7 +66,7 @@ class GlobalWeightVector:
     def from_raw(
         cls, method: GtwMethod, raw: np.ndarray, epsilon: float = DEFAULT_EPSILON
     ) -> "GlobalWeightVector":
-        if epsilon <= 0:
+        if not epsilon > 0:
             raise ValueError("epsilon must be positive")
         raw = np.asarray(raw, dtype=np.float64)
         if raw.ndim != 1:
@@ -114,128 +94,78 @@ def _as_counts(matrix: TermDocMatrix | sp.spmatrix) -> sp.csr_matrix:
     return counts
 
 
-def local_weights(matrix: TermDocMatrix | sp.spmatrix) -> LocalWeights:
-    """Compute ``b`` and ``p`` from the counts.
+def local_weights(matrix: TermDocMatrix | sp.spmatrix) -> sp.csr_matrix:
+    """The checked counts ``f`` as a float64 CSR without explicit zeros.
 
-    Every term must occur at least once overall, otherwise its proportion
-    row is undefined.
+    A clean float64 CSR input's arrays come back shared, not copied. Every
+    term must occur at least once overall, otherwise its proportions are
+    undefined.
     """
     counts = _as_counts(matrix)
-    row_totals = np.asarray(counts.sum(axis=1)).ravel()
-    if np.any(row_totals == 0):
-        dead = int(np.flatnonzero(row_totals == 0)[0])
-        raise ValueError(f"term row {dead} has zero total count")
-    binary = counts.copy()
-    binary.data = np.ones_like(binary.data)
-    proportions = counts.multiply(1.0 / row_totals[:, None]).tocsr()
-    return LocalWeights(counts=counts, binary=binary, proportions=proportions)
+    dead = np.flatnonzero(np.diff(counts.indptr) == 0)
+    if dead.size:
+        raise ValueError(f"term row {int(dead[0])} has zero total count")
+    return counts
 
 
-def _row_sums(matrix: sp.csr_matrix) -> np.ndarray:
-    return np.asarray(matrix.sum(axis=1)).ravel()
-
-
-def entropy_weights(
-    lw: LocalWeights, epsilon: float = DEFAULT_EPSILON
-) -> GlobalWeightVector:
-    """Entropy weighting: ``1 + sum_j p_ij log2(p_ij) / log2(n)``.
-
-    Cells with ``p_ij = 0`` contribute nothing. The value is 1 for a term
-    concentrated in a single document and 0 for one spread uniformly over
-    all n documents. Requires n >= 2.
-    """
-    n_docs = lw.counts.shape[1]
-    if n_docs < 2:
-        raise ValueError("entropy weighting requires at least 2 documents")
-    plogp = lw.proportions.copy()
-    plogp.data = plogp.data * np.log2(plogp.data)
-    raw = 1.0 + _row_sums(plogp) / np.log2(n_docs)
-    return GlobalWeightVector.from_raw(GtwMethod.ENTROPY, raw, epsilon)
-
-
-def idf_weights(
-    lw: LocalWeights,
-    epsilon: float = DEFAULT_EPSILON,
-    variant: str = "total-frequency",
-) -> GlobalWeightVector:
-    """Inverse document frequency: ``log2(n / sum_j f_ij)``.
-
-    The default divides by the term's total count over the corpus; the
-    ``document-frequency`` variant divides by ``df_i`` instead, which is
-    the more common formulation elsewhere. Both go negative for frequent
-    terms, which is what clamping is for.
-    """
-    if variant not in IDF_VARIANTS:
-        raise ValueError(f"unknown idf variant: {variant!r}")
-    n_docs = lw.counts.shape[1]
-    denom = _row_sums(lw.counts if variant == "total-frequency" else lw.binary)
-    raw = np.log2(n_docs / denom)
-    return GlobalWeightVector.from_raw(GtwMethod.IDF, raw, epsilon)
-
-
-def probidf_weights(
-    lw: LocalWeights, epsilon: float = DEFAULT_EPSILON
-) -> GlobalWeightVector:
-    """Probabilistic idf: ``log2((n - df_i) / df_i)``.
-
-    A term present in every document gets raw weight -inf (the odds ratio
-    is zero); clamping turns that into epsilon like any other low value.
-    """
-    n_docs = lw.counts.shape[1]
-    df = _row_sums(lw.binary)
-    with np.errstate(divide="ignore"):
-        raw = np.log2((n_docs - df) / df)
-    return GlobalWeightVector.from_raw(GtwMethod.PROBIDF, raw, epsilon)
-
-
-def normal_weights(
-    lw: LocalWeights, epsilon: float = DEFAULT_EPSILON
-) -> GlobalWeightVector:
-    """Normal weighting: ``1 / sqrt(sum_j f_ij^2)``. Always positive."""
-    sq = lw.counts.copy()
-    sq.data = sq.data**2
-    raw = 1.0 / np.sqrt(_row_sums(sq))
-    return GlobalWeightVector.from_raw(GtwMethod.NORMAL, raw, epsilon)
-
-
-def gfidf_weights(
-    lw: LocalWeights, epsilon: float = DEFAULT_EPSILON
-) -> GlobalWeightVector:
-    """Global frequency over document frequency: ``sum_j f_ij / sum_j b_ij``.
-
-    Always at least 1: the mean count of the term over the documents that
-    contain it.
-    """
-    raw = _row_sums(lw.counts) / _row_sums(lw.binary)
-    return GlobalWeightVector.from_raw(GtwMethod.GFIDF, raw, epsilon)
-
-
-def none_weights(
-    n_terms: int, epsilon: float = DEFAULT_EPSILON
-) -> GlobalWeightVector:
-    """Unit weights: the weighted matrix equals the raw counts."""
-    return GlobalWeightVector.from_raw(GtwMethod.NONE, np.ones(n_terms), epsilon)
+def _row_sums(counts: sp.csr_matrix, values: np.ndarray) -> np.ndarray:
+    """Per-row sums of ``values`` laid out like ``counts.data``."""
+    cells = sp.csr_matrix((values, counts.indices, counts.indptr), shape=counts.shape)
+    return np.asarray(cells.sum(axis=1)).ravel()
 
 
 def compute_global_weights(
-    lw: LocalWeights,
+    matrix: TermDocMatrix | sp.spmatrix,
     method: GtwMethod,
     epsilon: float = DEFAULT_EPSILON,
     idf_variant: str = "total-frequency",
 ) -> GlobalWeightVector:
-    """Dispatch to the scheme named by ``method``."""
+    """One weight per term row of the counts, by the scheme ``method``.
+
+    ``matrix`` is anything :func:`local_weights` takes. With
+    ``gf_i = sum_j f_ij`` and ``df_i`` the documents containing term i:
+
+    - ``entropy``: ``1 + sum_j p_ij log2(p_ij) / log2(n)``, cells with
+      ``p_ij = 0`` contributing nothing; 1 for a term concentrated in one
+      document, 0 for one spread uniformly over all n. Requires n >= 2.
+    - ``idf``: ``log2(n / gf_i)``, or ``log2(n / df_i)`` with
+      ``idf_variant="document-frequency"``, the more common formulation
+      elsewhere. Both go negative for frequent terms.
+    - ``probidf``: ``log2((n - df_i) / df_i)``; -inf for a term present in
+      every document (the odds ratio is zero).
+    - ``normal``: ``1 / sqrt(sum_j f_ij^2)``. Always positive.
+    - ``gfidf``: ``gf_i / df_i``, the term's mean count over the documents
+      containing it; always at least 1.
+    - ``none``: unit weights, so the weighted matrix equals the counts.
+
+    Clamping to ``epsilon`` turns every low or -inf value into a small
+    positive weight.
+    """
     method = GtwMethod(method)
+    counts = local_weights(matrix)
+    n_docs = counts.shape[1]
+    cells_per_row = np.diff(counts.indptr)
+    gf = _row_sums(counts, counts.data)
+    df = cells_per_row.astype(np.float64)
     if method is GtwMethod.ENTROPY:
-        return entropy_weights(lw, epsilon)
-    if method is GtwMethod.IDF:
-        return idf_weights(lw, epsilon, variant=idf_variant)
-    if method is GtwMethod.PROBIDF:
-        return probidf_weights(lw, epsilon)
-    if method is GtwMethod.NORMAL:
-        return normal_weights(lw, epsilon)
-    if method is GtwMethod.GFIDF:
-        return gfidf_weights(lw, epsilon)
-    return none_weights(lw.counts.shape[0], epsilon)
+        if n_docs < 2:
+            raise ValueError("entropy weighting requires at least 2 documents")
+        p = counts.data * np.repeat(1.0 / gf, cells_per_row)
+        raw = 1.0 + _row_sums(counts, p * np.log2(p)) / np.log2(n_docs)
+    elif method is GtwMethod.IDF:
+        if idf_variant not in IDF_VARIANTS:
+            raise ValueError(f"unknown idf variant: {idf_variant!r}")
+        raw = np.log2(n_docs / (gf if idf_variant == "total-frequency" else df))
+    elif method is GtwMethod.PROBIDF:
+        with np.errstate(divide="ignore"):
+            raw = np.log2((n_docs - df) / df)
+    elif method is GtwMethod.NORMAL:
+        raw = 1.0 / np.sqrt(_row_sums(counts, counts.data**2))
+    elif method is GtwMethod.GFIDF:
+        raw = gf / df
+    else:
+        raw = np.ones(counts.shape[0])
+    return GlobalWeightVector.from_raw(method, raw, epsilon)
 
 
 def apply_gtw(

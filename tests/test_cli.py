@@ -474,6 +474,29 @@ class TestEval:
         assert "class 'class0'" in pooled.stderr
         assert pooled.stderr == serial.stderr
 
+    @pytest.mark.parametrize(
+        "protocol, job", [("classify", "class 'class0'"), ("loglik", "round 0")]
+    )
+    def test_document_without_counted_term_names_the_job(
+        self, workspace, tmp_path, protocol, job
+    ):
+        corpus = tmp_path / "hollow.tsv"
+        corpus.write_text(
+            "class0\tthe and of\n" + (workspace / "corpus.tsv").read_text()
+        )
+        serial, pooled = (
+            run_cli(
+                "eval", protocol, "--input", corpus, *TRAIN_ARGS,
+                "--folds", "2", "--threads", threads,
+            )
+            for threads in ("1", "2")
+        )
+        assert serial.returncode == pooled.returncode == 3
+        assert (
+            f"{job}: document '1' has no term in the vocabulary" in serial.stderr
+        )
+        assert pooled.stderr == serial.stderr
+
 
 class TestConfigFile:
     def test_config_file_supplies_flags(self, workspace, tmp_path):

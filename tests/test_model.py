@@ -1,5 +1,7 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,6 +21,7 @@ from flatm import (
     cascade_reduce,
     fold_in,
     fold_in_many,
+    generate_synthetic,
     load_model,
     model_from_json,
     model_to_json,
@@ -619,6 +622,55 @@ class TestSerialization:
     def test_load_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_model(tmp_path / "absent.json")
+
+
+def assert_same_model_bits(back, model):
+    for table in (
+        "topic_given_word", "word_prob", "word_given_topic", "topic_given_doc"
+    ):
+        a, b = getattr(back, table), getattr(model, table)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), table
+    for part in ("raw", "clamped"):
+        a = getattr(back.global_weights, part)
+        assert a.tobytes() == getattr(model.global_weights, part).tobytes(), part
+    assert back.global_weights.method is model.global_weights.method
+    assert back.global_weights.epsilon == model.global_weights.epsilon
+    assert back.vocabulary == model.vocabulary
+    assert back.doc_ids == model.doc_ids
+    assert back.config == model.config
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    gtw=st.sampled_from(list(GtwMethod)),
+    idf_variant=st.sampled_from(["total-frequency", "document-frequency"]),
+    cascade=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    corpus_seed=st.integers(min_value=0, max_value=1000),
+    n_classes=st.integers(min_value=2, max_value=3),
+    docs_per_class=st.integers(min_value=2, max_value=6),
+    overlap=st.sampled_from([0.0, 0.4]),
+)
+def test_model_files_give_every_table_back_bit_for_bit(
+    gtw, idf_variant, cascade, seed, corpus_seed, n_classes, docs_per_class, overlap
+):
+    docs = generate_synthetic(
+        corpus_seed,
+        n_classes=n_classes,
+        vocab_per_class=5,
+        docs_per_class=docs_per_class,
+        doc_length=6,
+        overlap_fraction=overlap,
+    )
+    config = tiny_config(
+        gtw=gtw, idf_variant=idf_variant, cascade=cascade, seed=seed
+    )
+    model = train(docs, config)
+    assert_same_model_bits(model_from_json(model_to_json(model)), model)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path)
+        assert_same_model_bits(load_model(path), model)
 
 
 class TestStageSeed:

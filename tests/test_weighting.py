@@ -3,47 +3,48 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from flatm import (
+    GlobalWeightVector,
     GtwMethod,
     RawDocument,
+    TermDocMatrix,
     Vocabulary,
     apply_gtw,
     build_matrix,
     compute_global_weights,
-    entropy_weights,
-    gfidf_weights,
     global_weights_tsv,
-    idf_weights,
     local_weights,
-    none_weights,
-    normal_weights,
-    probidf_weights,
 )
 
 EPS = 1e-6
 
 
-def lw_from(rows) -> "flatm.LocalWeights":
+def lw_from(rows) -> sp.csr_matrix:
     return local_weights(sp.csr_matrix(np.asarray(rows, dtype=float)))
 
 
-class TestLocalWeights:
-    def test_binary_and_proportions(self):
-        lw = lw_from([[2.0, 0.0, 2.0]])
-        np.testing.assert_array_equal(lw.binary.toarray(), [[1.0, 0.0, 1.0]])
-        np.testing.assert_array_equal(
-            lw.proportions.toarray(), [[0.5, 0.0, 0.5]]
-        )
+def unit_weights(n_terms: int) -> GlobalWeightVector:
+    return GlobalWeightVector.from_raw(GtwMethod.NONE, np.ones(n_terms))
 
-    def test_proportion_rows_sum_to_one(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            f = oracles.random_count_matrix(rng)
-            lw = lw_from(f)
-            rows = np.asarray(lw.proportions.sum(axis=1)).ravel()
-            np.testing.assert_allclose(rows, 1.0, atol=1e-12)
+
+class TestLocalWeights:
+    def test_clean_float64_csr_comes_back_uncopied(self):
+        f = sp.csr_matrix(np.array([[2.0, 0.0, 2.0], [0.0, 1.0, 0.0]]))
+        tdm = TermDocMatrix(counts=f, doc_ids=("a", "b", "c"))
+        for matrix in (f, tdm):
+            counts = local_weights(matrix)
+            for part in ("data", "indices", "indptr"):
+                assert np.shares_memory(getattr(counts, part), getattr(f, part))
+
+    def test_integer_counts_become_float64_csr(self):
+        counts = local_weights(sp.csc_matrix(np.array([[2, 0], [1, 3]])))
+        assert isinstance(counts, sp.csr_matrix)
+        assert counts.dtype == np.float64
+        np.testing.assert_array_equal(counts.toarray(), [[2.0, 0.0], [1.0, 3.0]])
 
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError, match="zero total count"):
@@ -59,24 +60,24 @@ class TestFrozenExamples:
 
     def test_entropy_single_doc_concentration(self):
         lw = lw_from([[3.0, 0.0], [1.0, 1.0]])
-        w = entropy_weights(lw)
+        w = compute_global_weights(lw, GtwMethod.ENTROPY)
         assert w.raw[0] == pytest.approx(1.0, abs=1e-12)
         assert w.raw[1] == pytest.approx(0.0, abs=1e-12)
         assert w.clamped[1] == EPS
 
     def test_entropy_concentrated_among_four_docs(self):
         lw = lw_from([[5.0, 0.0, 0.0, 0.0]])
-        w = entropy_weights(lw)
+        w = compute_global_weights(lw, GtwMethod.ENTROPY)
         assert w.raw[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_entropy_needs_two_docs(self):
         with pytest.raises(ValueError, match="at least 2 documents"):
-            entropy_weights(lw_from([[3.0], [1.0]]))
+            compute_global_weights(lw_from([[3.0], [1.0]]), GtwMethod.ENTROPY)
 
     def test_idf_total_frequency(self):
         lw = lw_from([[1.0, 1.0, 0.0, 0.0], [4.0, 0.0, 0.0, 0.0],
                       [2.0, 2.0, 2.0, 2.0]])
-        w = idf_weights(lw)
+        w = compute_global_weights(lw, GtwMethod.IDF)
         assert w.raw[0] == pytest.approx(1.0, abs=1e-12)  # log2(4/2)
         assert w.raw[1] == pytest.approx(0.0, abs=1e-12)  # log2(4/4)
         assert w.raw[2] == pytest.approx(-1.0, abs=1e-12)  # log2(4/8)
@@ -84,18 +85,22 @@ class TestFrozenExamples:
 
     def test_idf_document_frequency_variant(self):
         lw = lw_from([[4.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
-        w = idf_weights(lw, variant="document-frequency")
+        w = compute_global_weights(
+            lw, GtwMethod.IDF, idf_variant="document-frequency"
+        )
         assert w.raw[0] == pytest.approx(2.0, abs=1e-12)  # log2(4/1)
         assert w.raw[1] == pytest.approx(1.0, abs=1e-12)  # log2(4/2)
 
     def test_idf_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown idf variant"):
-            idf_weights(lw_from([[1.0, 1.0]]), variant="bm25")
+            compute_global_weights(
+                lw_from([[1.0, 1.0]]), GtwMethod.IDF, idf_variant="bm25"
+            )
 
     def test_probidf(self):
         lw = lw_from([[2.0, 0.0, 0.0, 0.0], [1.0, 3.0, 0.0, 0.0],
                       [1.0, 1.0, 1.0, 1.0]])
-        w = probidf_weights(lw)
+        w = compute_global_weights(lw, GtwMethod.PROBIDF)
         assert w.raw[0] == pytest.approx(math.log2(3.0), abs=1e-12)
         assert w.raw[1] == pytest.approx(0.0, abs=1e-12)
         assert w.raw[2] == -math.inf
@@ -105,7 +110,7 @@ class TestFrozenExamples:
 
     def test_normal(self):
         lw = lw_from([[3.0, 4.0], [1.0, 0.0], [1.0, 1.0]])
-        w = normal_weights(lw)
+        w = compute_global_weights(lw, GtwMethod.NORMAL)
         assert w.raw[0] == pytest.approx(0.2, abs=1e-12)
         assert w.raw[1] == pytest.approx(1.0, abs=1e-12)
         assert w.raw[2] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
@@ -113,13 +118,14 @@ class TestFrozenExamples:
     def test_gfidf(self):
         lw = lw_from([[3.0, 2.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0],
                       [1.0, 1.0, 1.0, 1.0]])
-        w = gfidf_weights(lw)
+        w = compute_global_weights(lw, GtwMethod.GFIDF)
         assert w.raw[0] == pytest.approx(2.0, abs=1e-12)  # 6 / 3
         assert w.raw[1] == pytest.approx(1.0, abs=1e-12)
         assert w.raw[2] == pytest.approx(1.0, abs=1e-12)  # n/n
 
     def test_none_weights(self):
-        w = none_weights(3)
+        lw = lw_from([[2.0, 0.0], [1.0, 1.0], [0.0, 5.0]])
+        w = compute_global_weights(lw, GtwMethod.NONE)
         np.testing.assert_array_equal(w.raw, [1.0, 1.0, 1.0])
         np.testing.assert_array_equal(w.clamped, [1.0, 1.0, 1.0])
 
@@ -156,20 +162,67 @@ class TestFormulaOracles:
                 )
 
 
+# Every scheme and idf variant with its oracle and keyword arguments.
+SCHEMES = TestFormulaOracles.CASES + [
+    (GtwMethod.NONE, lambda f: [1.0] * f.shape[0], {}),
+]
+
+
+@st.composite
+def stored_counts(draw):
+    """A count matrix with no all-zero row, and a CSR of it in which some
+    zero cells are stored as explicit zeros."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=2, max_value=6))
+    cells = st.lists(
+        st.integers(min_value=0, max_value=4), min_size=m * n, max_size=m * n
+    )
+    f = np.array(draw(cells), dtype=np.float64).reshape(m, n)
+    for i in np.flatnonzero(f.sum(axis=1) == 0):
+        f[i, draw(st.integers(min_value=0, max_value=n - 1))] = 1.0
+    explicit = np.array(
+        draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
+    ).reshape(m, n)
+    stored = (f != 0) | explicit
+    csr = sp.csr_matrix(
+        (f[stored], np.nonzero(stored)[1], np.r_[0, np.cumsum(stored.sum(axis=1))]),
+        shape=(m, n),
+    )
+    return f, csr
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(drawn=stored_counts())
+def test_every_scheme_matches_its_oracle_on_csr_and_term_doc_matrix(drawn):
+    f, csr = drawn
+    nnz = csr.nnz
+    tdm = TermDocMatrix(
+        counts=csr, doc_ids=tuple(f"d{j}" for j in range(f.shape[1]))
+    )
+    for method, oracle, kwargs in SCHEMES:
+        expected = oracle(f)
+        for matrix in (csr, tdm):
+            got = compute_global_weights(matrix, method, **kwargs)
+            np.testing.assert_allclose(
+                got.raw, expected, atol=1e-12, rtol=0, err_msg=f"{method}\n{f}"
+            )
+    assert csr.nnz == nnz  # explicit zeros are dropped from a copy
+
+
 class TestWeightProperties:
     def test_ranges(self):
         rng = np.random.default_rng(11)
         for _ in range(15):
             f = oracles.random_count_matrix(rng)
             lw = lw_from(f)
-            entropy = entropy_weights(lw).raw
+            entropy = compute_global_weights(lw, GtwMethod.ENTROPY).raw
             assert np.all(entropy >= -1e-12) and np.all(entropy <= 1 + 1e-12)
             # gfidf is the mean count over the documents containing the
             # term: at least 1, at most the largest single cell.
-            gfidf = gfidf_weights(lw).raw
+            gfidf = compute_global_weights(lw, GtwMethod.GFIDF).raw
             assert np.all(gfidf >= 1 - 1e-12)
             assert np.all(gfidf <= f.max() + 1e-12)
-            assert np.all(normal_weights(lw).raw > 0)
+            assert np.all(compute_global_weights(lw, GtwMethod.NORMAL).raw > 0)
 
     def test_document_permutation_invariance(self):
         rng = np.random.default_rng(13)
@@ -185,30 +238,33 @@ class TestWeightProperties:
         # A term seen once in one document scores 1 under entropy,
         # normal, and gfidf alike.
         lw = lw_from([[1.0, 0.0, 0.0], [2.0, 1.0, 3.0]])
-        for fn in (entropy_weights, normal_weights, gfidf_weights):
-            assert fn(lw).raw[0] == pytest.approx(1.0, abs=1e-12)
+        for method in (GtwMethod.ENTROPY, GtwMethod.NORMAL, GtwMethod.GFIDF):
+            w = compute_global_weights(lw, method)
+            assert w.raw[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_clamp_keeps_raw(self):
         lw = lw_from([[2.0, 2.0], [1.0, 0.0]])
-        w = idf_weights(lw)
+        w = compute_global_weights(lw, GtwMethod.IDF)
         assert w.raw[0] == -1.0  # log2(2/4)
         assert w.clamped[0] == EPS
         assert w.epsilon == EPS
 
     def test_custom_epsilon(self):
         lw = lw_from([[1.0, 1.0]])
-        w = entropy_weights(lw, epsilon=0.5)
+        w = compute_global_weights(lw, GtwMethod.ENTROPY, epsilon=0.5)
         assert w.clamped[0] == 0.5
 
     def test_epsilon_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            entropy_weights(lw_from([[1.0, 1.0]]), epsilon=0.0)
+        lw = lw_from([[1.0, 1.0]])
+        for epsilon in (0.0, -1e-6, math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                compute_global_weights(lw, GtwMethod.ENTROPY, epsilon=epsilon)
+            with pytest.raises(ValueError, match="positive"):
+                GlobalWeightVector.from_raw(GtwMethod.NONE, np.ones(1), epsilon)
 
 
 class TestApplyGtw:
     def test_scales_rows(self):
-        from flatm import GlobalWeightVector
-
         f = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 2.0]]))
         w = GlobalWeightVector.from_raw(GtwMethod.NONE, np.array([1.0, 0.5]))
         a = apply_gtw(f, w)
@@ -222,14 +278,15 @@ class TestApplyGtw:
             RawDocument(doc_id="2", text="dog dog"),
         ]
         vocab, tdm = build_matrix(docs)
-        a = apply_gtw(tdm, none_weights(len(vocab)))
+        a = apply_gtw(tdm, unit_weights(len(vocab)))
         np.testing.assert_array_equal(a.toarray(), tdm.counts.toarray())
 
     def test_sparsity_pattern_preserved(self):
         rng = np.random.default_rng(17)
         f = oracles.random_count_matrix(rng)
         lw = lw_from(f)
-        a = apply_gtw(sp.csr_matrix(f), entropy_weights(lw))
+        w = compute_global_weights(lw, GtwMethod.ENTROPY)
+        a = apply_gtw(sp.csr_matrix(f), w)
         np.testing.assert_array_equal(
             a.toarray() != 0, np.asarray(f) != 0
         )
@@ -237,7 +294,7 @@ class TestApplyGtw:
     def test_dimension_mismatch_rejected(self):
         f = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 2.0]]))
         with pytest.raises(ValueError, match="does not match"):
-            apply_gtw(f, none_weights(3))
+            apply_gtw(f, unit_weights(3))
 
     def test_explicit_zeros_leave_the_callers_matrix_alone(self):
         # [[1, 0], [0, 2]] with the zero at (0, 1) stored explicitly.
@@ -246,24 +303,24 @@ class TestApplyGtw:
             shape=(2, 2),
         )
         lw = local_weights(f)
-        a = apply_gtw(f, none_weights(2))
+        a = apply_gtw(f, unit_weights(2))
         assert f.nnz == 3
         np.testing.assert_array_equal(f.data, [1.0, 0.0, 2.0])
-        assert lw.counts.nnz == a.nnz == 2
+        assert lw.nnz == a.nnz == 2
         np.testing.assert_array_equal(a.toarray(), [[1.0, 0.0], [0.0, 2.0]])
 
     def test_clamped_negative_weights_keep_rows_positive(self):
         lw = lw_from([[2.0, 2.0, 2.0, 2.0]])
-        w = idf_weights(lw)
+        w = compute_global_weights(lw, GtwMethod.IDF)
         assert w.raw[0] < 0
-        a = apply_gtw(lw.counts, w)
+        a = apply_gtw(lw, w)
         assert np.all(a.toarray() > 0)
 
 
 class TestTsvExport:
     def test_format_and_minus_inf(self):
         lw = lw_from([[1.0, 1.0, 1.0], [2.0, 0.0, 0.0]])
-        w = probidf_weights(lw)
+        w = compute_global_weights(lw, GtwMethod.PROBIDF)
         vocab = Vocabulary(terms=("alpha", "beta"))
         text = global_weights_tsv(vocab, w)
         lines = text.splitlines()
@@ -272,6 +329,6 @@ class TestTsvExport:
         assert lines[2] == "beta\t1.0\t1.0"  # log2((3-1)/1)
 
     def test_length_mismatch(self):
-        w = none_weights(2)
+        w = unit_weights(2)
         with pytest.raises(ValueError, match="does not match"):
             global_weights_tsv(Vocabulary(terms=("only",)), w)
