@@ -7,6 +7,8 @@ formulas, deliberately sharing no code with the package. Slow and clear.
 from __future__ import annotations
 
 import math
+import re
+from collections import Counter
 
 import numpy as np
 
@@ -138,3 +140,48 @@ def mixed_topic_given_doc(ptw: np.ndarray, pwd: np.ndarray) -> np.ndarray:
                 acc += ptw[i, k] * pwd[i, j]
             out[k, j] = acc
     return out
+
+
+def reference_tokens(text: str, config) -> list[str]:
+    """The tokenizer one occurrence at a time: split, then filter each token."""
+    if config.lowercase:
+        text = text.lower()
+    out = []
+    for token in re.findall(r"[^\W_]+", text):
+        if len(token) < config.min_token_length:
+            continue
+        if config.drop_numeric and token.isdigit():
+            continue
+        if token in config.stopwords:
+            continue
+        out.append(token)
+    return out
+
+
+def reference_count_matrix(texts, config, min_df=1, terms=None):
+    """Per-token counting: ``Counter`` of each text's tokens, mapped to ids.
+
+    Without ``terms``, the vocabulary is every token in at least ``min_df``
+    texts, sorted. Returns the terms and the CSR arrays ``data``,
+    ``indices`` and ``indptr`` of the (terms, texts) count matrix, with
+    the dtypes scipy gives a small matrix (float64, int32, int32), and
+    each text's token total (int64).
+    """
+    counts = [Counter(reference_tokens(text, config)) for text in texts]
+    if terms is None:
+        df = Counter(term for c in counts for term in c)
+        terms = tuple(sorted(t for t, n in df.items() if n >= min_df))
+    data, indices, indptr = [], [], [0]
+    for term in terms:
+        for j, c in enumerate(counts):
+            if c[term] > 0:
+                data.append(float(c[term]))
+                indices.append(j)
+        indptr.append(len(data))
+    return (
+        tuple(terms),
+        np.array(data, dtype=np.float64),
+        np.array(indices, dtype=np.int32),
+        np.array(indptr, dtype=np.int32),
+        np.array([c.total() for c in counts], dtype=np.int64),
+    )

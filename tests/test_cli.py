@@ -446,6 +446,16 @@ class TestEval:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
+    def test_byte_order_mark_changes_nothing(self, workspace, tmp_path):
+        marked = tmp_path / "marked.tsv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (workspace / "corpus.tsv").read_bytes())
+        plain = self.run_classify(workspace)
+        proc = run_cli(
+            "eval", "classify", "--input", marked, *TRAIN_ARGS, "--folds", "2"
+        )
+        assert plain.returncode == proc.returncode == 0
+        assert proc.stdout == plain.stdout
+
     def classify_below_schedule(self, tmp_path, *extra):
         corpus = tmp_path / "small.tsv"
         if not corpus.exists():

@@ -1,4 +1,3 @@
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +5,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from flatm import (
     InputFormatError,
     RawDocument,
@@ -18,6 +18,7 @@ from flatm import (
     load_stopwords,
     tokenize,
 )
+from flatm import corpus
 
 
 class TestTokenize:
@@ -73,6 +74,14 @@ class TestStopwordFiles:
         path = tmp_path / "stops.txt"
         path.write_text("# comment\nfoo\n\nbar\n", encoding="utf-8")
         assert load_stopwords(path) == frozenset({"foo", "bar"})
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "stops.txt"
+        path.write_bytes("\ufeffthe\nand\n".encode("utf-8"))
+        words = load_stopwords(path)
+        assert words == frozenset({"the", "and"})
+        config = TokenizerConfig(stopwords=words)
+        assert tokenize("the fever and", config) == ["fever"]
 
 
 class TestLoadCorpus:
@@ -162,6 +171,25 @@ class TestLoadCorpus:
             ("1", "renal", "kidney\u2028stone"),
             ("2", "cardio", "stress\x0ctest"),
         ]
+
+    @pytest.mark.parametrize(
+        "format, files",
+        [
+            ("labeled-tsv", {"corpus.tsv": "class0\tknee note\nclass1\tstress test\n"}),
+            ("lines", {"corpus.txt": "knee note\nstress test\n"}),
+            ("dir-of-txt", {"a.txt": "knee note", "b.txt": "stress test"}),
+        ],
+    )
+    def test_byte_order_mark_skipped(self, tmp_path, format, files):
+        loaded = []
+        for name, bom in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            root = tmp_path / name
+            root.mkdir()
+            for file, text in files.items():
+                (root / file).write_bytes(bom + text.encode("utf-8"))
+            path = root if format == "dir-of-txt" else root / next(iter(files))
+            loaded.append(load_corpus(path, format))
+        assert loaded[1] == loaded[0]
 
     def test_empty_file_gives_empty_list(self, tmp_path):
         path = tmp_path / "corpus.txt"
@@ -326,22 +354,76 @@ _TEXTS = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+def _same_as_oracle(vocab, tdm, reference):
+    terms, data, indices, indptr, tokens = reference
+    assert vocab.terms == terms
+    for got, want in (
+        (tdm.counts.data, data),
+        (tdm.counts.indices, indices),
+        (tdm.counts.indptr, indptr),
+        (tdm.tokens, tokens),
+    ):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
 @given(
     texts=st.lists(_TEXTS, max_size=6),
     vocab_texts=st.lists(_TEXTS, min_size=1, max_size=4),
     lowercase=st.booleans(),
+    min_token_length=st.integers(1, 3),
+    drop_numeric=st.booleans(),
+    min_df=st.integers(1, 3),
 )
-def test_vocabulary_counts_equal_counter_of_tokens(texts, vocab_texts, lowercase):
-    config = TokenizerConfig(lowercase=lowercase)
-    terms = {t for text in vocab_texts for t in tokenize(text, config)}
-    vocab = Vocabulary(terms=tuple(sorted(terms | {"fever"})))
+def test_vocabulary_counts_equal_counter_of_tokens(
+    texts, vocab_texts, lowercase, min_token_length, drop_numeric, min_df
+):
+    config = TokenizerConfig(
+        lowercase=lowercase,
+        min_token_length=min_token_length,
+        drop_numeric=drop_numeric,
+    )
     docs = _docs(*texts)
-    _, tdm = build_matrix(docs, config, vocabulary=vocab)
-    dense = tdm.counts.toarray()
-    for j, doc in enumerate(docs):
-        tokens = tokenize(doc.text, config)
-        expected = Counter(t for t in tokens if t in vocab)
-        got = {vocab.terms[i]: dense[i, j] for i in np.flatnonzero(dense[:, j])}
-        assert got == expected
-        assert tdm.tokens[j] == len(tokens)
+    reference = oracles.reference_count_matrix(texts, config, min_df)
+    if reference[0]:
+        _same_as_oracle(*build_matrix(docs, config, min_df=min_df), reference)
+    else:
+        with pytest.raises(ValueError):
+            build_matrix(docs, config, min_df=min_df)
+    # A stop-word, a term too short for min_token_length 2 and 3, and a
+    # numeral: the filter drops each of them before the vocabulary is seen.
+    never = {"the", "x", "42"}
+    terms = {t for text in vocab_texts for t in oracles.reference_tokens(text, config)}
+    vocab = Vocabulary(terms=tuple(sorted(terms | never | {"fever"})))
+    got_vocab, tdm = build_matrix(docs, config, min_df=min_df, vocabulary=vocab)
+    assert got_vocab is vocab
+    _same_as_oracle(
+        vocab, tdm, oracles.reference_count_matrix(texts, config, terms=vocab.terms)
+    )
+    dropped = [t for t in never if not oracles.reference_tokens(t, config)]
+    assert "the" in dropped
+    for term in dropped:
+        assert tdm.counts[vocab.index[term]].nnz == 0
+    for text in texts:
+        assert tokenize(text, config) == oracles.reference_tokens(text, config)
+
+
+def test_filter_sees_each_distinct_token_once_per_call(monkeypatch):
+    seen = []
+    kept_tokens = corpus._kept_tokens
+
+    def recording(tokens, config):
+        tokens = list(tokens)
+        seen.extend(tokens)
+        return kept_tokens(tokens, config)
+
+    monkeypatch.setattr(corpus, "_kept_tokens", recording)
+    texts = ["Fever the fever FEVER 42 x", "kidney fever the", "", "kidney stone"]
+    raw = {t for text in texts for t in text.lower().split()}
+    vocab, _ = build_matrix(_docs(*texts))
+    assert sorted(seen) == sorted(raw)
+    assert vocab.terms == ("fever", "kidney", "stone")
+    seen.clear()
+    build_matrix(_docs(*texts), vocabulary=vocab)
+    assert sorted(seen) == sorted(raw)

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from flatm import (
@@ -294,6 +296,54 @@ class TestFcmRun:
         data = rng.random((15, 2))
         result = fcm_run(data, FcmConfig(n_clusters=4, seed=9))
         np.testing.assert_allclose(result.membership.sum(axis=1), 1.0, atol=1e-9)
+
+
+@st.composite
+def _fcm_problems(draw):
+    """Small data, some with repeated or all-zero rows, and solver settings."""
+    c = draw(st.integers(2, 3))
+    n = draw(st.integers(c + 1, 12))
+    dims = draw(st.integers(1, 4))
+    cells = st.integers(0, 4) | st.floats(-5.0, 5.0, allow_subnormal=False)
+    data = np.array(draw(st.lists(cells, min_size=n * dims, max_size=n * dims)))
+    config = FcmConfig(
+        n_clusters=c,
+        fuzzifier=draw(st.sampled_from([1.3, 2.0, 3.0])),
+        threshold=draw(st.sampled_from([1e-2, 1e-5])),
+        max_iterations=draw(st.integers(1, 25)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return data.reshape(n, dims).astype(np.float64), config
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(problem=_fcm_problems())
+def test_run_invariants_on_dense_and_csr_input(problem):
+    data, config = problem
+    for points in (data, sp.csr_matrix(data)):
+        deltas = []
+        result = fcm_run(
+            points, config, on_iteration=lambda *args: deltas.append(args[-1])
+        )
+        u = result.membership
+        assert np.all(np.isfinite(u))
+        assert u.min() >= 0.0 and u.max() <= 1.0
+        np.testing.assert_allclose(u.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert len(result.objective_trace) == result.iterations == len(deltas)
+        # Only the last iteration may meet the threshold; the loop stopped
+        # at the cap exactly when it did not.
+        assert all(d > config.threshold for d in deltas[:-1])
+        assert result.converged == (deltas[-1] <= config.threshold)
+        if not result.converged:
+            assert result.iterations == config.max_iterations
+        again = fcm_run(points, config)
+        assert again.membership.tobytes() == u.tobytes()
+        assert again.centers.tobytes() == result.centers.tobytes()
+        assert again.objective_trace == result.objective_trace
+        assert (again.iterations, again.converged) == (
+            result.iterations,
+            result.converged,
+        )
 
 
 class TestSparseInput:
