@@ -8,24 +8,37 @@ stops when the largest membership change falls to the threshold or the
 iteration cap is hit.
 
 Points are the rows of a float64 matrix, dense or scipy sparse;
-``fuzzifier`` is the exponent q > 1. The input type picks the kernels.
-A dense matrix takes the direct difference, d2_jk = sum_i (x_ji - v_ki)^2,
-and centers as an einsum over memberships. A sparse matrix never becomes
-dense: distances use the expansion d2_jk = |x_j|^2 - 2 x_j.v_k + |v_k|^2,
-clamped at 0, and centers are (U^q)^T X / sum_j u_jk^q as a sparse
-product.
+``fuzzifier`` is the exponent q > 1. The input type picks the distance
+and center kernels. A sparse matrix never becomes dense: distances use
+the expansion d2_jk = |x_j|^2 - 2 x_j.v_k + |v_k|^2, clamped at 0, and
+centers are (U^q)^T X / sum_j u_jk^q as a sparse product.
 
 The expansion suits a sparse term-by-document matrix, whose rows are
 far from each other and from the centers. It does not suit the dense
 membership rows that later cascade stages cluster: those rows are
 nearly identical, with d2 around 1e-13 against |x|^2 around 0.1, and
 cancellation would cost about 1e-4 relative. So dense input keeps the
-direct difference.
+direct difference, d2_jk = sum_i (x_ji - v_ki)^2, and centers as an
+einsum over memberships.
+
+Distances and the membership update work cluster-major, on (c, n)
+arrays, so that each per-point reduction over the clusters (the minimum
+and the normalising sum) runs over contiguous rows instead of along
+short strided ones. The arithmetic is that of the point-major (n, c)
+form element for element: row k of the dense distances is the same
+einsum over the same C-order ``x - v_k`` rows; the minimum is exact in
+any order; the ratio, the power and the quotient are elementwise; and
+:func:`_pairwise_sum` adds each point's c values in the order numpy's
+``sum(axis=1)`` adds a C-order row. One transpose then gives the
+C-order (n, c) memberships that the center update, the objective and
+the next cascade stage read. So results are bit for bit those of the
+point-major loop.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,6 +59,21 @@ logger = logging.getLogger(__name__)
 _MAX_SEED = 2**64
 
 
+def _require_ints(config, *names: str) -> None:
+    """Store each named field of a frozen dataclass as a plain ``int``.
+
+    Python and numpy integers pass; anything else, such as 2.5 or 3.0,
+    raises ``ValueError`` naming the field.
+    """
+    for name in names:
+        value = getattr(config, name)
+        try:
+            number = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        object.__setattr__(config, name, number)
+
+
 @dataclass(frozen=True)
 class FcmConfig:
     """Solver settings for one clustering run.
@@ -62,6 +90,7 @@ class FcmConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_ints(self, "n_clusters", "max_iterations", "seed")
         if self.n_clusters < 2:
             raise ValueError("n_clusters must be >= 2")
         if not self.fuzzifier > 1.0:
@@ -70,7 +99,7 @@ class FcmConfig:
             raise ValueError("threshold must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not 0 <= int(self.seed) < _MAX_SEED:
+        if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
@@ -123,25 +152,66 @@ def _initial_membership(
     return u / u.sum(axis=1, keepdims=True)
 
 
-def _sq_dists(x: _Points, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (n_points, n_clusters)."""
+def _sq_dists(
+    x: _Points,
+    centers: np.ndarray,
+    out: np.ndarray | None = None,
+    diff: np.ndarray | None = None,
+) -> np.ndarray:
+    """Squared Euclidean distances, cluster-major: shape (n_clusters, n_points).
+
+    ``out`` receives the distances and ``diff``, for dense ``x``, holds one
+    cluster's difference rows; both are allocated when not given.
+    """
+    n, c = x.shape[0], centers.shape[0]
+    if out is None:
+        out = np.empty((c, n))
     if sp.issparse(x):
         x_sq = np.asarray(x.multiply(x).sum(axis=1)).ravel()
-        d2 = x_sq[:, None] - 2.0 * (x @ centers.T)
-        d2 += np.einsum("cd,cd->c", centers, centers)
-        return np.maximum(d2, 0.0, out=d2)
-    n, c = x.shape[0], centers.shape[0]
-    d2 = np.empty((n, c))
-    # Per-cluster loop keeps the temporary at (n, dims) and the einsum
-    # contraction order fixed, so results do not depend on memory pressure.
+        np.subtract(x_sq, (2.0 * (x @ centers.T)).T, out=out)
+        out += np.einsum("cd,cd->c", centers, centers)[:, None]
+        return np.maximum(out, 0.0, out=out)
+    if diff is None:
+        diff = np.empty(x.shape)
+    # One cluster at a time: the contraction runs over the same C-order
+    # (n, dims) difference rows whatever c is, and writes a contiguous row.
     for k in range(c):
-        diff = x - centers[k]
-        d2[:, k] = np.einsum("nd,nd->n", diff, diff)
-    return d2
+        np.subtract(x, centers[k], out=diff)
+        np.einsum("nd,nd->n", diff, diff, out=out[k])
+    return out
+
+
+def _pairwise_sum(w: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of a (c, n) array, adding each column's c values in
+    the order numpy's pairwise ``add.reduce`` adds a contiguous row: one by
+    one below 8 values, in eight interleaved partial sums up to 128, and
+    as two halves split at a multiple of 8 above that.
+    """
+    c = w.shape[0]
+    if c < 8:
+        total = w[0].copy()
+        for row in w[1:]:
+            total += row
+        return total
+    if c <= 128:
+        full = c - c % 8
+        r = w[:8]
+        for i in range(8, full, 8):
+            r = r + w[i : i + 8]
+        r = r[0::2] + r[1::2]
+        r = r[0::2] + r[1::2]
+        total = r[0] + r[1]
+        for row in w[full:]:
+            total += row
+        return total
+    half = c // 2
+    half -= half % 8
+    return _pairwise_sum(w[:half]) + _pairwise_sum(w[half:])
 
 
 def _memberships(d2: np.ndarray, fuzzifier: float) -> np.ndarray:
-    """Membership rows from squared distances.
+    """Membership rows, shape (n_points, n_clusters), from cluster-major
+    squared distances, shape (n_clusters, n_points).
 
     For point j with all distances positive:
         u_jk = (dmin_j / d2_jk)^(1/(q-1)) / sum_l (dmin_j / d2_jl)^(1/(q-1))
@@ -151,46 +221,31 @@ def _memberships(d2: np.ndarray, fuzzifier: float) -> np.ndarray:
     centers and gives the rest zero.
     """
     expo = 1.0 / (fuzzifier - 1.0)
-    dmin = d2.min(axis=1, keepdims=True)
+    dmin = d2.min(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = (dmin / d2) ** expo
-        u = w / w.sum(axis=1, keepdims=True)
-    singular = np.flatnonzero(dmin.ravel() <= 0.0)
+        w = dmin / d2
+        # x ** 1.0 is x exactly; q = 2 needs no power.
+        if expo != 1.0:
+            w **= expo
+        w /= _pairwise_sum(w)
+    singular = np.flatnonzero(dmin <= 0.0)
     if singular.size:
-        hits = d2[singular] == 0.0
-        u[singular] = hits / hits.sum(axis=1, keepdims=True)
-    return u
+        hits = d2[:, singular] == 0.0
+        w[:, singular] = hits / hits.sum(axis=0)
+    return w.T.copy()
 
 
-def _objective(d2: np.ndarray, u: np.ndarray, fuzzifier: float) -> float:
-    """Weighted within-cluster scatter: sum_jk u_jk^q d2_jk."""
-    return float(((u**fuzzifier) * d2).sum())
+def _objective(d2: np.ndarray, um: np.ndarray) -> float:
+    """Weighted within-cluster scatter sum_jk u_jk^q d2_jk, from cluster-major
+    ``d2`` and point-major ``um`` = u^q, summed in point-major order."""
+    return float(np.multiply(um, d2.T, out=np.empty_like(um)).sum())
 
 
-def update_memberships(
-    data: np.ndarray | sp.spmatrix, centers: np.ndarray, fuzzifier: float
+def _centers(
+    x: _Points, um: np.ndarray, rng: np.random.Generator | None
 ) -> np.ndarray:
-    """One membership update against fixed centers."""
-    x = _as_points(data)
-    v = np.ascontiguousarray(np.asarray(centers, dtype=np.float64))
-    return _memberships(_sq_dists(x, v), fuzzifier)
-
-
-def update_centers(
-    data: np.ndarray | sp.spmatrix,
-    membership: np.ndarray,
-    fuzzifier: float,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """One center update against fixed memberships.
-
-    center_k = sum_j u_jk^q x_j / sum_j u_jk^q. A cluster with zero total
-    membership mass has no defined center; it restarts at a data point
-    drawn from ``rng`` rather than dividing by zero.
-    """
-    x = _as_points(data)
-    u = np.ascontiguousarray(np.asarray(membership, dtype=np.float64))
-    um = u**fuzzifier
+    """Centers from the powered memberships ``um`` = u^q; see
+    :func:`update_centers`."""
     wsum = um.sum(axis=0)
     if sp.issparse(x):
         centers = np.ascontiguousarray((x.T @ um).T)
@@ -208,6 +263,33 @@ def update_centers(
     return centers
 
 
+def _as_array(a) -> np.ndarray:
+    """A C-contiguous float64 array."""
+    return np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+
+
+def update_memberships(
+    data: np.ndarray | sp.spmatrix, centers: np.ndarray, fuzzifier: float
+) -> np.ndarray:
+    """One membership update against fixed centers."""
+    return _memberships(_sq_dists(_as_points(data), _as_array(centers)), fuzzifier)
+
+
+def update_centers(
+    data: np.ndarray | sp.spmatrix,
+    membership: np.ndarray,
+    fuzzifier: float,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """One center update against fixed memberships.
+
+    center_k = sum_j u_jk^q x_j / sum_j u_jk^q. A cluster with zero total
+    membership mass has no defined center; it restarts at a data point
+    drawn from ``rng`` rather than dividing by zero.
+    """
+    return _centers(_as_points(data), _as_array(membership) ** fuzzifier, rng)
+
+
 def objective(
     data: np.ndarray | sp.spmatrix,
     membership: np.ndarray,
@@ -215,10 +297,8 @@ def objective(
     fuzzifier: float,
 ) -> float:
     """Weighted within-cluster scatter for the given state."""
-    x = _as_points(data)
-    u = np.ascontiguousarray(np.asarray(membership, dtype=np.float64))
-    v = np.ascontiguousarray(np.asarray(centers, dtype=np.float64))
-    return _objective(_sq_dists(x, v), u, fuzzifier)
+    d2 = _sq_dists(_as_points(data), _as_array(centers))
+    return _objective(d2, _as_array(membership) ** fuzzifier)
 
 
 def fcm_run(
@@ -234,18 +314,23 @@ def fcm_run(
     of ``data`` and ``config``.
     """
     x = _check_data(data, config.n_clusters)
+    q = config.fuzzifier
     rng = np.random.default_rng(config.seed)
     u = _initial_membership(x.shape[0], config.n_clusters, rng)
+    um = u**q
+    d2 = np.empty((config.n_clusters, x.shape[0]))
+    diff = None if sp.issparse(x) else np.empty(x.shape)
     trace: list[float] = []
     centers = np.zeros((config.n_clusters, x.shape[1]))
     converged = False
     iterations = 0
     for iteration in range(1, config.max_iterations + 1):
-        centers = update_centers(x, u, config.fuzzifier, rng)
-        d2 = _sq_dists(x, centers)
-        u_new = _memberships(d2, config.fuzzifier)
+        centers = _centers(x, um, rng)
+        _sq_dists(x, centers, d2, diff)
+        u_new = _memberships(d2, q)
         max_delta = float(np.abs(u_new - u).max())
-        value = _objective(d2, u_new, config.fuzzifier)
+        um = u_new**q
+        value = _objective(d2, um)
         trace.append(value)
         u = u_new
         iterations = iteration

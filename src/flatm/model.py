@@ -46,7 +46,7 @@ from .corpus import (
     Vocabulary,
     build_matrix,
 )
-from .fcm import FcmConfig, FcmResult, fcm_run
+from .fcm import FcmConfig, FcmResult, _require_ints, fcm_run
 from .weighting import (
     DEFAULT_EPSILON,
     GlobalWeightVector,
@@ -113,6 +113,7 @@ class CascadeSchedule:
             raise ValueError("schedule must have at least one stage")
         if any(int(c) != c for c in self.counts):
             raise ValueError("schedule entries must be integers")
+        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         if self.counts[-1] < 2:
             raise ValueError("schedule must end at 2 or more clusters")
         if any(a <= b for a, b in zip(self.counts, self.counts[1:])):
@@ -141,6 +142,7 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gtw", GtwMethod(self.gtw))
+        _require_ints(self, "n_topics", "max_iterations", "seed", "min_df")
         if self.n_topics < 2:
             raise ValueError("n_topics must be >= 2")
         if not self.fuzzifier > 1.0:

@@ -49,6 +49,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FcmConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_clusters", 2.5),
+            ("n_clusters", 3.0),
+            ("max_iterations", 7.5),
+            ("seed", 1.5),
+            ("seed", "1"),
+        ],
+    )
+    def test_non_integers_rejected_by_name(self, field, value):
+        kwargs = {"n_clusters": 2, field: value}
+        with pytest.raises(ValueError, match=field):
+            FcmConfig(**kwargs)
+
+    def test_numpy_integers_become_ints(self):
+        config = FcmConfig(
+            n_clusters=np.int32(3), max_iterations=np.int64(9), seed=np.uint64(5)
+        )
+        assert (config.n_clusters, config.max_iterations, config.seed) == (3, 9, 5)
+        assert all(
+            type(v) is int
+            for v in (config.n_clusters, config.max_iterations, config.seed)
+        )
+
 
 class TestDataValidation:
     def test_more_points_than_clusters_required(self):
@@ -344,6 +369,86 @@ def test_run_invariants_on_dense_and_csr_input(problem):
             result.iterations,
             result.converged,
         )
+
+
+def _cascade_rows(rng, n, dims):
+    """Row-stochastic rows, like the memberships a cascade stage clusters."""
+    rows = rng.random((n, dims)) ** 4
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+class TestDenseMatchesPointMajorLoop:
+    """Dense ``fcm_run`` works cluster-major, yet returns the bits of the
+    point-major loop in ``oracles.reference_fcm_dense``."""
+
+    @staticmethod
+    def assert_same_bits(x, config, on_iteration=None):
+        got = fcm_run(x, config, on_iteration=on_iteration)
+        u, centers, trace, iterations = oracles.reference_fcm_dense(
+            x,
+            config.n_clusters,
+            config.fuzzifier,
+            config.threshold,
+            config.max_iterations,
+            config.seed,
+        )
+        assert got.membership.tobytes() == u.tobytes()
+        assert got.centers.tobytes() == centers.tobytes()
+        assert got.objective_trace == trace
+        assert got.iterations == iterations
+
+    @pytest.mark.parametrize("q", [2.0, 1.5, 3.0, 1.02])
+    def test_cluster_counts_2_to_12(self, q):
+        rng = np.random.default_rng(4242)
+        for c in range(2, 13):
+            x = _cascade_rows(rng, 300, 10)
+            config = FcmConfig(n_clusters=c, fuzzifier=q, seed=c, max_iterations=40)
+            self.assert_same_bits(x, config)
+
+    @pytest.mark.parametrize("q", [2.0, 1.5])
+    def test_more_than_128_clusters(self, q):
+        # 137 clusters: the normalising sum splits into halves of 64 and 73.
+        x = _cascade_rows(np.random.default_rng(137), 400, 6)
+        config = FcmConfig(n_clusters=137, fuzzifier=q, seed=3, max_iterations=6)
+        self.assert_same_bits(x, config)
+
+    @pytest.mark.parametrize(
+        "points, c, q",
+        [
+            ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 5, 2.0),
+            ([[0.0], [1.0]], 5, 1.5),
+            ([[0.0], [1.0]], 4, 1.02),
+        ],
+    )
+    def test_dead_cluster_and_point_on_center(self, caplog, points, c, q):
+        # Ten copies of each point: clusters collapse onto the points, a
+        # cluster left without mass restarts at a data point, and points
+        # lying on a center take the singular branch.
+        x = np.repeat(np.array(points), 10, axis=0)
+        on_center = []
+
+        def record(iteration, u, centers, value, delta):
+            on_center.append((centers[:, None, :] == x[None]).all(axis=2).any())
+
+        config = FcmConfig(n_clusters=c, fuzzifier=q, seed=0, max_iterations=30)
+        with caplog.at_level(logging.WARNING, logger="flatm.fcm"):
+            self.assert_same_bits(x, config, on_iteration=record)
+        assert "lost all membership mass" in caplog.text
+        assert any(on_center)
+
+
+def test_pairwise_sum_is_numpy_row_sum_order():
+    # The normalising sum must add in numpy's order for a C-order row, so
+    # the cluster-major memberships keep the point-major bits; c = 2..300
+    # takes the sequential, eight-accumulator and halving branches.
+    from flatm.fcm import _pairwise_sum
+
+    rng = np.random.default_rng(300)
+    for c in range(2, 301):
+        w = rng.random((33, c)) ** 3
+        want = np.add.reduce(w, axis=1)
+        got = _pairwise_sum(np.ascontiguousarray(w.T))
+        assert got.tobytes() == want.tobytes(), c
 
 
 class TestSparseInput:

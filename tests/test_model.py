@@ -103,6 +103,30 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             tiny_config(gtw="tfidf-plus")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_topics", 2.5),
+            ("n_topics", 2.0),
+            ("max_iterations", 7.5),
+            ("seed", 1.5),
+            ("min_df", 1.5),
+        ],
+    )
+    def test_rejects_non_integers_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**{field: value})
+
+    def test_numpy_integers_become_ints(self):
+        config = tiny_config(n_topics=np.int64(3), seed=np.uint32(4), min_df=np.int8(2))
+        assert (config.n_topics, config.seed, config.min_df) == (3, 4, 2)
+        assert type(config.n_topics) is int and type(config.seed) is int
+
+    def test_integral_schedule_entries_become_ints(self):
+        counts = CascadeSchedule(counts=(4.0, np.int64(3), 2)).counts
+        assert counts == (4, 3, 2)
+        assert all(type(c) is int for c in counts)
+
 
 class TestCascadeReduce:
     def test_output_shape_is_last_stage(self):
