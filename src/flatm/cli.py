@@ -321,9 +321,15 @@ def _write_or_print(text: str, path: str | None) -> None:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _train_config(args)
     docs = load_corpus(args.input, args.format)
-    stages: list[tuple[int, FcmResult]] = []
+    # Each stage's (c, iterations, converged); its memberships would otherwise
+    # stay alive until the model is saved.
+    stages: list[tuple[int, int, bool]] = []
+
+    def on_stage(stage: int, result: FcmResult) -> None:
+        stages.append((result.centers.shape[0], result.iterations, result.converged))
+
     started = time.perf_counter()
-    model = train(docs, config, on_stage=lambda s, r: stages.append((s, r)))
+    model = train(docs, config, on_stage=on_stage)
     elapsed = time.perf_counter() - started
     save_model(model, args.output)
     if args.dump_weights:
@@ -334,14 +340,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"vocabulary size: {model.n_terms}")
     print(f"documents: {model.n_docs}")
     print(f"topics: {model.n_topics}")
-    for stage, result in stages:
+    for stage, (c, iterations, converged) in enumerate(stages):
         label = "topics" if stage == len(stages) - 1 else "cascade"
-        state = "converged" if result.converged else "hit iteration cap"
-        print(
-            f"fcm stage {stage} ({label}): c={result.centers.shape[0]}, "
-            f"{result.iterations} iterations, {state}"
-        )
-        if not result.converged:
+        state = "converged" if converged else "hit iteration cap"
+        print(f"fcm stage {stage} ({label}): c={c}, {iterations} iterations, {state}")
+        if not converged:
             print(
                 f"warning: fcm stage {stage} stopped at the iteration cap",
                 file=sys.stderr,
@@ -357,11 +360,12 @@ def cmd_infer(args: argparse.Namespace) -> int:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["doc_id"] + [f"topic_{k}" for k in range(model.n_topics)])
     ptd, known = fold_in_many(model, docs)
-    for j, doc in enumerate(docs):
-        if known[j]:
-            writer.writerow([doc.doc_id] + [repr(v) for v in ptd[:, j].tolist()])
-        else:
-            writer.writerow([doc.doc_id, "ERROR_OOV"])
+    # A column at a time: all of P(T|D) as Python floats at once would raise
+    # the peak by ~6 MB at 20000 documents and K=10.
+    writer.writerows(
+        [doc.doc_id, *map(repr, column.tolist())] if ok else [doc.doc_id, "ERROR_OOV"]
+        for doc, column, ok in zip(docs, ptd.T, known.tolist())
+    )
     _write_or_print(buffer.getvalue(), args.output)
     oov = int((~known).sum())
     if oov:

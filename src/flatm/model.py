@@ -54,7 +54,6 @@ from .weighting import (
     IDF_VARIANTS,
     apply_gtw,
     compute_global_weights,
-    local_weights,
 )
 
 __all__ = [
@@ -145,12 +144,15 @@ class TrainConfig:
         _require_ints(self, "n_topics", "max_iterations", "seed", "min_df")
         if self.n_topics < 2:
             raise ValueError("n_topics must be >= 2")
-        if not self.fuzzifier > 1.0:
-            raise ValueError("fuzzifier must be > 1")
-        if not self.threshold > 0.0:
-            raise ValueError("threshold must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        # The clustering settings follow FcmConfig's rules, checked by
+        # building the topic run's config.
+        FcmConfig(
+            n_clusters=self.n_topics,
+            fuzzifier=self.fuzzifier,
+            threshold=self.threshold,
+            max_iterations=self.max_iterations,
+            seed=self.seed,
+        )
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
         if self.idf_variant not in IDF_VARIANTS:
@@ -338,14 +340,16 @@ def train(
             f"n_topics={config.n_topics} needs a vocabulary larger than K; "
             f"corpus has {m} terms"
         )
-    counts = local_weights(tdm)
     weights = compute_global_weights(
-        counts, config.gtw, epsilon=config.epsilon, idf_variant=config.idf_variant
+        tdm, config.gtw, epsilon=config.epsilon, idf_variant=config.idf_variant
     )
-    weighted = apply_gtw(counts, weights)
+    weighted = apply_gtw(tdm, weights)
+    # Only the ids outlive the counts, which are freed before clustering.
+    doc_ids = tdm.doc_ids
+    del tdm
     empty = np.flatnonzero(weighted.getnnz(axis=0) == 0)
     if empty.size:
-        doc_id = tdm.doc_ids[empty[0]]
+        doc_id = doc_ids[empty[0]]
         raise ValueError(f"document {doc_id!r} has no term in the vocabulary")
     cascade = config.schedule.counts if config.cascade else ()
     ptw = _cluster_stages(
@@ -369,7 +373,7 @@ def train(
         word_prob=pw,
         word_given_topic=pwt,
         topic_given_doc=ptd,
-        doc_ids=tdm.doc_ids,
+        doc_ids=doc_ids,
     )
 
 
@@ -489,25 +493,38 @@ def _config_to_dict(config: TrainConfig) -> dict:
     }
 
 
+def _typed(value, *kinds: type):
+    """``value`` if it is one of ``kinds``, else ``TypeError``.
+
+    JSON true and false count as ``bool`` only, not as numbers, and a
+    value that may be a ``float`` must fit one.
+    """
+    if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+        raise TypeError(f"{value!r} is not {' or '.join(k.__name__ for k in kinds)}")
+    if float in kinds:
+        float(value)
+    return value
+
+
 def _config_from_dict(data: dict) -> TrainConfig:
     tok = data["tokenizer"]
     return TrainConfig(
         n_topics=data["n_topics"],
         gtw=GtwMethod(data["gtw"]),
         schedule=CascadeSchedule(counts=tuple(data["schedule"])),
-        cascade=data["cascade"],
-        fuzzifier=data["fuzzifier"],
-        threshold=data["threshold"],
-        max_iterations=data["max_iterations"],
-        seed=data["seed"],
-        epsilon=data["epsilon"],
+        cascade=_typed(data["cascade"], bool),
+        fuzzifier=_typed(data["fuzzifier"], int, float),
+        threshold=_typed(data["threshold"], int, float),
+        max_iterations=_typed(data["max_iterations"], int),
+        seed=_typed(data["seed"], int),
+        epsilon=_typed(data["epsilon"], int, float),
         idf_variant=data["idf_variant"],
-        min_df=data["min_df"],
+        min_df=_typed(data["min_df"], int),
         tokenizer=TokenizerConfig(
-            lowercase=tok["lowercase"],
-            min_token_length=tok["min_token_length"],
-            drop_numeric=tok["drop_numeric"],
-            stopwords=frozenset(tok["stopwords"]),
+            lowercase=_typed(tok["lowercase"], bool),
+            min_token_length=_typed(tok["min_token_length"], int),
+            drop_numeric=_typed(tok["drop_numeric"], bool),
+            stopwords=frozenset(_typed(w, str) for w in _typed(tok["stopwords"], list)),
         ),
     )
 
@@ -607,9 +624,11 @@ def model_from_json(text: str) -> TopicModel:
     """Inverse of :func:`model_to_json`; arrays come back bit-identical.
 
     Raises :class:`InputFormatError` when the text is not a model file:
-    bad JSON, a missing field, an invalid config or vocabulary, stored
-    clamped weights that disagree with the raw ones, or a probability
-    table of the wrong shape, outside [0, 1] or not summing to 1.
+    bad JSON, a missing field or one of the wrong JSON type, a number too
+    large for a float, a config that :class:`TrainConfig` rejects, an
+    invalid vocabulary, stored clamped weights that disagree with the raw
+    ones, or a probability table of the wrong shape, outside [0, 1] or not
+    summing to 1.
     """
     try:
         doc = json.loads(text)
@@ -618,7 +637,7 @@ def model_from_json(text: str) -> TopicModel:
     if not isinstance(doc, dict):
         raise InputFormatError("model file must hold a JSON object")
     version = doc.get("version")
-    if version != MODEL_FORMAT_VERSION:
+    if isinstance(version, bool) or version != MODEL_FORMAT_VERSION:
         raise InputFormatError(f"unsupported model format version: {version!r}")
     try:
         config = _config_from_dict(doc["config"])
@@ -628,7 +647,7 @@ def model_from_json(text: str) -> TopicModel:
             GtwMethod(gw["method"]), _decode_raw(gw["raw"]), epsilon=gw["epsilon"]
         )
         ptd = doc["topic_given_doc"]
-        doc_ids = tuple(ptd["doc_ids"])
+        doc_ids = tuple(_typed(d, str) for d in _typed(ptd["doc_ids"], list))
         m, k, n = len(vocabulary), config.n_topics, len(doc_ids)
         if len(weights) != m or not np.array_equal(
             np.array(gw["clamped"], dtype=np.float64), weights.clamped
@@ -650,7 +669,7 @@ def model_from_json(text: str) -> TopicModel:
             topic_given_doc=_table("topic_given_doc", ptd["values"], (k, n), axis=0),
             doc_ids=doc_ids,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"model file missing or malformed field: {exc}") from exc
 
 

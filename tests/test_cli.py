@@ -77,6 +77,9 @@ MODEL_MUTATIONS = {
     "unknown-config-weighting": _set(("config", "gtw"), lambda v: "tf"),
     "unsorted-vocabulary": _set(("vocabulary",), lambda v: v[::-1]),
     "one-topic": _set(("config", "n_topics"), lambda v: 1),
+    # An integer written out as 1e400 does not fit a float.
+    "huge-int-in-table": _set(("word_prob",), lambda v: [10**400] + v[1:]),
+    "negative-config-seed": _set(("config", "seed"), lambda v: -1),
 }
 
 

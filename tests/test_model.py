@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from flatm import (
     CascadeSchedule,
+    FcmConfig,
     GtwMethod,
     InputFormatError,
     OutOfVocabularyError,
@@ -116,6 +119,23 @@ class TestTrainConfig:
     def test_rejects_non_integers_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
             tiny_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("fuzzifier", 1.0, "fuzzifier must be > 1"),
+            ("threshold", 0.0, "threshold must be positive"),
+            ("max_iterations", 0, "max_iterations must be >= 1"),
+            ("seed", -1, "seed must be a 64-bit unsigned integer"),
+            ("seed", 2**64, "seed must be a 64-bit unsigned integer"),
+        ],
+    )
+    def test_clustering_settings_follow_fcm_rules(self, field, value, message):
+        # Rejected at construction, before any corpus is read, with the
+        # message FcmConfig gives.
+        for make in (tiny_config, functools.partial(FcmConfig, n_clusters=2)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make(**{field: value})
 
     def test_numpy_integers_become_ints(self):
         config = tiny_config(n_topics=np.int64(3), seed=np.uint32(4), min_df=np.int8(2))
@@ -695,6 +715,138 @@ def test_model_files_give_every_table_back_bit_for_bit(
         path = Path(tmp) / "model.json"
         save_model(model, path)
         assert_same_model_bits(load_model(path), model)
+
+
+@pytest.fixture(scope="module")
+def model_document():
+    """A valid model file; the stop word gives every list an entry."""
+    config = tiny_config(tokenizer=TokenizerConfig(stopwords=frozenset({"the"})))
+    return model_to_json(train(two_class_docs(n_per=3), config))
+
+
+def _json_paths(value, path=()):
+    """(path, value) for a decoded JSON value and everything inside it;
+    a list is entered at its first entry only."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _json_paths(item, path + (key,))
+    elif isinstance(value, list) and value:
+        yield from _json_paths(value[0], path + (0,))
+
+
+def _json_kind(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "list", dict: "object"}.get(type(value), "null")
+
+
+# One value of each JSON kind, to stand in for a value of another kind.
+_VALUE_OF_KIND = {
+    "bool": True, "number": 7, "string": "x", "null": None, "list": [], "object": {}
+}
+
+_TABLES = [
+    ("word_prob",),
+    ("topic_given_word",),
+    ("word_given_topic",),
+    ("topic_given_doc", "values"),
+    ("global_weights", "clamped"),
+]
+
+_ENUMS = [("config", "gtw"), ("config", "idf_variant"), ("global_weights", "method")]
+
+_OUT_OF_RANGE = {
+    ("version",): [0, 2],
+    ("config", "n_topics"): [1, 0, 3],
+    ("config", "schedule"): [[], [2, 3], [4, 1], [3, 3]],
+    ("config", "fuzzifier"): [1.0, 0.5],
+    ("config", "threshold"): [0.0, -1e-5],
+    ("config", "max_iterations"): [0, -1],
+    ("config", "seed"): [-1, 2**64],
+    ("config", "epsilon"): [0.0, -1e-6],
+    ("config", "min_df"): [0, -1],
+    ("config", "tokenizer", "min_token_length"): [0],
+    ("global_weights", "epsilon"): [0.0, -1.0],
+}
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _put(doc, path, value):
+    """``doc`` with the value at ``path`` replaced; the root path replaces it."""
+    if not path:
+        return value
+    _get(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def _scaled(table, factor):
+    if isinstance(table, list):
+        return [_scaled(item, factor) for item in table]
+    return table * factor
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    mutation=st.sampled_from(
+        ["drop", "type", "truncate", "scale", "nan", "huge", "enum", "range"]
+    ),
+    data=st.data(),
+)
+def test_mutated_model_file_raises_input_format_error(
+    model_document, mutation, data
+):
+    doc = json.loads(model_document)
+    paths = list(_json_paths(doc))
+
+    def pick(options):
+        return data.draw(st.sampled_from(options))
+
+    if mutation == "drop":
+        path = pick([p for p, _ in paths if p and isinstance(p[-1], str)])
+        del _get(doc, path[:-1])[path[-1]]
+    elif mutation == "type":
+        path, value = pick(paths)
+        kinds = [k for k in _VALUE_OF_KIND if k != _json_kind(value)]
+        if path and isinstance(path[-1], int) and _json_kind(value) == "number":
+            # numpy reads true/false inside a numeric array as 1.0/0.0.
+            kinds.remove("bool")
+        doc = _put(doc, path, _VALUE_OF_KIND[pick(kinds)])
+    elif mutation in ("truncate", "scale"):
+        path = pick(_TABLES)
+        table = _get(doc, path)
+        if mutation == "scale":
+            changed = _scaled(table, pick([0.0, 0.5, 2.0]))
+        elif isinstance(table[0], list):
+            changed = pick([
+                table[:-1],
+                [row[:-1] for row in table],
+                [table[0][:-1]] + table[1:],
+                [],
+            ])
+        else:
+            changed = pick([table[:-1], []])
+        _put(doc, path, changed)
+    elif mutation == "nan":
+        numbers = [p for p, v in paths if _json_kind(v) == "number"]
+        _put(doc, pick(numbers), float("nan"))
+    elif mutation == "huge":
+        # An integer beyond the float range, where the file stores a float.
+        _put(doc, pick([p for p, v in paths if isinstance(v, float)]), 10**400)
+    elif mutation == "enum":
+        _put(doc, pick(_ENUMS), pick(["tf", "", "ENTROPY"]))
+    else:
+        path = pick(list(_OUT_OF_RANGE))
+        _put(doc, path, pick(_OUT_OF_RANGE[path]))
+    with pytest.raises(InputFormatError):
+        model_from_json(json.dumps(doc))
 
 
 class TestStageSeed:
