@@ -16,19 +16,23 @@ change a successful exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import os
+import secrets
+import shutil
 import sys
 import time
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from .corpus import (
     CORPUS_FORMATS,
     InputFormatError,
     TokenizerConfig,
     default_stopwords,
+    iter_corpus,
     load_corpus,
     load_stopwords,
 )
@@ -38,7 +42,7 @@ from .model import (
     CascadeSchedule,
     ScheduleError,
     TrainConfig,
-    fold_in_many,
+    _fold_chunks,
     load_model,
     save_model,
     top_words,
@@ -353,21 +357,50 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """A text file that takes ``path``'s place when the block completes.
+
+    It is written beside ``path`` and renamed over it, so a block that
+    raises leaves no partial file and an existing ``path`` as it was. As
+    with ``open(path, "w")``, a symlink is written through and the file
+    keeps an existing file's mode, else gets 0o666 less the umask.
+    """
+    real = Path(os.path.realpath(path))
+    temp = real.with_name(f".{real.name}.{secrets.token_hex(6)}.tmp")
+    try:
+        f = open(temp, "x", encoding="utf-8")
+    except OSError as exc:
+        # Name the file asked for, not the temporary one.
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with f:
+            if real.exists():
+                shutil.copymode(real, temp)
+            yield f
+        os.replace(temp, real)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def cmd_infer(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    docs = load_corpus(args.input, args.format, allow_empty=True)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["doc_id"] + [f"topic_{k}" for k in range(model.n_topics)])
-    ptd, known = fold_in_many(model, docs)
-    # A column at a time: all of P(T|D) as Python floats at once would raise
-    # the peak by ~6 MB at 20000 documents and K=10.
-    writer.writerows(
-        [doc.doc_id, *map(repr, column.tolist())] if ok else [doc.doc_id, "ERROR_OOV"]
-        for doc, column, ok in zip(docs, ptd.T, known.tolist())
-    )
-    _write_or_print(buffer.getvalue(), args.output)
-    oov = int((~known).sum())
+    docs = iter_corpus(args.input, args.format, allow_empty=True)
+    oov = 0
+    stdout = contextlib.nullcontext(sys.stdout)
+    with _replacing(args.output) if args.output else stdout as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["doc_id"] + [f"topic_{k}" for k in range(model.n_topics)])
+        # Rows go out a chunk at a time, so memory stays flat in the input size.
+        for tdm, ptd, known in _fold_chunks(model, docs):
+            writer.writerows(
+                [doc_id, *map(repr, column)] if ok else [doc_id, "ERROR_OOV"]
+                for doc_id, column, ok in zip(
+                    tdm.doc_ids, ptd.T.tolist(), known.tolist()
+                )
+            )
+            oov += int((~known).sum())
     if oov:
         print(
             f"warning: {oov} document(s) had no in-vocabulary terms",
@@ -464,7 +497,11 @@ def build_parser() -> _Parser:
     _add_config_flag(p)
     p.add_argument("--model", metavar="FILE", required=True, help="trained model file")
     _add_corpus_flags(p, "lines")
-    p.add_argument("--output", metavar="FILE", help="CSV destination (default: stdout)")
+    p.add_argument(
+        "--output", metavar="FILE",
+        help="CSV destination, replaced only once every row is written "
+        "(default: stdout, written as rows are made)",
+    )
     p.set_defaults(func=cmd_infer, parser=p)
 
     p = subs.add_parser("top-words", help="highest-probability terms per topic")

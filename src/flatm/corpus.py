@@ -20,6 +20,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .fcm import _require_ints
+
 __all__ = [
     "InputFormatError",
     "RawDocument",
@@ -29,6 +31,7 @@ __all__ = [
     "default_stopwords",
     "load_stopwords",
     "tokenize",
+    "iter_corpus",
     "load_corpus",
     "build_matrix",
 ]
@@ -97,8 +100,13 @@ class TokenizerConfig:
     stopwords: frozenset[str] = field(default_factory=default_stopwords)
 
     def __post_init__(self) -> None:
+        _require_ints(self, "min_token_length")
         if self.min_token_length < 1:
             raise ValueError("min_token_length must be >= 1")
+        for name in ("lowercase", "drop_numeric"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
@@ -188,12 +196,12 @@ class TermDocMatrix:
         return self.counts.shape[1]
 
 
-def load_corpus(
+def iter_corpus(
     path: str | Path,
     format: str = "dir-of-txt",
     allow_empty: bool = False,
-) -> list[RawDocument]:
-    """Read documents from disk.
+) -> Iterator[RawDocument]:
+    """Read documents from disk one at a time.
 
     Formats:
       * ``dir-of-txt``: every ``*.txt`` under ``path`` (recursive), one
@@ -204,44 +212,58 @@ def load_corpus(
 
     Files are UTF-8; a leading byte-order mark is skipped. Empty
     documents raise ``InputFormatError`` unless ``allow_empty``. An empty
-    directory or file yields an empty list, not an error.
+    directory or file yields nothing, not an error.
+
+    The format, and whether ``path`` is a file or directory as the format
+    needs, are checked at the call; everything else as the documents are
+    read. Only one document's text, and for ``dir-of-txt`` the file list
+    and the ids seen so far, are held at a time.
     """
     if format not in CORPUS_FORMATS:
         raise ValueError(f"unknown corpus format: {format!r}")
     path = Path(path)
     if format == "dir-of-txt":
-        return _load_dir_of_txt(path, allow_empty)
+        if not path.is_dir():
+            raise InputFormatError(f"not a directory: {path}")
+        files = sorted(path.rglob("*.txt"), key=lambda p: p.as_posix())
+        return _iter_dir_of_txt(files, allow_empty)
     if not path.is_file():
         raise InputFormatError(f"not a file: {path}")
+    return _iter_lines(path, format == "labeled-tsv", allow_empty)
+
+
+def load_corpus(
+    path: str | Path,
+    format: str = "dir-of-txt",
+    allow_empty: bool = False,
+) -> list[RawDocument]:
+    """All of :func:`iter_corpus`'s documents, as a list."""
+    return list(iter_corpus(path, format, allow_empty))
+
+
+def _iter_lines(path: Path, labeled: bool, allow_empty: bool) -> Iterator[RawDocument]:
     # Universal-newline reading turns \r\n and \r into \n; only \n then
     # separates documents. str.splitlines would also split at form feeds,
     # vertical tabs, \x1c-\x1e, \x85, U+2028 and U+2029 inside a line.
-    lines = path.read_text(encoding="utf-8-sig").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    docs = []
-    for lineno, line in enumerate(lines, start=1):
-        if format == "labeled-tsv":
-            label, sep, body = line.partition("\t")
-            if not sep:
-                raise InputFormatError(
-                    f"{path}: line {lineno}: expected label<TAB>text"
-                )
-            if not label:
-                raise InputFormatError(f"{path}: line {lineno}: empty label")
-        else:
-            label, body = None, line
-        if not body.strip() and not allow_empty:
-            raise InputFormatError(f"{path}: line {lineno}: empty document")
-        docs.append(RawDocument(doc_id=str(lineno), text=body, label=label))
-    return docs
+    with open(path, encoding="utf-8-sig") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.removesuffix("\n")
+            if labeled:
+                label, sep, body = line.partition("\t")
+                if not sep:
+                    raise InputFormatError(
+                        f"{path}: line {lineno}: expected label<TAB>text"
+                    )
+                if not label:
+                    raise InputFormatError(f"{path}: line {lineno}: empty label")
+            else:
+                label, body = None, line
+            if not body.strip() and not allow_empty:
+                raise InputFormatError(f"{path}: line {lineno}: empty document")
+            yield RawDocument(doc_id=str(lineno), text=body, label=label)
 
 
-def _load_dir_of_txt(path: Path, allow_empty: bool) -> list[RawDocument]:
-    if not path.is_dir():
-        raise InputFormatError(f"not a directory: {path}")
-    files = sorted(path.rglob("*.txt"), key=lambda p: p.as_posix())
-    docs = []
+def _iter_dir_of_txt(files: list[Path], allow_empty: bool) -> Iterator[RawDocument]:
     seen: dict[str, Path] = {}
     for file in files:
         doc_id = file.stem
@@ -253,8 +275,7 @@ def _load_dir_of_txt(path: Path, allow_empty: bool) -> list[RawDocument]:
         text = file.read_text(encoding="utf-8-sig")
         if not text.strip() and not allow_empty:
             raise InputFormatError(f"{file}: empty document")
-        docs.append(RawDocument(doc_id=doc_id, text=text))
-    return docs
+        yield RawDocument(doc_id=doc_id, text=text)
 
 
 # Codes of raw tokens that are not term ids.

@@ -182,7 +182,7 @@ def _score_many(
     _check_delta(delta)
     log_delta = math.log(delta)
     scores = []
-    for _, tdm, ptd, _ in _fold_chunks(model, docs):
+    for tdm, ptd, _ in _fold_chunks(model, docs):
         counts = tdm.counts.tocsc()
         rows = counts.indices
         if word_dist is None:

@@ -62,12 +62,14 @@ _MAX_SEED = 2**64
 def _require_ints(config, *names: str) -> None:
     """Store each named field of a frozen dataclass as a plain ``int``.
 
-    Python and numpy integers pass; anything else, such as 2.5 or 3.0,
-    raises ``ValueError`` naming the field.
+    Python and numpy integers pass; anything else, such as 2.5, 3.0 or
+    ``True``, raises ``ValueError`` naming the field.
     """
     for name in names:
         value = getattr(config, name)
         try:
+            if isinstance(value, bool):
+                raise TypeError
             number = operator.index(value)
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -30,10 +30,11 @@ known term has an empty column, which stays zero in P(W|D) and P(T|D).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -378,12 +379,12 @@ def train(
 
 
 # Documents counted and folded in per chunk; a chunk's intermediates take a
-# few KB per document. Peak RSS (VmHWM) of `flatm infer` on 20000 unseen
-# documents against a 3060-term model, 2 vCPUs: 83.1 MB one document at a
-# time, 83.2-84.0 MB with chunks of 256, 83.4-85.3 MB with 512,
-# 85.1-86.8 MB with 1024 and 95.2 MB with 2048, against 83.2-83.4 MB for the
-# per-document routine this replaced. Wall time was the same from 256 to
-# 1024.
+# few KB per document. `flatm infer` holds one chunk at a time, so its peak
+# RSS (VmHWM) does not grow with the input: on 20000 unseen documents
+# against a 3060-term model, 2 vCPUs, it was 59.0 MB with chunks of 128,
+# 59.9-60.0 MB with 256, 62.3 MB with 512, 65.2-65.5 MB with 1024 and
+# 71.9-72.1 MB with 2048, against 58.7-59.1 MB for the imports and
+# `load_model` alone. Wall time was the same within noise from 64 to 2048.
 _CHUNK_DOCS = 256
 
 
@@ -405,11 +406,16 @@ def _fold_chunk(
 
 
 def _fold_chunks(
-    model: TopicModel, docs: Sequence[RawDocument]
-) -> Iterator[tuple[int, TermDocMatrix, np.ndarray, np.ndarray]]:
-    """:func:`_fold_chunk` over successive chunks, each with its start index."""
-    for start in range(0, len(docs), _CHUNK_DOCS):
-        yield (start, *_fold_chunk(model, docs[start : start + _CHUNK_DOCS]))
+    model: TopicModel, docs: Iterable[RawDocument]
+) -> Iterator[tuple[TermDocMatrix, np.ndarray, np.ndarray]]:
+    """:func:`_fold_chunk` over successive chunks of ``docs``.
+
+    ``docs`` is consumed one chunk at a time, so a stream of documents is
+    folded in without ever being held whole.
+    """
+    docs = iter(docs)
+    while chunk := list(itertools.islice(docs, _CHUNK_DOCS)):
+        yield _fold_chunk(model, chunk)
 
 
 def fold_in_many(
@@ -430,9 +436,12 @@ def fold_in_many(
     """
     ptd = np.zeros((model.n_topics, len(docs)))
     known = np.zeros(len(docs), dtype=bool)
-    for start, tdm, chunk_ptd, chunk_known in _fold_chunks(model, docs):
-        ptd[:, start : start + tdm.n_docs] = chunk_ptd
-        known[start : start + tdm.n_docs] = chunk_known
+    start = 0
+    for tdm, chunk_ptd, chunk_known in _fold_chunks(model, docs):
+        stop = start + tdm.n_docs
+        ptd[:, start:stop] = chunk_ptd
+        known[start:stop] = chunk_known
+        start = stop
     return ptd, known
 
 
@@ -467,7 +476,8 @@ def _encode_raw(raw: np.ndarray) -> list:
 
 def _decode_raw(values: list) -> np.ndarray:
     return np.array(
-        [(-np.inf if x == "-inf" else float(x)) for x in values], dtype=np.float64
+        [(-np.inf if x == "-inf" else _typed(x, int, float)) for x in values],
+        dtype=np.float64,
     )
 
 
@@ -511,7 +521,9 @@ def _config_from_dict(data: dict) -> TrainConfig:
     return TrainConfig(
         n_topics=data["n_topics"],
         gtw=GtwMethod(data["gtw"]),
-        schedule=CascadeSchedule(counts=tuple(data["schedule"])),
+        schedule=CascadeSchedule(
+            counts=tuple(_typed(c, int, float) for c in data["schedule"])
+        ),
         cascade=_typed(data["cascade"], bool),
         fuzzifier=_typed(data["fuzzifier"], int, float),
         threshold=_typed(data["threshold"], int, float),
@@ -604,13 +616,25 @@ def model_to_json(model: TopicModel) -> str:
 _TABLE_TOLERANCE = 1e-9
 
 
-def _table(name: str, values, shape: tuple[int, ...], axis: int) -> np.ndarray:
-    """A stored probability table, checked for shape, range and sums."""
+def _numbers(name: str, values, shape: tuple[int, ...]) -> np.ndarray:
+    """A stored array of JSON numbers, checked for shape and entry type.
+
+    numpy would read ``true``, ``false`` and numeric strings as numbers.
+    """
     a = np.array(values, dtype=np.float64)
     if a.shape != shape:
         raise InputFormatError(
             f"model file {name} has shape {a.shape}, expected {shape}"
         )
+    entries = itertools.chain.from_iterable(values) if a.ndim == 2 else values
+    if not set(map(type, entries)) <= {int, float}:
+        raise InputFormatError(f"model file {name} has an entry that is not a number")
+    return a
+
+
+def _table(name: str, values, shape: tuple[int, ...], axis: int) -> np.ndarray:
+    """A stored probability table, checked for shape, type, range and sums."""
+    a = _numbers(name, values, shape)
     if not np.all(np.isfinite(a)):
         raise InputFormatError(f"model file {name} has a non-finite entry")
     if a.min() < -_TABLE_TOLERANCE or a.max() > 1.0 + _TABLE_TOLERANCE:
@@ -644,13 +668,15 @@ def model_from_json(text: str) -> TopicModel:
         vocabulary = Vocabulary(terms=tuple(doc["vocabulary"]))
         gw = doc["global_weights"]
         weights = GlobalWeightVector.from_raw(
-            GtwMethod(gw["method"]), _decode_raw(gw["raw"]), epsilon=gw["epsilon"]
+            GtwMethod(gw["method"]),
+            _decode_raw(gw["raw"]),
+            epsilon=_typed(gw["epsilon"], int, float),
         )
         ptd = doc["topic_given_doc"]
         doc_ids = tuple(_typed(d, str) for d in _typed(ptd["doc_ids"], list))
         m, k, n = len(vocabulary), config.n_topics, len(doc_ids)
         if len(weights) != m or not np.array_equal(
-            np.array(gw["clamped"], dtype=np.float64), weights.clamped
+            _numbers("clamped", gw["clamped"], (m,)), weights.clamped
         ):
             raise InputFormatError(
                 "model file clamped weights do not match max(raw, epsilon)"

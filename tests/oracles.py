@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -235,3 +236,16 @@ def reference_count_matrix(texts, config, min_df=1, terms=None):
         np.array(indptr, dtype=np.int32),
         np.array([c.total() for c in counts], dtype=np.int64),
     )
+
+
+def reference_lines(path) -> list[str]:
+    """The documents of a ``lines`` or ``labeled-tsv`` file, read whole.
+
+    Universal newlines turn \\r\\n and \\r into \\n, a leading byte-order
+    mark is skipped, only \\n separates documents, and the empty piece
+    after a final newline is not a document.
+    """
+    lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines

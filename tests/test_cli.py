@@ -4,13 +4,23 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flatm
-from flatm import RawDocument, fold_in, load_model, top_words
+import oracles
+from flatm import (
+    RawDocument,
+    fold_in,
+    fold_in_many,
+    load_corpus,
+    load_model,
+    top_words,
+)
+from flatm.cli import main as cli_main
 
 # Children run the same flatm package that these tests import.
 FLATM_PATH = os.pathsep.join(
@@ -56,6 +66,14 @@ def _set(path, change):
     return mutate
 
 
+def _set_both(*changes):
+    def mutate(doc):
+        for path, change in changes:
+            _set(path, change)(doc)
+
+    return mutate
+
+
 # Each turns a valid model file into one that must be rejected on load.
 MODEL_MUTATIONS = {
     "truncated-clamped": _set(("global_weights", "clamped"), lambda v: v[:-1]),
@@ -80,6 +98,12 @@ MODEL_MUTATIONS = {
     # An integer written out as 1e400 does not fit a float.
     "huge-int-in-table": _set(("word_prob",), lambda v: [10**400] + v[1:]),
     "negative-config-seed": _set(("config", "seed"), lambda v: -1),
+    # true and false where the sums still hold: a row of [1.0, 0.0].
+    "bool-in-table": _set(("topic_given_word",), lambda v: [[True, False]] + v[1:]),
+    "bool-in-raw": _set_both(
+        (("global_weights", "raw"), lambda v: [True] + v[1:]),
+        (("global_weights", "clamped"), lambda v: [1.0] + v[1:]),
+    ),
 }
 
 
@@ -317,6 +341,200 @@ class TestInfer:
         for command in ("infer", "top-words"):
             proc = run_model_command(command, rounded, tmp_path)
             assert proc.returncode == 0, (command, proc.stderr)
+
+
+def reference_infer_csv(model, docs) -> str:
+    """The CSV of whole-input ``infer``: every document folded in at once,
+    then one row per document into a buffer written at the end."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["doc_id"] + [f"topic_{k}" for k in range(model.n_topics)])
+    ptd, known = fold_in_many(model, docs)
+    for doc, column, ok in zip(docs, ptd.T, known):
+        values = map(repr, column.tolist()) if ok else ["ERROR_OOV"]
+        writer.writerow([doc.doc_id, *values])
+    return buffer.getvalue()
+
+
+def oov_warning(model, docs) -> str:
+    oov = int((~fold_in_many(model, docs)[1]).sum())
+    return f"warning: {oov} document(s) had no in-vocabulary terms\n" if oov else ""
+
+
+_WORDS = [f"c{c}w{w}" for c in range(2) for w in range(10)] + ["zebra", "yak"]
+# Lines the reader must keep whole or keep at all: empty, blank, fully out of
+# vocabulary, and with a form feed or U+2028 inside.
+_ODD_LINES = ["", "  ", "zebra yak", "c0w1\x0cc1w2", "c1w3\u2028c0w4 zebra"]
+
+
+def document_lines(n: int) -> list[str]:
+    """``n`` short documents, every seventh one from ``_ODD_LINES``."""
+    rng = np.random.default_rng(n)
+    return [
+        _ODD_LINES[i % len(_ODD_LINES)]
+        if i % 7 == 3
+        else " ".join(rng.choice(_WORDS, size=int(rng.integers(1, 6))))
+        for i in range(n)
+    ]
+
+
+def write_lines_file(path, lines) -> None:
+    """A byte-order mark, then the lines ended by \\n, \\r\\n or \\r in
+    turn, the last one without a line break."""
+    breaks = ["\n", "\r\n", "\r"]
+    text = "".join(line + breaks[i % 3] for i, line in enumerate(lines))
+    ending = breaks[(len(lines) - 1) % 3] if lines else ""
+    path.write_bytes(("\ufeff" + text.removesuffix(ending)).encode("utf-8"))
+
+
+class TestInferStream:
+    """``infer`` reads, folds in and writes a chunk of documents at a time."""
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
+    def test_lines_csv_equals_whole_input_fold_in(self, workspace, tmp_path, n):
+        path = tmp_path / "docs.txt"
+        write_lines_file(path, document_lines(n))
+        docs = load_corpus(path, "lines", allow_empty=True)
+        assert [d.text for d in docs] == oracles.reference_lines(path)
+        model = load_model(workspace / "model.json")
+        proc = run_cli(
+            "infer", "--model", workspace / "model.json", "--input", path, check=True
+        )
+        assert proc.stdout == reference_infer_csv(model, docs)
+        assert proc.stderr == oov_warning(model, docs)
+
+    @pytest.mark.parametrize("format", ["labeled-tsv", "dir-of-txt"])
+    def test_other_formats_equal_whole_input_fold_in(
+        self, workspace, tmp_path, format
+    ):
+        lines = document_lines(600)
+        if format == "labeled-tsv":
+            path = tmp_path / "docs.tsv"
+            write_lines_file(path, [f"c{i % 2}\t{t}" for i, t in enumerate(lines)])
+        else:
+            path = tmp_path / "docs"
+            for i, line in enumerate(lines[:300]):
+                file = path / f"s{i % 3}" / f"d{i:03d}.txt"
+                file.parent.mkdir(parents=True, exist_ok=True)
+                file.write_text(line, encoding="utf-8")
+        out = tmp_path / "topics.csv"
+        proc = run_cli(
+            "infer", "--model", workspace / "model.json", "--input", path,
+            "--format", format, "--output", out, check=True,
+        )
+        model = load_model(workspace / "model.json")
+        docs = load_corpus(path, format, allow_empty=True)
+        assert len(docs) == (600 if format == "labeled-tsv" else 300)
+        assert proc.stdout == ""
+        assert out.read_text(encoding="utf-8") == reference_infer_csv(model, docs)
+        assert proc.stderr == oov_warning(model, docs)
+
+    def test_bad_line_leaves_no_output_and_existing_output_as_it_was(
+        self, workspace, tmp_path
+    ):
+        lines = [f"c{i % 2}\t{text}" for i, text in enumerate(document_lines(600))]
+        lines[299] = "no tab on line 300"
+        corpus = tmp_path / "docs.tsv"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "topics.csv"
+        args = (
+            "infer", "--model", workspace / "model.json", "--input", corpus,
+            "--format", "labeled-tsv",
+        )
+        proc = run_cli(*args, "--output", out)
+        assert proc.returncode == 2
+        assert "line 300: expected label<TAB>text" in proc.stderr
+        assert list(tmp_path.iterdir()) == [corpus]
+        out.write_bytes(b"earlier,run\r\n")
+        out.chmod(0o640)
+        proc = run_cli(*args, "--output", out)
+        assert proc.returncode == 2
+        assert out.read_bytes() == b"earlier,run\r\n"
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert sorted(tmp_path.iterdir()) == sorted([corpus, out])
+        # On stdout, rows already made stay printed: whole rows, in order.
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        model = load_model(workspace / "model.json")
+        docs = [
+            RawDocument(str(i), line.partition("\t")[2])
+            for i, line in enumerate(lines[:299], start=1)
+        ]
+        assert reference_infer_csv(model, docs).startswith(proc.stdout)
+        assert proc.stdout.endswith("\n")
+
+    def test_output_may_replace_the_input(self, workspace, tmp_path):
+        texts = "\n".join(document_lines(600)) + "\n"
+        apart, same = tmp_path / "apart.txt", tmp_path / "same.txt"
+        apart.write_text(texts, encoding="utf-8")
+        same.write_text(texts, encoding="utf-8")
+        same.chmod(0o640)
+        infer = ("infer", "--model", workspace / "model.json", "--input")
+        out = tmp_path / "topics.csv"
+        run_cli(*infer, apart, "--output", out, check=True)
+        run_cli(*infer, same, "--output", same, check=True)
+        assert same.read_bytes() == out.read_bytes()
+        assert same.stat().st_mode & 0o777 == 0o640
+        assert sorted(tmp_path.iterdir()) == sorted([apart, same, out])
+
+    def test_output_file_is_made_as_open_would_make_it(self, workspace, tmp_path):
+        # A new file gets 0o666 less the umask, and a symlink is written
+        # through, not replaced.
+        docs_file = tmp_path / "docs.txt"
+        docs_file.write_text("c0w0 c0w1\n", encoding="utf-8")
+        (tmp_path / "real").mkdir()
+        link = tmp_path / "link.csv"
+        link.symlink_to(tmp_path / "real" / "topics.csv")
+        infer = ("infer", "--model", workspace / "model.json", "--input", docs_file)
+        umask = os.umask(0o027)
+        try:
+            run_cli(*infer, "--output", link, check=True)
+        finally:
+            os.umask(umask)
+        assert link.is_symlink()
+        target = tmp_path / "real" / "topics.csv"
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert target.read_text(encoding="utf-8") == run_cli(*infer, check=True).stdout
+        assert [p.name for p in (tmp_path / "real").iterdir()] == ["topics.csv"]
+
+    def test_output_in_a_missing_directory_is_named(self, workspace, tmp_path):
+        docs_file = tmp_path / "docs.txt"
+        docs_file.write_text("c0w0 c0w1\n", encoding="utf-8")
+        out = tmp_path / "missing" / "topics.csv"
+        proc = run_cli(
+            "infer", "--model", workspace / "model.json", "--input", docs_file,
+            "--output", out,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"flatm: error: [Errno 2] No such file or directory: '{out}'\n"
+        )
+        assert proc.stdout == ""
+
+    def test_peak_memory_does_not_grow_with_the_input(self, workspace, tmp_path):
+        one = tmp_path / "one.txt"
+        five = tmp_path / "five.txt"
+        rng = np.random.default_rng(0)
+        text = "".join(
+            " ".join(rng.choice(_WORDS[:20], size=6)) + "\n" for _ in range(2000)
+        )
+        one.write_text(text, encoding="utf-8")
+        five.write_text(text * 5, encoding="utf-8")
+        out = tmp_path / "topics.csv"
+
+        def peak(path) -> int:
+            argv = ["infer", "--model", str(workspace / "model.json")]
+            argv += ["--input", str(path), "--output", str(out)]
+            tracemalloc.start()
+            try:
+                assert cli_main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(one)  # the first run also pays for lazy imports and caches
+        one_peak, five_peak = peak(one), peak(five)
+        assert five_peak <= 1.1 * one_peak, (one_peak, five_peak)
 
 
 class TestTopWords:

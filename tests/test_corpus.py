@@ -14,6 +14,7 @@ from flatm import (
     Vocabulary,
     build_matrix,
     default_stopwords,
+    iter_corpus,
     load_corpus,
     load_stopwords,
     tokenize,
@@ -62,6 +63,29 @@ class TestTokenize:
     def test_min_token_length_validation(self):
         with pytest.raises(ValueError):
             TokenizerConfig(min_token_length=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("min_token_length", 2.5),
+            ("min_token_length", 2.0),
+            ("min_token_length", "2"),
+            ("min_token_length", True),
+            ("lowercase", "no"),
+            ("lowercase", 0),
+            ("lowercase", None),
+            ("drop_numeric", 1),
+            ("drop_numeric", "yes"),
+        ],
+    )
+    def test_field_types_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TokenizerConfig(**{field: value})
+
+    def test_numpy_integer_length_becomes_int(self):
+        config = TokenizerConfig(min_token_length=np.int64(3))
+        assert type(config.min_token_length) is int
+        assert tokenize("ab abc", config) == ["abc"]
 
 
 class TestStopwordFiles:
@@ -211,6 +235,81 @@ class TestLoadCorpus:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(InputFormatError):
             load_corpus(tmp_path / "nope.tsv", "lines")
+
+
+class TestIterCorpus:
+    def test_path_and_format_checked_at_the_call(self, tmp_path):
+        with pytest.raises(InputFormatError, match="not a file"):
+            iter_corpus(tmp_path / "nope.txt", "lines")
+        with pytest.raises(InputFormatError, match="not a directory"):
+            iter_corpus(tmp_path / "nope", "dir-of-txt")
+        with pytest.raises(ValueError, match="unknown corpus format"):
+            iter_corpus(tmp_path, "parquet")
+
+    def test_documents_before_a_bad_line_are_yielded(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("renal\tkidney stone\nno tab\n", encoding="utf-8")
+        docs = iter_corpus(path, "labeled-tsv")
+        assert next(docs) == RawDocument("1", "kidney stone", "renal")
+        with pytest.raises(InputFormatError, match="line 2"):
+            next(docs)
+
+    def test_dir_of_txt_matches_sorted_files(self, tmp_path):
+        for name, text in (("b.txt", "beta"), ("a.txt", "\ufeffalpha\r\n")):
+            (tmp_path / name).write_bytes(text.encode("utf-8"))
+        docs = list(iter_corpus(tmp_path, "dir-of-txt"))
+        assert docs == [RawDocument("a", "alpha\n"), RawDocument("b", "beta")]
+
+    @pytest.mark.parametrize("filler", ["x", "\u00e9", "\u20ac"])
+    def test_line_break_across_read_buffer_matches_whole_file_reader(
+        self, tmp_path, filler
+    ):
+        # Text files are decoded in blocks of 8192 bytes; a \r\n split
+        # between two blocks is still one line break.
+        path = tmp_path / "corpus.txt"
+        for size in range(8186, 8196):
+            head = filler * (size // len(filler.encode("utf-8")))
+            path.write_text(
+                head + "\r\nsecond\rthird\r", encoding="utf-8", newline=""
+            )
+            texts = [d.text for d in iter_corpus(path, "lines")]
+            assert texts == oracles.reference_lines(path), size
+            assert texts[1:] == ["second", "third"]
+
+
+# Line breaks of every kind, characters that look like one, a mark that is a
+# byte-order mark only at the start, a tab for labeled-tsv, and text.
+_LINE_PIECES = [
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029",
+    "\ufeff", "\t", " ", "knee", "kidney stone",
+]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    pieces=st.lists(st.sampled_from(_LINE_PIECES), max_size=25),
+    bom=st.booleans(),
+)
+def test_streamed_lines_match_whole_file_reader(tmp_path_factory, pieces, bom):
+    path = tmp_path_factory.getbasetemp() / "streamed.txt"
+    path.write_bytes(b"\xef\xbb\xbf" * bom + "".join(pieces).encode("utf-8"))
+    lines = oracles.reference_lines(path)
+    docs = list(iter_corpus(path, "lines", allow_empty=True))
+    assert [(d.doc_id, d.text, d.label) for d in docs] == [
+        (str(i), line, None) for i, line in enumerate(lines, start=1)
+    ]
+    # A labeled line needs a tab after a non-empty label.
+    bad = [
+        i for i, line in enumerate(lines, start=1) if not all(line.partition("\t")[:2])
+    ]
+    labeled = iter_corpus(path, "labeled-tsv", allow_empty=True)
+    if bad:
+        with pytest.raises(InputFormatError, match=f"line {bad[0]}: "):
+            list(labeled)
+    else:
+        assert [(d.label, d.text) for d in labeled] == [
+            tuple(line.split("\t", 1)) for line in lines
+        ]
 
 
 class TestVocabulary:

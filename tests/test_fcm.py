@@ -57,6 +57,7 @@ class TestConfigValidation:
             ("max_iterations", 7.5),
             ("seed", 1.5),
             ("seed", "1"),
+            ("seed", True),
         ],
     )
     def test_non_integers_rejected_by_name(self, field, value):
