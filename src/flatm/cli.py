@@ -317,7 +317,8 @@ def _threads(args: argparse.Namespace) -> int:
 
 def _write_or_print(text: str, path: str | None) -> None:
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        with _replacing(path) as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
 
@@ -361,18 +362,24 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _replacing(path: str) -> Iterator[TextIO]:
     """A text file that takes ``path``'s place when the block completes.
 
-    It is written beside ``path`` and renamed over it, so a block that
-    raises leaves no partial file and an existing ``path`` as it was. As
-    with ``open(path, "w")``, a symlink is written through and the file
-    keeps an existing file's mode, else gets 0o666 less the umask.
+    Where ``path`` names a regular file or nothing yet, the text is written
+    beside it and renamed over it, so a block that raises leaves no partial
+    file and an existing ``path`` as it was. As with ``open(path, "w")``, a
+    symlink is written through and the file keeps an existing file's mode,
+    else gets 0o666 less the umask. Any other target (a device, a FIFO, a
+    directory) or one whose directory takes no new file is opened with
+    ``open(path, "w")`` itself, before the block runs.
     """
     real = Path(os.path.realpath(path))
     temp = real.with_name(f".{real.name}.{secrets.token_hex(6)}.tmp")
-    try:
-        f = open(temp, "x", encoding="utf-8")
-    except OSError as exc:
-        # Name the file asked for, not the temporary one.
-        raise OSError(exc.errno, exc.strerror, path) from None
+    f = None
+    if not real.exists() or real.is_file():
+        with contextlib.suppress(OSError):
+            f = open(temp, "x", encoding="utf-8")
+    if f is None:
+        with open(path, "w", encoding="utf-8") as direct:
+            yield direct
+        return
     try:
         with f:
             if real.exists():

@@ -384,7 +384,8 @@ def train(
 # against a 3060-term model, 2 vCPUs, it was 59.0 MB with chunks of 128,
 # 59.9-60.0 MB with 256, 62.3 MB with 512, 65.2-65.5 MB with 1024 and
 # 71.9-72.1 MB with 2048, against 58.7-59.1 MB for the imports and
-# `load_model` alone. Wall time was the same within noise from 64 to 2048.
+# `load_model` alone. Wall time was 2.2-2.5 s at every size from 128 to 2048
+# (noise between runs was up to 0.3 s) and 2.6-2.7 s at 64.
 _CHUNK_DOCS = 256
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -510,6 +511,79 @@ class TestInferStream:
             f"flatm: error: [Errno 2] No such file or directory: '{out}'\n"
         )
         assert proc.stdout == ""
+
+    def test_output_naming_a_directory_fails_before_reading(
+        self, workspace, tmp_path
+    ):
+        # The bad line would be reported if the input were read first.
+        corpus = tmp_path / "docs.tsv"
+        corpus.write_text("no tab\n", encoding="utf-8")
+        out = tmp_path / "topics"
+        out.mkdir()
+        proc = run_cli(
+            "infer", "--model", workspace / "model.json", "--input", corpus,
+            "--format", "labeled-tsv", "--output", out,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"flatm: error: [Errno 21] Is a directory: '{out}'\n"
+        assert sorted(tmp_path.iterdir()) == sorted([corpus, out])
+        assert list(out.iterdir()) == []
+
+    def test_output_fifo_is_written_not_replaced(self, workspace, tmp_path):
+        docs_file = tmp_path / "docs.txt"
+        write_lines_file(docs_file, document_lines(600))
+        fifo = tmp_path / "topics.fifo"
+        os.mkfifo(fifo)
+        infer = ("infer", "--model", workspace / "model.json", "--input", docs_file)
+        # The reader runs beside the writer, so neither waits on the other.
+        reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE)
+        try:
+            proc = run_cli(*infer, "--output", fifo, check=True)
+            received = reader.communicate(timeout=60)[0]
+        finally:
+            reader.kill()
+            reader.wait()
+        assert received.decode("utf-8") == run_cli(*infer, check=True).stdout
+        assert proc.stdout == ""
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(tmp_path.iterdir()) == sorted([docs_file, fifo])
+
+    @pytest.mark.parametrize("command", ["infer", "top-words", "gen-synth"])
+    def test_output_dev_stdout_writes_to_stdout(self, workspace, tmp_path, command):
+        docs_file = tmp_path / "docs.txt"
+        docs_file.write_text("c0w0 c0w1\n", encoding="utf-8")
+        args = {
+            "infer": ("infer", "--model", workspace / "model.json",
+                      "--input", docs_file),
+            "top-words": ("top-words", "--model", workspace / "model.json"),
+            "gen-synth": GEN_ARGS,
+        }[command]
+        expected = run_cli(*args, check=True).stdout
+        assert expected
+        assert run_cli(*args, "--output", "/dev/stdout", check=True).stdout == expected
+
+    def test_every_output_flag_shares_the_writer(self, workspace, tmp_path):
+        # top-words and gen-synth keep a file's mode and write through a
+        # symlink, as infer does.
+        (tmp_path / "real").mkdir()
+        for name, args in [
+            ("words.tsv", ("top-words", "--model", workspace / "model.json")),
+            ("synth.tsv", GEN_ARGS),
+        ]:
+            target = tmp_path / "real" / name
+            target.write_text("earlier\n", encoding="utf-8")
+            target.chmod(0o640)
+            link = tmp_path / name
+            link.symlink_to(target)
+            run_cli(*args, "--output", link, check=True)
+            assert link.is_symlink()
+            assert target.stat().st_mode & 0o777 == 0o640
+            assert target.read_text(encoding="utf-8") == run_cli(
+                *args, check=True
+            ).stdout
+        assert sorted(p.name for p in (tmp_path / "real").iterdir()) == [
+            "synth.tsv", "words.tsv"
+        ]
 
     def test_peak_memory_does_not_grow_with_the_input(self, workspace, tmp_path):
         one = tmp_path / "one.txt"
