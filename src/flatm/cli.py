@@ -43,8 +43,8 @@ from .model import (
     ScheduleError,
     TrainConfig,
     _fold_chunks,
+    _model_json_pieces,
     load_model,
-    save_model,
     top_words,
     train,
 )
@@ -336,12 +336,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     model = train(docs, config, on_stage=on_stage)
     elapsed = time.perf_counter() - started
-    save_model(model, args.output)
+    with _replacing(args.output) as f:
+        f.writelines(_model_json_pieces(model))
     if args.dump_weights:
-        Path(args.dump_weights).write_text(
-            global_weights_tsv(model.vocabulary, model.global_weights),
-            encoding="utf-8",
-        )
+        tsv = global_weights_tsv(model.vocabulary, model.global_weights)
+        _write_or_print(tsv, args.dump_weights)
     print(f"vocabulary size: {model.n_terms}")
     print(f"documents: {model.n_docs}")
     print(f"topics: {model.n_topics}")
@@ -434,7 +433,7 @@ def cmd_top_words(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_eval(args: argparse.Namespace, protocol: str) -> int:
+def cmd_eval(args: argparse.Namespace) -> int:
     config = _train_config(args)
     plan = SplitPlan(
         seed=args.seed,
@@ -444,26 +443,16 @@ def _run_eval(args: argparse.Namespace, protocol: str) -> int:
     )
     threads = _threads(args)
     docs = load_corpus(args.input, args.format)
-    run = classify if protocol == "classify" else heldout_loglik
+    run = classify if args.protocol == "classify" else heldout_loglik
     report = run(docs, config, plan, delta=args.delta, threads=threads)
     json_text = json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2) + "\n"
-    if args.output:
-        Path(args.output).write_text(json_text, encoding="utf-8")
+    if args.output or not (args.csv or args.text):
+        _write_or_print(json_text, args.output)
     if args.csv:
-        Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
+        _write_or_print(report.to_csv(), args.csv)
     if args.text:
         sys.stdout.write(report.to_text())
-    if not (args.output or args.csv or args.text):
-        sys.stdout.write(json_text)
     return EXIT_OK
-
-
-def cmd_eval_classify(args: argparse.Namespace) -> int:
-    return _run_eval(args, "classify")
-
-
-def cmd_eval_loglik(args: argparse.Namespace) -> int:
-    return _run_eval(args, "loglik")
 
 
 def cmd_gen_synth(args: argparse.Namespace) -> int:
@@ -528,9 +517,9 @@ def build_parser() -> _Parser:
     p = subs.add_parser("eval", help="evaluation protocols")
     p.set_defaults(func=None, parser=p)
     eval_subs = p.add_subparsers(dest="protocol", metavar="PROTOCOL")
-    for name, func, min_folds, extra_help in (
-        ("classify", cmd_eval_classify, 2, "cross-validated per-class likelihood"),
-        ("loglik", cmd_eval_loglik, 1, "held-out log-likelihood"),
+    for name, min_folds, extra_help in (
+        ("classify", 2, "cross-validated per-class likelihood"),
+        ("loglik", 1, "held-out log-likelihood"),
     ):
         q = eval_subs.add_parser(name, help=extra_help)
         _add_config_flag(q)
@@ -543,7 +532,7 @@ def build_parser() -> _Parser:
             "--text", action="store_true",
             help="print an aligned text table to stdout",
         )
-        q.set_defaults(func=func, parser=q)
+        q.set_defaults(func=cmd_eval, parser=q)
 
     p = subs.add_parser("gen-synth", help="generate a labeled synthetic corpus")
     _add_config_flag(p)

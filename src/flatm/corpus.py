@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .fcm import _require_ints
+from .fcm import _require
 
 __all__ = [
     "InputFormatError",
@@ -100,13 +100,11 @@ class TokenizerConfig:
     stopwords: frozenset[str] = field(default_factory=default_stopwords)
 
     def __post_init__(self) -> None:
-        _require_ints(self, "min_token_length")
+        _require(self, int, "min_token_length")
+        _require(self, bool, "lowercase", "drop_numeric")
+        _require(self, frozenset, "stopwords")
         if self.min_token_length < 1:
             raise ValueError("min_token_length must be >= 1")
-        for name in ("lowercase", "drop_numeric"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:

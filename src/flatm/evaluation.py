@@ -25,12 +25,13 @@ import multiprocessing
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from .corpus import RawDocument
+from .fcm import _check_seed, _require
 from .model import (
     TopicModel,
     TrainConfig,
@@ -73,6 +74,10 @@ class SplitPlan:
     stratified: bool = True
 
     def __post_init__(self) -> None:
+        _require(self, int, "seed", "folds")
+        _require(self, float, "train_fraction")
+        _require(self, bool, "stratified")
+        _check_seed(self.seed)
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.folds < 1:
@@ -127,10 +132,22 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _summary(values: Sequence[float]) -> tuple[float, float]:
-    mean = statistics.fmean(values)
-    stdev = statistics.stdev(values) if len(values) > 1 else 0.0
-    return mean, stdev
+def _shuffled_groups(
+    docs: Sequence[RawDocument], plan: SplitPlan, rng: np.random.Generator
+) -> tuple[bool, list[list[int]]]:
+    """(stratified, groups): document indices grouped by sorted label, each
+    group shuffled by ``rng``. One group of all documents when the plan is
+    unstratified or any document lacks a label; then stratified is False.
+    """
+    stratified = plan.stratified and all(d.label is not None for d in docs)
+    if stratified:
+        labels = sorted({d.label for d in docs})
+        groups = [[i for i, d in enumerate(docs) if d.label == lab] for lab in labels]
+    else:
+        groups = [list(range(len(docs)))]
+    return stratified, [
+        [idxs[p] for p in rng.permutation(len(idxs)).tolist()] for idxs in groups
+    ]
 
 
 def make_folds(docs: Sequence[RawDocument], plan: SplitPlan) -> list[tuple[int, ...]]:
@@ -144,18 +161,10 @@ def make_folds(docs: Sequence[RawDocument], plan: SplitPlan) -> list[tuple[int, 
         raise ValueError(f"{len(docs)} documents cannot fill {plan.folds} folds")
     rng = np.random.default_rng(plan.seed)
     folds: list[list[int]] = [[] for _ in range(plan.folds)]
-    stratified = plan.stratified and all(d.label is not None for d in docs)
-    if stratified:
-        labels = sorted({d.label for d in docs})
-        for li, label in enumerate(labels):
-            idxs = [i for i, d in enumerate(docs) if d.label == label]
-            perm = rng.permutation(len(idxs))
-            for pos, p in enumerate(perm):
-                folds[(pos + li) % plan.folds].append(idxs[int(p)])
-    else:
-        perm = rng.permutation(len(docs))
-        for pos, p in enumerate(perm):
-            folds[pos % plan.folds].append(int(p))
+    _, groups = _shuffled_groups(docs, plan, rng)
+    for li, group in enumerate(groups):
+        for pos, i in enumerate(group):
+            folds[(pos + li) % plan.folds].append(i)
     return [tuple(sorted(fold)) for fold in folds]
 
 
@@ -388,16 +397,7 @@ def classify(
                 "oov_tokens_own_class": oov_tokens,
             }
         )
-    mean, stdev = _summary(per_fold)
-    return EvalReport(
-        protocol="classify",
-        metric="accuracy",
-        per_fold=tuple(per_fold),
-        mean=mean,
-        stdev=stdev,
-        config=_echo_config(config, plan, delta),
-        details=tuple(details),
-    )
+    return _report("classify", "accuracy", per_fold, details, config, plan, delta)
 
 
 def _split_indices(
@@ -406,20 +406,14 @@ def _split_indices(
     rng = np.random.default_rng(split_seed)
     train_idx: list[int] = []
     test_idx: list[int] = []
-    stratified = plan.stratified and all(d.label is not None for d in docs)
-    if stratified:
-        for label in sorted({d.label for d in docs}):
-            idxs = [i for i, d in enumerate(docs) if d.label == label]
-            perm = [idxs[int(p)] for p in rng.permutation(len(idxs))]
-            k = int(round(plan.train_fraction * len(idxs)))
-            k = min(max(k, 1), len(idxs))
-            train_idx += perm[:k]
-            test_idx += perm[k:]
-    else:
-        perm = [int(p) for p in rng.permutation(len(docs))]
-        k = int(round(plan.train_fraction * len(docs)))
-        k = min(max(k, 1), len(docs) - 1)
-        train_idx, test_idx = perm[:k], perm[k:]
+    stratified, groups = _shuffled_groups(docs, plan, rng)
+    for group in groups:
+        k = int(round(plan.train_fraction * len(group)))
+        # A stratified split may put a whole label in training; an
+        # unstratified one keeps at least one test document.
+        k = min(max(k, 1), len(group) if stratified else len(group) - 1)
+        train_idx += group[:k]
+        test_idx += group[k:]
     if not test_idx or not train_idx:
         raise ValueError("split leaves an empty train or test set")
     return sorted(train_idx), sorted(test_idx)
@@ -478,29 +472,33 @@ def heldout_loglik(
                 "baseline_loglik": baseline["loglik"],
             }
         )
-    mean, stdev = _summary(per_fold)
+    return _report("loglik", "loglik", per_fold, details, config, plan, delta)
+
+
+def _report(
+    protocol: str,
+    metric: str,
+    per_fold: list[float],
+    details: list[dict],
+    config: TrainConfig,
+    plan: SplitPlan,
+    delta: float,
+) -> EvalReport:
+    """The report of a run: per-fold values, their mean and sample stdev, and
+    everything needed to reproduce it."""
     return EvalReport(
-        protocol="loglik",
-        metric="loglik",
+        protocol=protocol,
+        metric=metric,
         per_fold=tuple(per_fold),
-        mean=mean,
-        stdev=stdev,
-        config=_echo_config(config, plan, delta),
+        mean=statistics.fmean(per_fold),
+        stdev=statistics.stdev(per_fold) if len(per_fold) > 1 else 0.0,
+        config={
+            "model": _config_to_dict(config),
+            "plan": asdict(plan),
+            "delta": delta,
+        },
         details=tuple(details),
     )
-
-
-def _echo_config(config: TrainConfig, plan: SplitPlan, delta: float) -> dict:
-    return {
-        "model": _config_to_dict(config),
-        "plan": {
-            "seed": plan.seed,
-            "train_fraction": plan.train_fraction,
-            "folds": plan.folds,
-            "stratified": plan.stratified,
-        },
-        "delta": delta,
-    }
 
 
 def generate_synthetic(

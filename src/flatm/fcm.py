@@ -38,6 +38,7 @@ point-major loop.
 from __future__ import annotations
 
 import logging
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -59,21 +60,36 @@ logger = logging.getLogger(__name__)
 _MAX_SEED = 2**64
 
 
-def _require_ints(config, *names: str) -> None:
-    """Store each named field of a frozen dataclass as a plain ``int``.
+def _require(config, kind: type, *names: str) -> None:
+    """Check that each named field of a frozen dataclass is of ``kind``.
 
-    Python and numpy integers pass; anything else, such as 2.5, 3.0 or
-    ``True``, raises ``ValueError`` naming the field.
+    ``int``: a Python or numpy integer, stored as a plain ``int``; 2.5,
+    3.0 and ``True`` fail. ``float``: a Python or numpy real number, not a
+    ``bool``, that fits a float; stored unchanged, so an int stays an int.
+    Any other class, ``bool`` included: an instance of it. Each failure
+    raises ``ValueError`` naming the field.
     """
     for name in names:
         value = getattr(config, name)
-        try:
-            if isinstance(value, bool):
-                raise TypeError
-            number = operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        object.__setattr__(config, name, number)
+        if kind is int or kind is float:
+            try:
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise TypeError
+                if kind is int:
+                    object.__setattr__(config, name, operator.index(value))
+                else:
+                    float(value)
+            except (TypeError, OverflowError):
+                noun = "an integer" if kind is int else "a number"
+                raise ValueError(f"{name} must be {noun}, got {value!r}") from None
+        elif not isinstance(value, kind):
+            raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
+def _check_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2**64), the range numpy's seeding takes."""
+    if not 0 <= seed < _MAX_SEED:
+        raise ValueError("seed must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
@@ -92,7 +108,8 @@ class FcmConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_ints(self, "n_clusters", "max_iterations", "seed")
+        _require(self, int, "n_clusters", "max_iterations", "seed")
+        _require(self, float, "fuzzifier", "threshold")
         if self.n_clusters < 2:
             raise ValueError("n_clusters must be >= 2")
         if not self.fuzzifier > 1.0:
@@ -101,8 +118,7 @@ class FcmConfig:
             raise ValueError("threshold must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -47,7 +47,7 @@ from .corpus import (
     Vocabulary,
     build_matrix,
 )
-from .fcm import FcmConfig, FcmResult, _require_ints, fcm_run
+from .fcm import FcmConfig, FcmResult, _require, fcm_run
 from .weighting import (
     DEFAULT_EPSILON,
     GlobalWeightVector,
@@ -142,24 +142,33 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gtw", GtwMethod(self.gtw))
-        _require_ints(self, "n_topics", "max_iterations", "seed", "min_df")
+        # max_iterations and seed are listed to be stored as plain ints;
+        # fcm_config() checks them with the other clustering settings.
+        _require(self, int, "n_topics", "max_iterations", "seed", "min_df")
+        _require(self, CascadeSchedule, "schedule")
+        _require(self, bool, "cascade")
+        _require(self, float, "epsilon")
+        _require(self, TokenizerConfig, "tokenizer")
         if self.n_topics < 2:
             raise ValueError("n_topics must be >= 2")
-        # The clustering settings follow FcmConfig's rules, checked by
-        # building the topic run's config.
-        FcmConfig(
-            n_clusters=self.n_topics,
-            fuzzifier=self.fuzzifier,
-            threshold=self.threshold,
-            max_iterations=self.max_iterations,
-            seed=self.seed,
-        )
+        self.fcm_config()
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
         if self.idf_variant not in IDF_VARIANTS:
             raise ValueError(f"unknown idf variant: {self.idf_variant!r}")
         if self.min_df < 1:
             raise ValueError("min_df must be >= 1")
+
+    def fcm_config(self) -> FcmConfig:
+        """The topic run's clustering settings, seeded with the master seed;
+        building them checks the settings by :class:`FcmConfig`'s rules."""
+        return FcmConfig(
+            n_clusters=self.n_topics,
+            fuzzifier=self.fuzzifier,
+            threshold=self.threshold,
+            max_iterations=self.max_iterations,
+            seed=self.seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -203,18 +212,15 @@ def stage_seed(master_seed: int, *indices: int) -> int:
 def _cluster_stages(
     values: sp.spmatrix | np.ndarray,
     counts: tuple[int, ...],
-    *,
-    fuzzifier: float,
-    threshold: float,
-    max_iterations: int,
-    seed: int,
+    fcm: FcmConfig,
     on_stage: Callable[[int, FcmResult], None] | None,
 ) -> np.ndarray:
     """Cluster the rows into ``counts[0]`` clusters, those memberships into
     ``counts[1]``, and so on; return the last membership matrix.
 
-    Stage s is seeded with ``stage_seed(seed, s)`` and reported to
-    ``on_stage``. Stage 0 clusters ``values`` as CSR.
+    Stage s runs ``fcm`` with its cluster count and the seed
+    ``stage_seed(fcm.seed, s)``, and is reported to ``on_stage``. Stage 0
+    clusters ``values`` as CSR.
     """
     x = sp.csr_matrix(values, dtype=np.float64)
     if x.shape[0] <= counts[0]:
@@ -223,12 +229,8 @@ def _cluster_stages(
             f"{x.shape[0]} terms, schedule starts at {counts[0]}"
         )
     for stage, n_clusters in enumerate(counts):
-        config = FcmConfig(
-            n_clusters=n_clusters,
-            fuzzifier=fuzzifier,
-            threshold=threshold,
-            max_iterations=max_iterations,
-            seed=stage_seed(seed, stage),
+        config = replace(
+            fcm, n_clusters=n_clusters, seed=stage_seed(fcm.seed, stage)
         )
         result = fcm_run(x, config)
         if on_stage is not None:
@@ -259,15 +261,14 @@ def cascade_reduce(
     Stage 0 always clusters ``values`` in CSR form, so dense and sparse
     inputs give identical results; later stages cluster dense memberships.
     """
-    return _cluster_stages(
-        values,
-        schedule.counts,
+    fcm = FcmConfig(
+        n_clusters=schedule.counts[0],
         fuzzifier=fuzzifier,
         threshold=threshold,
         max_iterations=max_iterations,
         seed=seed,
-        on_stage=on_stage,
     )
+    return _cluster_stages(values, schedule.counts, fcm, on_stage)
 
 
 def word_probabilities(values: sp.spmatrix | np.ndarray) -> np.ndarray:
@@ -354,13 +355,7 @@ def train(
         raise ValueError(f"document {doc_id!r} has no term in the vocabulary")
     cascade = config.schedule.counts if config.cascade else ()
     ptw = _cluster_stages(
-        weighted,
-        cascade + (config.n_topics,),
-        fuzzifier=config.fuzzifier,
-        threshold=config.threshold,
-        max_iterations=config.max_iterations,
-        seed=config.seed,
-        on_stage=on_stage,
+        weighted, cascade + (config.n_topics,), config.fcm_config(), on_stage
     )
     pw = word_probabilities(weighted)
     pwt = word_given_topic(ptw, pw)
@@ -507,10 +502,10 @@ def _config_to_dict(config: TrainConfig) -> dict:
 def _typed(value, *kinds: type):
     """``value`` if it is one of ``kinds``, else ``TypeError``.
 
-    JSON true and false count as ``bool`` only, not as numbers, and a
-    value that may be a ``float`` must fit one.
+    JSON true and false are not numbers, and a value that may be a
+    ``float`` must fit one.
     """
-    if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise TypeError(f"{value!r} is not {' or '.join(k.__name__ for k in kinds)}")
     if float in kinds:
         float(value)
@@ -521,22 +516,22 @@ def _config_from_dict(data: dict) -> TrainConfig:
     tok = data["tokenizer"]
     return TrainConfig(
         n_topics=data["n_topics"],
-        gtw=GtwMethod(data["gtw"]),
+        gtw=data["gtw"],
         schedule=CascadeSchedule(
             counts=tuple(_typed(c, int, float) for c in data["schedule"])
         ),
-        cascade=_typed(data["cascade"], bool),
-        fuzzifier=_typed(data["fuzzifier"], int, float),
-        threshold=_typed(data["threshold"], int, float),
-        max_iterations=_typed(data["max_iterations"], int),
-        seed=_typed(data["seed"], int),
-        epsilon=_typed(data["epsilon"], int, float),
+        cascade=data["cascade"],
+        fuzzifier=data["fuzzifier"],
+        threshold=data["threshold"],
+        max_iterations=data["max_iterations"],
+        seed=data["seed"],
+        epsilon=data["epsilon"],
         idf_variant=data["idf_variant"],
-        min_df=_typed(data["min_df"], int),
+        min_df=data["min_df"],
         tokenizer=TokenizerConfig(
-            lowercase=_typed(tok["lowercase"], bool),
-            min_token_length=_typed(tok["min_token_length"], int),
-            drop_numeric=_typed(tok["drop_numeric"], bool),
+            lowercase=tok["lowercase"],
+            min_token_length=tok["min_token_length"],
+            drop_numeric=tok["drop_numeric"],
             stopwords=frozenset(_typed(w, str) for w in _typed(tok["stopwords"], list)),
         ),
     )

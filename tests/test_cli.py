@@ -189,6 +189,60 @@ class TestTrain:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() == (workspace / "model.json").read_bytes()
 
+    def test_failed_model_write_leaves_the_old_file(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        # The model goes out piece by piece; a write that fails after the
+        # first piece must not leave a truncated model in the old one's place.
+        out = tmp_path / "model.json"
+        out.write_text("earlier\n", encoding="utf-8")
+        pieces = flatm.cli._model_json_pieces
+
+        def fail_after_first_piece(model):
+            yield next(pieces(model))
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(flatm.cli, "_model_json_pieces", fail_after_first_piece)
+        argv = ["train", "--input", str(workspace / "corpus.tsv")]
+        argv += ["--format", "labeled-tsv", *TRAIN_ARGS, "--output", str(out)]
+        assert cli_main(argv) == 2
+        assert out.read_text(encoding="utf-8") == "earlier\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_train_and_eval_files_share_the_writer(self, workspace, tmp_path):
+        # Each existing target sits behind a symlink: it is written through
+        # the link and keeps its mode, as infer's --output is.
+        names = ["model.json", "weights.tsv", "report.json", "report.csv"]
+        real = tmp_path / "real"
+        real.mkdir()
+        for name in names:
+            (real / name).write_text("earlier\n", encoding="utf-8")
+            (real / name).chmod(0o640)
+            (tmp_path / name).symlink_to(real / name)
+        corpus = workspace / "corpus.tsv"
+        run_cli(
+            "train", "--input", corpus, "--format", "labeled-tsv", *TRAIN_ARGS,
+            "--output", tmp_path / "model.json",
+            "--dump-weights", tmp_path / "weights.tsv",
+            check=True,
+        )
+        run_cli(
+            "eval", "loglik", "--input", corpus, *TRAIN_ARGS, "--folds", "1",
+            "--output", tmp_path / "report.json", "--csv", tmp_path / "report.csv",
+            check=True,
+        )
+        for name in names:
+            assert (tmp_path / name).is_symlink()
+            assert (real / name).stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in real.iterdir()) == sorted(names)
+        # The same bytes as save_model writes.
+        saved = tmp_path / "saved.json"
+        flatm.save_model(load_model(real / "model.json"), saved)
+        assert saved.read_bytes() == (real / "model.json").read_bytes()
+        assert json.loads((real / "report.json").read_text())["protocol"] == "loglik"
+        assert (real / "report.csv").read_text().startswith("fold,metric,value\n")
+        assert (real / "weights.tsv").read_text() != "earlier\n"
+
     def test_dump_weights_tsv(self, workspace, tmp_path):
         weights = tmp_path / "weights.tsv"
         run_cli(

@@ -74,6 +74,12 @@ class TestSplitPlan:
         with pytest.raises(ValueError):
             SplitPlan(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_follows_the_fcm_rule(self, seed):
+        message = "^seed must be a 64-bit unsigned integer$"
+        with pytest.raises(ValueError, match=message):
+            SplitPlan(seed=seed)
+
 
 class TestEvalReport:
     def make_report(self):
@@ -152,6 +158,70 @@ class TestMakeFolds:
         docs = [RawDocument("only", "word", label="a")]
         with pytest.raises(ValueError, match="folds"):
             make_folds(docs, SplitPlan(folds=5))
+
+
+def _pin_corpus(relabel=None, extra=()):
+    """12 documents, 4 in each of 3 classes; ``relabel`` maps an index to a
+    new label and ``extra`` documents are appended."""
+    docs = generate_synthetic(
+        seed=3, n_classes=3, vocab_per_class=5, docs_per_class=4, doc_length=5
+    )
+    for i, label in (relabel or {}).items():
+        docs[i] = RawDocument(docs[i].doc_id, docs[i].text, label)
+    return docs + list(extra)
+
+
+_SOLO = RawDocument("solo-000", "c0w1 c1w2", label="solo")
+
+
+# Exact folds and splits on fixed corpora. Shuffling draws one permutation
+# per label group, in sorted label order, so a change to the order of the
+# rng calls, to the grouping or to a clamp rule moves an index.
+@pytest.mark.parametrize(
+    "docs, plan, expected",
+    [
+        (_pin_corpus(), SplitPlan(seed=5, folds=3), [
+            (0, 3, 4, 9), (1, 5, 6, 8), (2, 7, 10, 11)
+        ]),
+        (_pin_corpus(), SplitPlan(seed=5, folds=3, stratified=False), [
+            (3, 6, 9, 10), (2, 5, 7, 11), (0, 1, 4, 8)
+        ]),
+        (_pin_corpus(relabel={5: None}), SplitPlan(seed=5, folds=3), [
+            (3, 6, 9, 10), (2, 5, 7, 11), (0, 1, 4, 8)
+        ]),
+        (_pin_corpus(extra=[_SOLO]), SplitPlan(seed=5, folds=3), [
+            (0, 3, 4, 9, 12), (1, 5, 6, 8), (2, 7, 10, 11)
+        ]),
+    ],
+    ids=["stratified", "unstratified", "one-unlabelled", "one-document-label"],
+)
+def test_folds_are_pinned(docs, plan, expected):
+    assert make_folds(docs, plan) == expected
+
+
+@pytest.mark.parametrize(
+    "docs, plan, expected",
+    [
+        (_pin_corpus(), SplitPlan(), (
+            [0, 1, 3, 4, 5, 7, 8, 9, 10], [2, 6, 11]
+        )),
+        (_pin_corpus(relabel={5: None}), SplitPlan(), (
+            [1, 2, 3, 4, 5, 6, 8, 9, 10, 11], [0, 7]
+        )),
+        # The one "solo" document goes to training: a stratified split may
+        # put a whole label there.
+        (_pin_corpus(extra=[_SOLO]), SplitPlan(train_fraction=0.8), (
+            [0, 1, 3, 4, 5, 7, 8, 9, 10, 12], [2, 6, 11]
+        )),
+        # round(0.8 * 2) = 2, capped at n - 1 so one document is left to test.
+        (_pin_corpus()[:2], SplitPlan(train_fraction=0.8, stratified=False), (
+            [1], [0]
+        )),
+    ],
+    ids=["stratified", "one-unlabelled", "one-document-label", "two-documents"],
+)
+def test_splits_are_pinned(docs, plan, expected):
+    assert evaluation._split_indices(docs, plan, 11) == expected
 
 
 class TestDocLogLikelihood:

@@ -19,6 +19,7 @@ from flatm import (
     OutOfVocabularyError,
     RawDocument,
     ScheduleError,
+    SplitPlan,
     TokenizerConfig,
     TrainConfig,
     cascade_reduce,
@@ -146,6 +147,79 @@ class TestTrainConfig:
         counts = CascadeSchedule(counts=(4.0, np.int64(3), 2)).counts
         assert counts == (4, 3, 2)
         assert all(type(c) is int for c in counts)
+
+
+# Each config's fields by kind, and values of the wrong kind for each kind.
+_CONFIG_FIELDS = {
+    functools.partial(FcmConfig, n_clusters=2): {
+        "n_clusters": int,
+        "fuzzifier": float,
+        "threshold": float,
+        "max_iterations": int,
+        "seed": int,
+    },
+    TokenizerConfig: {
+        "lowercase": bool,
+        "min_token_length": int,
+        "drop_numeric": bool,
+        "stopwords": frozenset,
+    },
+    functools.partial(TrainConfig, n_topics=2): {
+        "n_topics": int,
+        "schedule": CascadeSchedule,
+        "cascade": bool,
+        "fuzzifier": float,
+        "threshold": float,
+        "max_iterations": int,
+        "seed": int,
+        "epsilon": float,
+        "min_df": int,
+        "tokenizer": TokenizerConfig,
+    },
+    SplitPlan: {
+        "seed": int,
+        "train_fraction": float,
+        "folds": int,
+        "stratified": bool,
+    },
+}
+_WRONG_KIND = {
+    int: [True, "3", None, 2.5],
+    float: [True, "3", None],
+    bool: ["no", None, 1],
+    frozenset: [True, "3", None],
+    CascadeSchedule: [True, None, (4, 2)],
+    TokenizerConfig: [True, "3", None],
+}
+
+
+@pytest.mark.parametrize(
+    "make, field, value",
+    [
+        pytest.param(
+            make,
+            field,
+            value,
+            id=f"{getattr(make, 'func', make).__name__}-{field}-{value!r}",
+        )
+        for make, fields in _CONFIG_FIELDS.items()
+        for field, kind in fields.items()
+        for value in _WRONG_KIND[kind]
+    ],
+)
+def test_configs_reject_wrong_kinds_by_field_name(make, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        make(**{field: value})
+
+
+def test_number_fields_are_stored_unchanged():
+    # An int fuzzifier stays an int, so the model file keeps writing 3.
+    config = tiny_config(fuzzifier=3, threshold=np.float64(1e-4), epsilon=1)
+    assert type(config.fuzzifier) is int
+    assert type(config.threshold) is np.float64
+    assert json.loads(model_to_json(train(two_class_docs(), config)))["config"][
+        "fuzzifier"
+    ] == 3
 
 
 class TestCascadeReduce:
