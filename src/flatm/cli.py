@@ -20,12 +20,9 @@ import contextlib
 import csv
 import json
 import os
-import secrets
-import shutil
 import sys
 import time
 from pathlib import Path
-from typing import Iterator, TextIO
 
 from .corpus import (
     CORPUS_FORMATS,
@@ -43,8 +40,9 @@ from .model import (
     ScheduleError,
     TrainConfig,
     _fold_chunks,
-    _model_json_pieces,
+    _replacing,
     load_model,
+    save_model,
     top_words,
     train,
 )
@@ -336,8 +334,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     model = train(docs, config, on_stage=on_stage)
     elapsed = time.perf_counter() - started
-    with _replacing(args.output) as f:
-        f.writelines(_model_json_pieces(model))
+    save_model(model, args.output)
     if args.dump_weights:
         tsv = global_weights_tsv(model.vocabulary, model.global_weights)
         _write_or_print(tsv, args.dump_weights)
@@ -355,39 +352,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             )
     print(f"wall time: {elapsed:.2f} s")
     return EXIT_OK
-
-
-@contextlib.contextmanager
-def _replacing(path: str) -> Iterator[TextIO]:
-    """A text file that takes ``path``'s place when the block completes.
-
-    Where ``path`` names a regular file or nothing yet, the text is written
-    beside it and renamed over it, so a block that raises leaves no partial
-    file and an existing ``path`` as it was. As with ``open(path, "w")``, a
-    symlink is written through and the file keeps an existing file's mode,
-    else gets 0o666 less the umask. Any other target (a device, a FIFO, a
-    directory) or one whose directory takes no new file is opened with
-    ``open(path, "w")`` itself, before the block runs.
-    """
-    real = Path(os.path.realpath(path))
-    temp = real.with_name(f".{real.name}.{secrets.token_hex(6)}.tmp")
-    f = None
-    if not real.exists() or real.is_file():
-        with contextlib.suppress(OSError):
-            f = open(temp, "x", encoding="utf-8")
-    if f is None:
-        with open(path, "w", encoding="utf-8") as direct:
-            yield direct
-        return
-    try:
-        with f:
-            if real.exists():
-                shutil.copymode(real, temp)
-            yield f
-        os.replace(temp, real)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
 
 
 def cmd_infer(args: argparse.Namespace) -> int:

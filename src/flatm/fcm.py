@@ -65,9 +65,10 @@ def _require(config, kind: type, *names: str) -> None:
 
     ``int``: a Python or numpy integer, stored as a plain ``int``; 2.5,
     3.0 and ``True`` fail. ``float``: a Python or numpy real number, not a
-    ``bool``, that fits a float; stored unchanged, so an int stays an int.
-    Any other class, ``bool`` included: an instance of it. Each failure
-    raises ``ValueError`` naming the field.
+    ``bool``, that fits a float; an integer is stored as a plain ``int``,
+    so an int fuzzifier still saves as 3, and any other number as a plain
+    ``float``. Any other class, ``bool`` included: an instance of it. Each
+    failure raises ``ValueError`` naming the field.
     """
     for name in names:
         value = getattr(config, name)
@@ -75,10 +76,10 @@ def _require(config, kind: type, *names: str) -> None:
             try:
                 if isinstance(value, bool) or not isinstance(value, numbers.Real):
                     raise TypeError
-                if kind is int:
-                    object.__setattr__(config, name, operator.index(value))
-                else:
-                    float(value)
+                number = float(value) if kind is float else None
+                if kind is int or isinstance(value, numbers.Integral):
+                    number = operator.index(value)
+                object.__setattr__(config, name, number)
             except (TypeError, OverflowError):
                 noun = "an integer" if kind is int else "a number"
                 raise ValueError(f"{name} must be {noun}, got {value!r}") from None

@@ -29,12 +29,16 @@ known term has an empty column, which stays zero in P(W|D) and P(T|D).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
+import os
+import secrets
+import shutil
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -141,13 +145,15 @@ class TrainConfig:
     tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gtw", GtwMethod(self.gtw))
-        # max_iterations and seed are listed to be stored as plain ints;
-        # fcm_config() checks them with the other clustering settings.
+        try:
+            object.__setattr__(self, "gtw", GtwMethod(self.gtw))
+        except ValueError:
+            raise ValueError(f"gtw must be a GtwMethod, got {self.gtw!r}") from None
+        # Clustering settings are stored as plain numbers; fcm_config() checks them.
         _require(self, int, "n_topics", "max_iterations", "seed", "min_df")
         _require(self, CascadeSchedule, "schedule")
         _require(self, bool, "cascade")
-        _require(self, float, "epsilon")
+        _require(self, float, "fuzzifier", "threshold", "epsilon")
         _require(self, TokenizerConfig, "tokenizer")
         if self.n_topics < 2:
             raise ValueError("n_topics must be >= 2")
@@ -155,7 +161,9 @@ class TrainConfig:
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
         if self.idf_variant not in IDF_VARIANTS:
-            raise ValueError(f"unknown idf variant: {self.idf_variant!r}")
+            raise ValueError(
+                f"idf_variant must be one of {IDF_VARIANTS}, got {self.idf_variant!r}"
+            )
         if self.min_df < 1:
             raise ValueError("min_df must be >= 1")
 
@@ -229,9 +237,7 @@ def _cluster_stages(
             f"{x.shape[0]} terms, schedule starts at {counts[0]}"
         )
     for stage, n_clusters in enumerate(counts):
-        config = replace(
-            fcm, n_clusters=n_clusters, seed=stage_seed(fcm.seed, stage)
-        )
+        config = replace(fcm, n_clusters=n_clusters, seed=stage_seed(fcm.seed, stage))
         result = fcm_run(x, config)
         if on_stage is not None:
             on_stage(stage, result)
@@ -261,13 +267,7 @@ def cascade_reduce(
     Stage 0 always clusters ``values`` in CSR form, so dense and sparse
     inputs give identical results; later stages cluster dense memberships.
     """
-    fcm = FcmConfig(
-        n_clusters=schedule.counts[0],
-        fuzzifier=fuzzifier,
-        threshold=threshold,
-        max_iterations=max_iterations,
-        seed=seed,
-    )
+    fcm = FcmConfig(schedule.counts[0], fuzzifier, threshold, max_iterations, seed)
     return _cluster_stages(values, schedule.counts, fcm, on_stage)
 
 
@@ -695,9 +695,42 @@ def model_from_json(text: str) -> TopicModel:
         raise InputFormatError(f"model file missing or malformed field: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _replacing(path: str | Path) -> Iterator[TextIO]:
+    """A text file that takes ``path``'s place when the block completes.
+
+    Where ``path`` names a regular file or nothing yet, the text is written
+    beside it and renamed over it, so a block that raises leaves no partial
+    file and an existing ``path`` as it was. As with ``open(path, "w")``, a
+    symlink is written through and the file keeps an existing file's mode,
+    else gets 0o666 less the umask. Any other target (a device, a FIFO, a
+    directory) or one whose directory takes no new file is opened with
+    ``open(path, "w")`` itself, before the block runs.
+    """
+    real = Path(os.path.realpath(path))
+    temp = real.with_name(f".{real.name}.{secrets.token_hex(6)}.tmp")
+    f = None
+    if not real.exists() or real.is_file():
+        with contextlib.suppress(OSError):
+            f = open(temp, "x", encoding="utf-8")
+    if f is None:
+        with open(path, "w", encoding="utf-8") as direct:
+            yield direct
+        return
+    try:
+        with f:
+            if real.exists():
+                shutil.copymode(real, temp)
+            yield f
+        os.replace(temp, real)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def save_model(model: TopicModel, path: str | Path) -> None:
-    """Write :func:`model_to_json`'s text, piece by piece."""
-    with open(path, "w", encoding="utf-8") as f:
+    """Write :func:`model_to_json`'s text piece by piece through :func:`_replacing`."""
+    with _replacing(path) as f:
         f.writelines(_model_json_pieces(model))
 
 

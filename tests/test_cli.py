@@ -196,13 +196,13 @@ class TestTrain:
         # first piece must not leave a truncated model in the old one's place.
         out = tmp_path / "model.json"
         out.write_text("earlier\n", encoding="utf-8")
-        pieces = flatm.cli._model_json_pieces
+        pieces = flatm.model._model_json_pieces
 
         def fail_after_first_piece(model):
             yield next(pieces(model))
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(flatm.cli, "_model_json_pieces", fail_after_first_piece)
+        monkeypatch.setattr(flatm.model, "_model_json_pieces", fail_after_first_piece)
         argv = ["train", "--input", str(workspace / "corpus.tsv")]
         argv += ["--format", "labeled-tsv", *TRAIN_ARGS, "--output", str(out)]
         assert cli_main(argv) == 2

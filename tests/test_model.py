@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -167,12 +168,14 @@ _CONFIG_FIELDS = {
     functools.partial(TrainConfig, n_topics=2): {
         "n_topics": int,
         "schedule": CascadeSchedule,
+        "gtw": GtwMethod,
         "cascade": bool,
         "fuzzifier": float,
         "threshold": float,
         "max_iterations": int,
         "seed": int,
         "epsilon": float,
+        "idf_variant": str,
         "min_df": int,
         "tokenizer": TokenizerConfig,
     },
@@ -190,6 +193,8 @@ _WRONG_KIND = {
     frozenset: [True, "3", None],
     CascadeSchedule: [True, None, (4, 2)],
     TokenizerConfig: [True, "3", None],
+    GtwMethod: [True, "3", None],
+    str: [True, "3", None],
 }
 
 
@@ -212,14 +217,25 @@ def test_configs_reject_wrong_kinds_by_field_name(make, field, value):
         make(**{field: value})
 
 
-def test_number_fields_are_stored_unchanged():
+def test_number_fields_are_stored_as_plain_numbers(tmp_path):
     # An int fuzzifier stays an int, so the model file keeps writing 3.
     config = tiny_config(fuzzifier=3, threshold=np.float64(1e-4), epsilon=1)
     assert type(config.fuzzifier) is int
-    assert type(config.threshold) is np.float64
+    assert type(config.threshold) is float
     assert json.loads(model_to_json(train(two_class_docs(), config)))["config"][
         "fuzzifier"
     ] == 3
+    # Numpy scalars and other real numbers become plain ints and floats,
+    # which the model file can hold.
+    config = tiny_config(
+        fuzzifier=np.float32(2.5), threshold=Fraction(1, 1000), epsilon=np.int64(1)
+    )
+    assert (config.fuzzifier, config.threshold, config.epsilon) == (2.5, 1e-3, 1)
+    assert [type(config.fuzzifier), type(config.threshold)] == [float, float]
+    assert type(config.epsilon) is int
+    path = tmp_path / "model.json"
+    save_model(train(two_class_docs(), config), path)
+    assert load_model(path).config == config
 
 
 class TestCascadeReduce:
