@@ -8,6 +8,11 @@ so they pass the same checks as flags and explicit flags win. ``true``
 turns a switch on, ``false`` leaves it off, a list is joined with commas,
 and numbers and strings are read as the flag's text.
 
+Flags are only parsed here: the library's configs and calls own their
+defaults and rules, and a :class:`SettingError` is a usage error naming the
+flag. ``--delta``, ``--threads``, classify's ``--folds`` minimum and
+top-words' ``--topic``/``--count`` are judged after the input is read.
+
 Exit codes: 0 success, 1 bad arguments, 2 unreadable or malformed input
 files, 3 numerical or pipeline failure. Warnings go to stderr and never
 change a successful exit code.
@@ -18,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import inspect
 import json
 import os
 import sys
@@ -34,7 +40,7 @@ from .corpus import (
     load_stopwords,
 )
 from .evaluation import SplitPlan, classify, generate_synthetic, heldout_loglik
-from .fcm import FcmResult
+from .fcm import FcmResult, SettingError
 from .model import (
     CascadeSchedule,
     ScheduleError,
@@ -46,7 +52,7 @@ from .model import (
     top_words,
     train,
 )
-from .weighting import GtwMethod, global_weights_tsv
+from .weighting import IDF_VARIANTS, GtwMethod, global_weights_tsv
 
 __all__ = ["main"]
 
@@ -58,6 +64,9 @@ EXIT_IO = 2
 EXIT_PIPELINE = 3
 
 _GTW_CHOICES = tuple(m.value for m in GtwMethod)
+
+# Settings whose flag is not the field's name with dashes for underscores.
+_FIELD_FLAGS = dict(n_topics="topics", n_classes="classes", overlap_fraction="overlap")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,36 +137,9 @@ class _Parser(argparse.ArgumentParser):
         return tokens
 
 
-def _checked(convert, kind: str, ok, requirement: str):
-    def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not {kind}: {text!r}")
-        if not ok(value):
-            raise argparse.ArgumentTypeError(requirement)
-        return value
-
-    return parse
-
-
-def _int_at_least(minimum: int):
-    return _checked(int, "an integer", lambda v: v >= minimum, f"must be >= {minimum}")
-
-
-def _float_above(minimum: float):
-    return _checked(float, "a number", lambda v: v > minimum, f"must be > {minimum}")
-
-
-_seed_arg = _checked(
-    int, "an integer", lambda v: 0 <= v < 2**64, "seed must fit in 64 unsigned bits"
-)
-_fraction_arg = _checked(
-    float, "a number", lambda v: 0.0 < v < 1.0, "must be strictly between 0 and 1"
-)
-_overlap_arg = _checked(
-    float, "a number", lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"
-)
+def _defaults(fn) -> dict:
+    """The library's default of each parameter of ``fn``."""
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
 
 
 def _schedule_arg(text: str) -> CascadeSchedule:
@@ -189,15 +171,15 @@ def _add_model_flags(p) -> None:
     p.add_argument(
         "--gtw",
         choices=_GTW_CHOICES,
-        default="entropy",
+        default=TrainConfig.gtw.value,
         help="global weighting scheme (default: %(default)s)",
     )
     p.add_argument(
-        "--topics", type=_int_at_least(2), required=True, metavar="K",
+        "--topics", type=int, required=True, metavar="K",
         help="number of topics",
     )
     p.add_argument(
-        "--seed", type=_seed_arg, default=0,
+        "--seed", type=int, default=TrainConfig.seed,
         help="master seed for every clustering stage (default: %(default)s)",
     )
     p.add_argument(
@@ -212,29 +194,29 @@ def _add_model_flags(p) -> None:
         help="cluster the weighted matrix directly instead of reducing first",
     )
     p.add_argument(
-        "--fuzzifier", type=_float_above(1.0), default=2.0, metavar="Q",
+        "--fuzzifier", type=float, default=TrainConfig.fuzzifier, metavar="Q",
         help="membership exponent q > 1 (default: %(default)s)",
     )
     p.add_argument(
-        "--threshold", type=_float_above(0.0), default=1e-5,
+        "--threshold", type=float, default=TrainConfig.threshold,
         help="convergence threshold on membership change (default: %(default)s)",
     )
     p.add_argument(
-        "--max-iterations", type=_int_at_least(1), default=100,
+        "--max-iterations", type=int, default=TrainConfig.max_iterations,
         help="iteration cap per clustering run (default: %(default)s)",
     )
     p.add_argument(
-        "--epsilon", type=_float_above(0.0), default=1e-6,
+        "--epsilon", type=float, default=TrainConfig.epsilon,
         help="clamp floor for global weights (default: %(default)s)",
     )
     p.add_argument(
         "--idf-variant",
-        choices=("total-frequency", "document-frequency"),
-        default="total-frequency",
+        choices=IDF_VARIANTS,
+        default=TrainConfig.idf_variant,
         help="denominator for the idf scheme (default: %(default)s)",
     )
     p.add_argument(
-        "--min-df", type=_int_at_least(1), default=1,
+        "--min-df", type=int, default=TrainConfig.min_df,
         help="drop terms seen in fewer documents (default: %(default)s)",
     )
     p.add_argument(
@@ -243,7 +225,8 @@ def _add_model_flags(p) -> None:
     )
     p.add_argument("--no-lowercase", action="store_true", help="keep token case")
     p.add_argument(
-        "--min-token-length", type=_int_at_least(1), default=2,
+        "--min-token-length", type=int,
+        default=TokenizerConfig.min_token_length,
         help="shortest token kept (default: %(default)s)",
     )
     p.add_argument(
@@ -251,13 +234,13 @@ def _add_model_flags(p) -> None:
     )
 
 
-def _add_plan_flags(p, min_folds: int) -> None:
+def _add_plan_flags(p) -> None:
     p.add_argument(
-        "--folds", type=_int_at_least(min_folds), default=5,
+        "--folds", type=int, default=SplitPlan.folds,
         help="cross-validation folds / repeated splits (default: %(default)s)",
     )
     p.add_argument(
-        "--train-fraction", type=_fraction_arg, default=0.8,
+        "--train-fraction", type=float, default=SplitPlan.train_fraction,
         help="train share for held-out splits (default: %(default)s)",
     )
     p.add_argument(
@@ -265,11 +248,11 @@ def _add_plan_flags(p, min_folds: int) -> None:
         help="ignore labels when splitting",
     )
     p.add_argument(
-        "--delta", type=_float_above(0.0), default=1e-9,
+        "--delta", type=float, default=_defaults(classify)["delta"],
         help="likelihood smoothing constant (default: %(default)s)",
     )
     p.add_argument(
-        "--threads", type=_int_at_least(1),
+        "--threads", type=int,
         help="worker processes that train and score the evaluation jobs, "
         f"forked from this one (default: ${THREADS_ENV_VAR} or 1; at most one "
         "per usable CPU); never changes results",
@@ -304,13 +287,11 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
 def _threads(args: argparse.Namespace) -> int:
     if args.threads is not None:
         return args.threads
-    env = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if not env:
-        return 1
+    env = os.environ.get(THREADS_ENV_VAR, "").strip() or "1"
     try:
-        return _int_at_least(1)(env)
-    except argparse.ArgumentTypeError as exc:
-        args.parser.error(f"{THREADS_ENV_VAR}: {exc}")
+        return int(env)
+    except ValueError:
+        args.parser.error(f"{THREADS_ENV_VAR}: not an integer: {env!r}")
 
 
 def _write_or_print(text: str, path: str | None) -> None:
@@ -381,11 +362,6 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 def cmd_top_words(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    if args.topic is not None and args.topic >= model.n_topics:
-        args.parser.error(
-            f"argument --topic: must be in [0, {model.n_topics}) for this "
-            f"model, got {args.topic}"
-        )
     topics = [args.topic] if args.topic is not None else range(model.n_topics)
     lines = ["topic\trank\tterm\tprob"]
     for topic in topics:
@@ -468,11 +444,11 @@ def build_parser() -> _Parser:
     _add_config_flag(p)
     p.add_argument("--model", metavar="FILE", required=True, help="trained model file")
     p.add_argument(
-        "--count", type=_int_at_least(1), default=10,
+        "--count", type=int, default=_defaults(top_words)["count"],
         help="terms per topic (default: %(default)s)",
     )
     p.add_argument(
-        "--topic", type=_int_at_least(0),
+        "--topic", type=int,
         help="only this topic (default: all)",
     )
     p.add_argument("--output", metavar="FILE", help="TSV destination (default: stdout)")
@@ -481,15 +457,15 @@ def build_parser() -> _Parser:
     p = subs.add_parser("eval", help="evaluation protocols")
     p.set_defaults(func=None, parser=p)
     eval_subs = p.add_subparsers(dest="protocol", metavar="PROTOCOL")
-    for name, min_folds, extra_help in (
-        ("classify", 2, "cross-validated per-class likelihood"),
-        ("loglik", 1, "held-out log-likelihood"),
+    for name, extra_help in (
+        ("classify", "cross-validated per-class likelihood"),
+        ("loglik", "held-out log-likelihood"),
     ):
         q = eval_subs.add_parser(name, help=extra_help)
         _add_config_flag(q)
         _add_corpus_flags(q, "labeled-tsv")
         _add_model_flags(q)
-        _add_plan_flags(q, min_folds)
+        _add_plan_flags(q)
         q.add_argument("--output", metavar="FILE", help="JSON report destination")
         q.add_argument("--csv", metavar="FILE", help="also write fold,metric,value CSV")
         q.add_argument(
@@ -500,13 +476,14 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("gen-synth", help="generate a labeled synthetic corpus")
     _add_config_flag(p)
-    p.add_argument("--seed", type=_seed_arg, default=0, help="generator seed")
-    p.add_argument("--classes", type=_int_at_least(1), default=3)
-    p.add_argument("--vocab-per-class", type=_int_at_least(1), default=50)
-    p.add_argument("--docs-per-class", type=_int_at_least(1), default=100)
-    p.add_argument("--doc-length", type=_int_at_least(1), default=50)
+    synth = _defaults(generate_synthetic)
+    p.add_argument("--seed", type=int, default=synth["seed"], help="generator seed")
+    p.add_argument("--classes", type=int, default=synth["n_classes"])
+    p.add_argument("--vocab-per-class", type=int, default=synth["vocab_per_class"])
+    p.add_argument("--docs-per-class", type=int, default=synth["docs_per_class"])
+    p.add_argument("--doc-length", type=int, default=synth["doc_length"])
     p.add_argument(
-        "--overlap", type=_overlap_arg, default=0.0,
+        "--overlap", type=float, default=synth["overlap_fraction"],
         help="shared-vocabulary fraction in [0, 1)",
     )
     p.add_argument(
@@ -525,6 +502,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
+    except SettingError as exc:
+        # The message starts with the setting's name; name its flag instead.
+        field, _, rule = str(exc).partition(" ")
+        if field == "threads" and args.threads is None:
+            args.parser.error(f"{THREADS_ENV_VAR}: {rule}")
+        flag = _FIELD_FLAGS.get(field, field.replace("_", "-"))
+        args.parser.error(f"argument --{flag}: {rule}")
     except (InputFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"flatm: error: {exc}", file=sys.stderr)
         return EXIT_IO

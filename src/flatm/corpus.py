@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .fcm import _require
+from .fcm import SettingError, _require
 
 __all__ = [
     "InputFormatError",
@@ -104,7 +104,7 @@ class TokenizerConfig:
         _require(self, bool, "lowercase", "drop_numeric")
         _require(self, frozenset, "stopwords")
         if self.min_token_length < 1:
-            raise ValueError("min_token_length must be >= 1")
+            raise SettingError("min_token_length must be >= 1")
 
 
 def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:

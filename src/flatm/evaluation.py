@@ -31,7 +31,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from .corpus import RawDocument
-from .fcm import _check_seed, _require
+from .fcm import SettingError, _check_seed, _require
 from .model import (
     TopicModel,
     TrainConfig,
@@ -79,9 +79,9 @@ class SplitPlan:
         _require(self, bool, "stratified")
         _check_seed(self.seed)
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
+            raise SettingError("train_fraction must be in (0, 1)")
         if self.folds < 1:
-            raise ValueError("folds must be >= 1")
+            raise SettingError("folds must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -168,9 +168,11 @@ def make_folds(docs: Sequence[RawDocument], plan: SplitPlan) -> list[tuple[int, 
     return [tuple(sorted(fold)) for fold in folds]
 
 
-def _check_delta(delta: float) -> None:
+def _check_scoring(delta: float, threads: int = 1) -> None:
     if not delta > 0:
-        raise ValueError("delta must be positive")
+        raise SettingError("delta must be positive")
+    if threads < 1:
+        raise SettingError(f"threads must be >= 1, got {threads}")
 
 
 def _score_many(
@@ -188,7 +190,7 @@ def _score_many(
     and each document's terms are summed exactly by ``math.fsum``, so a
     score has the same bits alone or inside any batch.
     """
-    _check_delta(delta)
+    _check_scoring(delta)
     log_delta = math.log(delta)
     scores = []
     for tdm, ptd, _ in _fold_chunks(model, docs):
@@ -332,9 +334,9 @@ def classify(
     the jobs. Per-model seeds derive from ``config.seed`` and the
     (fold, class) pair, so the worker count never changes results.
     """
-    _check_delta(delta)
+    _check_scoring(delta, threads)
     if plan.folds < 2:
-        raise ValueError("classification needs at least 2 folds")
+        raise SettingError("folds must be >= 2 for classification")
     unlabeled = [d.doc_id for d in docs if d.label is None]
     if unlabeled:
         raise ValueError(f"document {unlabeled[0]!r} has no label")
@@ -436,7 +438,7 @@ def heldout_loglik(
     forked worker processes train and score the rounds; per-round seeds
     derive from ``config.seed``, so the worker count never changes results.
     """
-    _check_delta(delta)
+    _check_scoring(delta, threads)
     splits = [
         _split_indices(docs, plan, stage_seed(plan.seed, f))
         for f in range(plan.folds)
@@ -502,7 +504,7 @@ def _report(
 
 
 def generate_synthetic(
-    seed: int,
+    seed: int = 0,
     n_classes: int = 3,
     vocab_per_class: int = 50,
     docs_per_class: int = 100,
@@ -517,10 +519,12 @@ def generate_synthetic(
     common to all classes. Token names survive the default tokenizer.
     Labels are ``class0``..; ids are ``class0-000``..
     """
-    if n_classes < 1 or vocab_per_class < 1 or docs_per_class < 1 or doc_length < 1:
-        raise ValueError("all synthetic corpus sizes must be >= 1")
+    _check_seed(seed)
+    for name in ("n_classes", "vocab_per_class", "docs_per_class", "doc_length"):
+        if locals()[name] < 1:
+            raise SettingError(f"{name} must be >= 1")
     if not 0.0 <= overlap_fraction < 1.0:
-        raise ValueError("overlap_fraction must be in [0, 1)")
+        raise SettingError("overlap_fraction must be in [0, 1)")
     shared = [f"sw{t}" for t in range(int(round(overlap_fraction * vocab_per_class)))]
     rng = np.random.default_rng(seed)
     docs = []

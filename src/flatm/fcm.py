@@ -47,6 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
+    "SettingError",
     "FcmConfig",
     "FcmResult",
     "fcm_run",
@@ -60,6 +61,10 @@ logger = logging.getLogger(__name__)
 _MAX_SEED = 2**64
 
 
+class SettingError(ValueError):
+    """A setting breaks its rule; the message starts with the setting's name."""
+
+
 def _require(config, kind: type, *names: str) -> None:
     """Check that each named field of a frozen dataclass is of ``kind``.
 
@@ -68,7 +73,7 @@ def _require(config, kind: type, *names: str) -> None:
     ``bool``, that fits a float; an integer is stored as a plain ``int``,
     so an int fuzzifier still saves as 3, and any other number as a plain
     ``float``. Any other class, ``bool`` included: an instance of it. Each
-    failure raises ``ValueError`` naming the field.
+    failure raises :class:`SettingError` naming the field.
     """
     for name in names:
         value = getattr(config, name)
@@ -82,15 +87,15 @@ def _require(config, kind: type, *names: str) -> None:
                 object.__setattr__(config, name, number)
             except (TypeError, OverflowError):
                 noun = "an integer" if kind is int else "a number"
-                raise ValueError(f"{name} must be {noun}, got {value!r}") from None
+                raise SettingError(f"{name} must be {noun}, got {value!r}") from None
         elif not isinstance(value, kind):
-            raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+            raise SettingError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 def _check_seed(seed: int) -> None:
     """Reject a seed outside [0, 2**64), the range numpy's seeding takes."""
     if not 0 <= seed < _MAX_SEED:
-        raise ValueError("seed must be a 64-bit unsigned integer")
+        raise SettingError("seed must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
@@ -112,13 +117,13 @@ class FcmConfig:
         _require(self, int, "n_clusters", "max_iterations", "seed")
         _require(self, float, "fuzzifier", "threshold")
         if self.n_clusters < 2:
-            raise ValueError("n_clusters must be >= 2")
+            raise SettingError("n_clusters must be >= 2")
         if not self.fuzzifier > 1.0:
-            raise ValueError("fuzzifier must be > 1")
+            raise SettingError("fuzzifier must be > 1")
         if not self.threshold > 0.0:
-            raise ValueError("threshold must be positive")
+            raise SettingError("threshold must be positive")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise SettingError("max_iterations must be >= 1")
         _check_seed(self.seed)
 
 

@@ -51,12 +51,12 @@ from .corpus import (
     Vocabulary,
     build_matrix,
 )
-from .fcm import FcmConfig, FcmResult, _require, fcm_run
+from .fcm import FcmConfig, FcmResult, SettingError, _require, fcm_run
 from .weighting import (
     DEFAULT_EPSILON,
     GlobalWeightVector,
     GtwMethod,
-    IDF_VARIANTS,
+    _check_idf_variant,
     apply_gtw,
     compute_global_weights,
 )
@@ -114,14 +114,14 @@ class CascadeSchedule:
 
     def __post_init__(self) -> None:
         if not self.counts:
-            raise ValueError("schedule must have at least one stage")
+            raise SettingError("schedule must have at least one stage")
         if any(int(c) != c for c in self.counts):
-            raise ValueError("schedule entries must be integers")
+            raise SettingError("schedule entries must be integers")
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         if self.counts[-1] < 2:
-            raise ValueError("schedule must end at 2 or more clusters")
+            raise SettingError("schedule must end at 2 or more clusters")
         if any(a <= b for a, b in zip(self.counts, self.counts[1:])):
-            raise ValueError("schedule must be strictly descending")
+            raise SettingError("schedule must be strictly descending")
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -148,7 +148,7 @@ class TrainConfig:
         try:
             object.__setattr__(self, "gtw", GtwMethod(self.gtw))
         except ValueError:
-            raise ValueError(f"gtw must be a GtwMethod, got {self.gtw!r}") from None
+            raise SettingError(f"gtw must be a GtwMethod, got {self.gtw!r}") from None
         # Clustering settings are stored as plain numbers; fcm_config() checks them.
         _require(self, int, "n_topics", "max_iterations", "seed", "min_df")
         _require(self, CascadeSchedule, "schedule")
@@ -156,16 +156,13 @@ class TrainConfig:
         _require(self, float, "fuzzifier", "threshold", "epsilon")
         _require(self, TokenizerConfig, "tokenizer")
         if self.n_topics < 2:
-            raise ValueError("n_topics must be >= 2")
+            raise SettingError("n_topics must be >= 2")
         self.fcm_config()
         if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.idf_variant not in IDF_VARIANTS:
-            raise ValueError(
-                f"idf_variant must be one of {IDF_VARIANTS}, got {self.idf_variant!r}"
-            )
+            raise SettingError("epsilon must be positive")
+        _check_idf_variant(self.idf_variant)
         if self.min_df < 1:
-            raise ValueError("min_df must be >= 1")
+            raise SettingError("min_df must be >= 1")
 
     def fcm_config(self) -> FcmConfig:
         """The topic run's clustering settings, seeded with the master seed;
@@ -458,9 +455,9 @@ def top_words(
 ) -> list[tuple[str, float]]:
     """Highest-probability terms under P(W|T_k), ties broken alphabetically."""
     if not 0 <= topic < model.n_topics:
-        raise ValueError(f"topic must be in [0, {model.n_topics}), got {topic}")
+        raise SettingError(f"topic must be in [0, {model.n_topics}), got {topic}")
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise SettingError("count must be >= 1")
     row = model.word_given_topic[topic]
     order = sorted(zip(model.vocabulary.terms, row), key=lambda p: (-p[1], p[0]))
     return [(term, float(prob)) for term, prob in order[:count]]

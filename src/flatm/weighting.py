@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import TermDocMatrix, Vocabulary
+from .fcm import SettingError
 
 __all__ = [
     "GtwMethod",
@@ -34,6 +35,14 @@ __all__ = [
 DEFAULT_EPSILON = 1e-6
 
 IDF_VARIANTS = ("total-frequency", "document-frequency")
+
+
+def _check_idf_variant(idf_variant: str) -> None:
+    if idf_variant not in IDF_VARIANTS:
+        raise SettingError(
+            f"idf_variant must be one of {IDF_VARIANTS}; "
+            f"unknown idf variant: {idf_variant!r}"
+        )
 
 
 class GtwMethod(enum.Enum):
@@ -139,9 +148,11 @@ def compute_global_weights(
     - ``none``: unit weights, so the weighted matrix equals the counts.
 
     Clamping to ``epsilon`` turns every low or -inf value into a small
-    positive weight.
+    positive weight. ``idf_variant`` must be in ``IDF_VARIANTS`` whatever
+    the method, the rule :class:`~flatm.model.TrainConfig` applies.
     """
     method = GtwMethod(method)
+    _check_idf_variant(idf_variant)
     counts = local_weights(matrix)
     n_docs = counts.shape[1]
     cells_per_row = np.diff(counts.indptr)
@@ -153,8 +164,6 @@ def compute_global_weights(
         p = counts.data * np.repeat(1.0 / gf, cells_per_row)
         raw = 1.0 + _row_sums(counts, p * np.log2(p)) / np.log2(n_docs)
     elif method is GtwMethod.IDF:
-        if idf_variant not in IDF_VARIANTS:
-            raise ValueError(f"unknown idf variant: {idf_variant!r}")
         raw = np.log2(n_docs / (gf if idf_variant == "total-frequency" else df))
     elif method is GtwMethod.PROBIDF:
         with np.errstate(divide="ignore"):

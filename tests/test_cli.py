@@ -737,6 +737,9 @@ class TestEval:
         assert a.stdout == b.stdout
         bad = self.run_classify(workspace, env_extra={"FLATM_THREADS": "many"})
         assert bad.returncode == 1
+        zero = self.run_classify(workspace, env_extra={"FLATM_THREADS": "0"})
+        assert zero.returncode == 1
+        assert "FLATM_THREADS: must be >= 1" in zero.stderr
 
     def test_output_csv_and_text_sinks(self, workspace, tmp_path):
         out_json = tmp_path / "report.json"
@@ -1013,3 +1016,42 @@ class TestUsage:
         proc = run_cli("--help")
         assert proc.returncode == 0
         assert "train" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("train", "--fuzzifier", "1"),
+            ("train", "--threshold", "0"),
+            ("train", "--epsilon", "0"),
+            ("train", "--max-iterations", "0"),
+            ("train", "--min-df", "0"),
+            ("train", "--min-token-length", "0"),
+            ("train", "--topics", "1"),
+            ("loglik", "--train-fraction", "1"),
+            ("loglik", "--folds", "0"),
+            ("classify", "--folds", "1"),
+            ("classify", "--threads", "0"),
+            ("loglik", "--threads", "0"),
+            ("gen-synth", "--seed", "-1"),
+            ("gen-synth", "--seed", str(2**64)),
+            ("gen-synth", "--classes", "0"),
+            ("gen-synth", "--overlap", "1"),
+        ],
+    )
+    def test_library_rules_judge_flags_as_usage_errors(
+        self, workspace, tmp_path, command, flag, value
+    ):
+        corpus = ["--input", workspace / "corpus.tsv", *TRAIN_ARGS, "--folds", "2"]
+        argv = {
+            "train": ["train", "--format", "labeled-tsv", *corpus[:-2]],
+            "classify": ["eval", "classify", *corpus],
+            "loglik": ["eval", "loglik", *corpus],
+            "gen-synth": ["gen-synth"],
+        }[command]
+        output = tmp_path / "out"
+        proc = run_cli(*argv, flag, value, "--output", output)
+        assert proc.returncode == 1, proc.stderr
+        assert "usage:" in proc.stderr
+        assert f"argument {flag}: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not output.exists()

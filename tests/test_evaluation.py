@@ -13,6 +13,7 @@ from flatm import (
     CascadeSchedule,
     EvalReport,
     RawDocument,
+    SettingError,
     SplitPlan,
     TokenizerConfig,
     TrainConfig,
@@ -457,7 +458,7 @@ class TestClassify:
             classify(docs, fast_config(), SplitPlan(folds=2))
 
     def test_requires_at_least_two_folds(self):
-        with pytest.raises(ValueError, match="folds"):
+        with pytest.raises(SettingError, match="folds"):
             classify(small_corpus(), fast_config(), SplitPlan(folds=1))
 
 
@@ -590,5 +591,43 @@ def test_protocols_reject_bad_delta_before_training(monkeypatch):
     monkeypatch.setattr("flatm.evaluation.train", no_training)
     for protocol in (classify, heldout_loglik):
         for delta in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError, match="delta"):
+            with pytest.raises(SettingError, match="delta"):
                 protocol(small_corpus(), fast_config(), SplitPlan(folds=2), delta=delta)
+
+
+def test_protocols_reject_fewer_than_one_thread_before_training(monkeypatch):
+    def no_training(docs, config):
+        raise AssertionError("trained before checking threads")
+
+    monkeypatch.setattr("flatm.evaluation.train", no_training)
+    for protocol in (classify, heldout_loglik):
+        for threads in (0, -3):
+            with pytest.raises(SettingError, match="^threads must be >= 1, got "):
+                protocol(
+                    small_corpus(), fast_config(), SplitPlan(folds=2), threads=threads
+                )
+
+
+class TestGenerateSyntheticSettings:
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_follows_the_fcm_rule(self, seed):
+        message = "^seed must be a 64-bit unsigned integer$"
+        with pytest.raises(SettingError, match=message):
+            generate_synthetic(seed=seed)
+
+    @pytest.mark.parametrize(
+        "field", ["n_classes", "vocab_per_class", "docs_per_class", "doc_length"]
+    )
+    def test_each_size_is_named(self, field):
+        with pytest.raises(SettingError, match=f"^{field} must be >= 1$"):
+            generate_synthetic(seed=0, **{field: 0})
+
+    @pytest.mark.parametrize("overlap", [-0.1, 1.0])
+    def test_overlap_is_named(self, overlap):
+        message = r"^overlap_fraction must be in \[0, 1\)$"
+        with pytest.raises(SettingError, match=message):
+            generate_synthetic(seed=0, overlap_fraction=overlap)
+
+    def test_largest_seed_runs(self):
+        docs = generate_synthetic(seed=2**64 - 1, n_classes=1, docs_per_class=2)
+        assert len(docs) == 2

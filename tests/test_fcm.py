@@ -1,5 +1,6 @@
 import logging
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from flatm import (
     FcmConfig,
+    SettingError,
     fcm_run,
     objective,
     update_centers,
@@ -496,3 +498,13 @@ class TestSeedDerivation:
         assert all(0 <= s < 2**64 for s in seeds)
         assert stage_seed(7, 0) != stage_seed(8, 0)
         assert stage_seed(7, 1, 2) != stage_seed(7, 2, 1)
+
+
+def test_setting_error_is_a_value_error_that_crosses_processes():
+    # Worker processes send errors back by pickle, and evaluation jobs
+    # re-raise them as type(exc)(message).
+    with pytest.raises(SettingError) as caught:
+        FcmConfig(n_clusters=2, seed=-1)
+    error = pickle.loads(pickle.dumps(caught.value))
+    assert type(error) is SettingError and isinstance(error, ValueError)
+    assert str(type(error)(f"job: {error}")) == f"job: {caught.value}"

@@ -20,6 +20,7 @@ from flatm import (
     OutOfVocabularyError,
     RawDocument,
     ScheduleError,
+    SettingError,
     SplitPlan,
     TokenizerConfig,
     TrainConfig,
@@ -215,6 +216,40 @@ _WRONG_KIND = {
 def test_configs_reject_wrong_kinds_by_field_name(make, field, value):
     with pytest.raises(ValueError, match=f"^{field} must be "):
         make(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "make, kwargs, field",
+    [
+        pytest.param(make, kwargs, field, id=f"{make.__name__}-{field}-{kwargs}")
+        for make, kwargs, field in [
+            (FcmConfig, {"n_clusters": 1}, "n_clusters"),
+            (FcmConfig, {"n_clusters": 2, "fuzzifier": 1.0}, "fuzzifier"),
+            (FcmConfig, {"n_clusters": 2, "threshold": 0.0}, "threshold"),
+            (FcmConfig, {"n_clusters": 2, "max_iterations": 0}, "max_iterations"),
+            (FcmConfig, {"n_clusters": 2, "seed": -1}, "seed"),
+            (TokenizerConfig, {"min_token_length": 0}, "min_token_length"),
+            (CascadeSchedule, {"counts": ()}, "schedule"),
+            (CascadeSchedule, {"counts": (4, 2.5)}, "schedule"),
+            (CascadeSchedule, {"counts": (3, 1)}, "schedule"),
+            (CascadeSchedule, {"counts": (2, 3)}, "schedule"),
+            (TrainConfig, {"n_topics": 1}, "n_topics"),
+            (TrainConfig, {"n_topics": 2, "gtw": "tf"}, "gtw"),
+            (TrainConfig, {"n_topics": 2, "cascade": "no"}, "cascade"),
+            (TrainConfig, {"n_topics": 2, "fuzzifier": 1.0}, "fuzzifier"),
+            (TrainConfig, {"n_topics": 2, "seed": 2**64}, "seed"),
+            (TrainConfig, {"n_topics": 2, "epsilon": 0.0}, "epsilon"),
+            (TrainConfig, {"n_topics": 2, "idf_variant": "bm25"}, "idf_variant"),
+            (TrainConfig, {"n_topics": 2, "min_df": 0}, "min_df"),
+            (SplitPlan, {"train_fraction": 1.0}, "train_fraction"),
+            (SplitPlan, {"folds": 0}, "folds"),
+            (SplitPlan, {"seed": 2**64}, "seed"),
+        ]
+    ],
+)
+def test_setting_rules_raise_setting_error_named_first(make, kwargs, field):
+    with pytest.raises(SettingError, match=f"^{field} "):
+        make(**kwargs)
 
 
 def test_number_fields_are_stored_as_plain_numbers(tmp_path):
@@ -600,9 +635,9 @@ class TestTopWords:
 
     def test_invalid_topic_and_count(self):
         model = self.make_model()
-        with pytest.raises(ValueError, match="topic"):
+        with pytest.raises(SettingError, match="topic"):
             top_words(model, 2)
-        with pytest.raises(ValueError, match="count"):
+        with pytest.raises(SettingError, match="count"):
             top_words(model, 0, count=0)
 
     def test_ties_break_alphabetically(self):

@@ -11,7 +11,9 @@ from flatm import (
     GlobalWeightVector,
     GtwMethod,
     RawDocument,
+    SettingError,
     TermDocMatrix,
+    TrainConfig,
     Vocabulary,
     apply_gtw,
     build_matrix,
@@ -96,6 +98,15 @@ class TestFrozenExamples:
             compute_global_weights(
                 lw_from([[1.0, 1.0]]), GtwMethod.IDF, idf_variant="bm25"
             )
+
+    @pytest.mark.parametrize("method", list(GtwMethod))
+    def test_idf_variant_has_one_rule(self, method):
+        with pytest.raises(SettingError) as weights_error:
+            compute_global_weights(lw_from([[1.0, 1.0]]), method, idf_variant="bm25")
+        with pytest.raises(SettingError) as config_error:
+            TrainConfig(n_topics=2, gtw=method, idf_variant="bm25")
+        assert str(weights_error.value) == str(config_error.value)
+        assert str(weights_error.value).startswith("idf_variant must be one of ")
 
     def test_probidf(self):
         lw = lw_from([[2.0, 0.0, 0.0, 0.0], [1.0, 3.0, 0.0, 0.0],
