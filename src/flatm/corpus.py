@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .fcm import SettingError, _require
+from .fcm import SettingError, _checked, _require
 
 __all__ = [
     "InputFormatError",
@@ -103,6 +103,8 @@ class TokenizerConfig:
         _require(self, int, "min_token_length")
         _require(self, bool, "lowercase", "drop_numeric")
         _require(self, frozenset, "stopwords")
+        for word in self.stopwords:
+            _checked("stopwords", word, str)
         if self.min_token_length < 1:
             raise SettingError("min_token_length must be >= 1")
 
@@ -366,8 +368,8 @@ def build_matrix(
     if vocabulary is None:
         if not docs:
             raise ValueError("corpus is empty")
-        if min_df < 1:
-            raise ValueError("min_df must be >= 1")
+        if _checked("min_df", min_df, int) < 1:
+            raise SettingError("min_df must be >= 1")
         # Provisional ids in the order terms are first met; sorted at the end.
         provisional = defaultdict(itertools.count().__next__)
 

@@ -31,7 +31,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from .corpus import RawDocument
-from .fcm import SettingError, _check_seed, _require
+from .fcm import SettingError, _check_seed, _checked, _require
 from .model import (
     TopicModel,
     TrainConfig,
@@ -168,11 +168,14 @@ def make_folds(docs: Sequence[RawDocument], plan: SplitPlan) -> list[tuple[int, 
     return [tuple(sorted(fold)) for fold in folds]
 
 
-def _check_scoring(delta: float, threads: int = 1) -> None:
+def _check_scoring(delta: float, threads: int = 1) -> float:
+    """``delta`` as a plain number, once it and ``threads`` pass their rules."""
+    delta = _checked("delta", delta, float)
     if not delta > 0:
         raise SettingError("delta must be positive")
-    if threads < 1:
+    if _checked("threads", threads, int) < 1:
         raise SettingError(f"threads must be >= 1, got {threads}")
+    return delta
 
 
 def _score_many(
@@ -190,7 +193,7 @@ def _score_many(
     and each document's terms are summed exactly by ``math.fsum``, so a
     score has the same bits alone or inside any batch.
     """
-    _check_scoring(delta)
+    delta = _check_scoring(delta)
     log_delta = math.log(delta)
     scores = []
     for tdm, ptd, _ in _fold_chunks(model, docs):
@@ -334,7 +337,7 @@ def classify(
     the jobs. Per-model seeds derive from ``config.seed`` and the
     (fold, class) pair, so the worker count never changes results.
     """
-    _check_scoring(delta, threads)
+    delta = _check_scoring(delta, threads)
     if plan.folds < 2:
         raise SettingError("folds must be >= 2 for classification")
     unlabeled = [d.doc_id for d in docs if d.label is None]
@@ -438,7 +441,7 @@ def heldout_loglik(
     forked worker processes train and score the rounds; per-round seeds
     derive from ``config.seed``, so the worker count never changes results.
     """
-    _check_scoring(delta, threads)
+    delta = _check_scoring(delta, threads)
     splits = [
         _split_indices(docs, plan, stage_seed(plan.seed, f))
         for f in range(plan.folds)
@@ -519,11 +522,11 @@ def generate_synthetic(
     common to all classes. Token names survive the default tokenizer.
     Labels are ``class0``..; ids are ``class0-000``..
     """
-    _check_seed(seed)
+    _check_seed(_checked("seed", seed, int))
     for name in ("n_classes", "vocab_per_class", "docs_per_class", "doc_length"):
-        if locals()[name] < 1:
+        if _checked(name, locals()[name], int) < 1:
             raise SettingError(f"{name} must be >= 1")
-    if not 0.0 <= overlap_fraction < 1.0:
+    if not 0.0 <= _checked("overlap_fraction", overlap_fraction, float) < 1.0:
         raise SettingError("overlap_fraction must be in [0, 1)")
     shared = [f"sw{t}" for t in range(int(round(overlap_fraction * vocab_per_class)))]
     rng = np.random.default_rng(seed)

@@ -52,8 +52,6 @@ __all__ = [
     "FcmResult",
     "fcm_run",
     "update_memberships",
-    "update_centers",
-    "objective",
 ]
 
 logger = logging.getLogger(__name__)
@@ -65,31 +63,36 @@ class SettingError(ValueError):
     """A setting breaks its rule; the message starts with the setting's name."""
 
 
-def _require(config, kind: type, *names: str) -> None:
-    """Check that each named field of a frozen dataclass is of ``kind``.
+def _checked(name: str, value, kind: type):
+    """``value`` as the setting ``name`` of ``kind``, or :class:`SettingError`.
 
-    ``int``: a Python or numpy integer, stored as a plain ``int``; 2.5,
+    ``int``: a Python or numpy integer, returned as a plain ``int``; 2.5,
     3.0 and ``True`` fail. ``float``: a Python or numpy real number, not a
-    ``bool``, that fits a float; an integer is stored as a plain ``int``,
+    ``bool``, that fits a float; an integer is returned as a plain ``int``,
     so an int fuzzifier still saves as 3, and any other number as a plain
-    ``float``. Any other class, ``bool`` included: an instance of it. Each
-    failure raises :class:`SettingError` naming the field.
+    ``float``. Any other class, ``bool`` included: an instance of it,
+    returned as given. The message starts with ``name``.
     """
+    if kind is int or kind is float:
+        try:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError
+            number = float(value) if kind is float else None
+            if kind is int or isinstance(value, numbers.Integral):
+                number = operator.index(value)
+            return number
+        except (TypeError, OverflowError):
+            noun = "an integer" if kind is int else "a number"
+            raise SettingError(f"{name} must be {noun}, got {value!r}") from None
+    if not isinstance(value, kind):
+        raise SettingError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _require(config, kind: type, *names: str) -> None:
+    """Store :func:`_checked`'s value of each named field of a frozen dataclass."""
     for name in names:
-        value = getattr(config, name)
-        if kind is int or kind is float:
-            try:
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise TypeError
-                number = float(value) if kind is float else None
-                if kind is int or isinstance(value, numbers.Integral):
-                    number = operator.index(value)
-                object.__setattr__(config, name, number)
-            except (TypeError, OverflowError):
-                noun = "an integer" if kind is int else "a number"
-                raise SettingError(f"{name} must be {noun}, got {value!r}") from None
-        elif not isinstance(value, kind):
-            raise SettingError(f"{name} must be a {kind.__name__}, got {value!r}")
+        object.__setattr__(config, name, _checked(name, getattr(config, name), kind))
 
 
 def _check_seed(seed: int) -> None:
@@ -268,8 +271,13 @@ def _objective(d2: np.ndarray, um: np.ndarray) -> float:
 def _centers(
     x: _Points, um: np.ndarray, rng: np.random.Generator | None
 ) -> np.ndarray:
-    """Centers from the powered memberships ``um`` = u^q; see
-    :func:`update_centers`."""
+    """Centers from the powered memberships ``um`` = u^q.
+
+    center_k = sum_j u_jk^q x_j / sum_j u_jk^q. A cluster with zero total
+    membership mass has no defined center; it restarts at a data point
+    drawn from ``rng`` (a generator seeded 0 when None) rather than
+    dividing by zero.
+    """
     wsum = um.sum(axis=0)
     if sp.issparse(x):
         centers = np.ascontiguousarray((x.T @ um).T)
@@ -287,42 +295,12 @@ def _centers(
     return centers
 
 
-def _as_array(a) -> np.ndarray:
-    """A C-contiguous float64 array."""
-    return np.ascontiguousarray(np.asarray(a, dtype=np.float64))
-
-
 def update_memberships(
     data: np.ndarray | sp.spmatrix, centers: np.ndarray, fuzzifier: float
 ) -> np.ndarray:
     """One membership update against fixed centers."""
-    return _memberships(_sq_dists(_as_points(data), _as_array(centers)), fuzzifier)
-
-
-def update_centers(
-    data: np.ndarray | sp.spmatrix,
-    membership: np.ndarray,
-    fuzzifier: float,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """One center update against fixed memberships.
-
-    center_k = sum_j u_jk^q x_j / sum_j u_jk^q. A cluster with zero total
-    membership mass has no defined center; it restarts at a data point
-    drawn from ``rng`` rather than dividing by zero.
-    """
-    return _centers(_as_points(data), _as_array(membership) ** fuzzifier, rng)
-
-
-def objective(
-    data: np.ndarray | sp.spmatrix,
-    membership: np.ndarray,
-    centers: np.ndarray,
-    fuzzifier: float,
-) -> float:
-    """Weighted within-cluster scatter for the given state."""
-    d2 = _sq_dists(_as_points(data), _as_array(centers))
-    return _objective(d2, _as_array(membership) ** fuzzifier)
+    centers = np.ascontiguousarray(centers, dtype=np.float64)
+    return _memberships(_sq_dists(_as_points(data), centers), fuzzifier)
 
 
 def fcm_run(

@@ -51,7 +51,7 @@ from .corpus import (
     Vocabulary,
     build_matrix,
 )
-from .fcm import FcmConfig, FcmResult, SettingError, _require, fcm_run
+from .fcm import FcmConfig, FcmResult, SettingError, _checked, _require, fcm_run
 from .weighting import (
     DEFAULT_EPSILON,
     GlobalWeightVector,
@@ -115,9 +115,10 @@ class CascadeSchedule:
     def __post_init__(self) -> None:
         if not self.counts:
             raise SettingError("schedule must have at least one stage")
-        if any(int(c) != c for c in self.counts):
+        counts = [_checked("schedule entries", c, float) for c in self.counts]
+        if not all(float(c).is_integer() for c in counts):
             raise SettingError("schedule entries must be integers")
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "counts", tuple(int(c) for c in counts))
         if self.counts[-1] < 2:
             raise SettingError("schedule must end at 2 or more clusters")
         if any(a <= b for a, b in zip(self.counts, self.counts[1:])):
@@ -454,6 +455,7 @@ def top_words(
     model: TopicModel, topic: int, count: int = 10
 ) -> list[tuple[str, float]]:
     """Highest-probability terms under P(W|T_k), ties broken alphabetically."""
+    topic, count = _checked("topic", topic, int), _checked("count", count, int)
     if not 0 <= topic < model.n_topics:
         raise SettingError(f"topic must be in [0, {model.n_topics}), got {topic}")
     if count < 1:
@@ -469,7 +471,7 @@ def _encode_raw(raw: np.ndarray) -> list:
 
 def _decode_raw(values: list) -> np.ndarray:
     return np.array(
-        [(-np.inf if x == "-inf" else _typed(x, int, float)) for x in values],
+        [(-np.inf if x == "-inf" else _checked("raw", x, float)) for x in values],
         dtype=np.float64,
     )
 
@@ -496,27 +498,12 @@ def _config_to_dict(config: TrainConfig) -> dict:
     }
 
 
-def _typed(value, *kinds: type):
-    """``value`` if it is one of ``kinds``, else ``TypeError``.
-
-    JSON true and false are not numbers, and a value that may be a
-    ``float`` must fit one.
-    """
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise TypeError(f"{value!r} is not {' or '.join(k.__name__ for k in kinds)}")
-    if float in kinds:
-        float(value)
-    return value
-
-
 def _config_from_dict(data: dict) -> TrainConfig:
     tok = data["tokenizer"]
     return TrainConfig(
         n_topics=data["n_topics"],
         gtw=data["gtw"],
-        schedule=CascadeSchedule(
-            counts=tuple(_typed(c, int, float) for c in data["schedule"])
-        ),
+        schedule=CascadeSchedule(counts=data["schedule"]),
         cascade=data["cascade"],
         fuzzifier=data["fuzzifier"],
         threshold=data["threshold"],
@@ -529,7 +516,7 @@ def _config_from_dict(data: dict) -> TrainConfig:
             lowercase=tok["lowercase"],
             min_token_length=tok["min_token_length"],
             drop_numeric=tok["drop_numeric"],
-            stopwords=frozenset(_typed(w, str) for w in _typed(tok["stopwords"], list)),
+            stopwords=frozenset(_checked("stopwords", tok["stopwords"], list)),
         ),
     )
 
@@ -658,15 +645,17 @@ def model_from_json(text: str) -> TopicModel:
         raise InputFormatError(f"unsupported model format version: {version!r}")
     try:
         config = _config_from_dict(doc["config"])
-        vocabulary = Vocabulary(terms=tuple(doc["vocabulary"]))
+        terms = _checked("vocabulary", doc["vocabulary"], list)
+        vocabulary = Vocabulary(tuple(_checked("vocabulary", t, str) for t in terms))
         gw = doc["global_weights"]
         weights = GlobalWeightVector.from_raw(
             GtwMethod(gw["method"]),
             _decode_raw(gw["raw"]),
-            epsilon=_typed(gw["epsilon"], int, float),
+            epsilon=gw["epsilon"],
         )
         ptd = doc["topic_given_doc"]
-        doc_ids = tuple(_typed(d, str) for d in _typed(ptd["doc_ids"], list))
+        doc_ids = _checked("doc_ids", ptd["doc_ids"], list)
+        doc_ids = tuple(_checked("doc_ids", d, str) for d in doc_ids)
         m, k, n = len(vocabulary), config.n_topics, len(doc_ids)
         if len(weights) != m or not np.array_equal(
             _numbers("clamped", gw["clamped"], (m,)), weights.clamped

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import TermDocMatrix, Vocabulary
-from .fcm import SettingError
+from .fcm import SettingError, _checked
 
 __all__ = [
     "GtwMethod",
@@ -75,8 +75,9 @@ class GlobalWeightVector:
     def from_raw(
         cls, method: GtwMethod, raw: np.ndarray, epsilon: float = DEFAULT_EPSILON
     ) -> "GlobalWeightVector":
+        epsilon = _checked("epsilon", epsilon, float)
         if not epsilon > 0:
-            raise ValueError("epsilon must be positive")
+            raise SettingError("epsilon must be positive")
         raw = np.asarray(raw, dtype=np.float64)
         if raw.ndim != 1:
             raise ValueError("global weights must be a 1-d vector")

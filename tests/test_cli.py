@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -57,6 +58,25 @@ def run_cli(*args, env_extra=None, check=False):
     return proc
 
 
+@pytest.fixture
+def run_main(monkeypatch):
+    """``run_cli`` inside this process: ``flatm.cli.main`` with its stdout,
+    stderr and exit code captured, for tests that would start many processes."""
+    monkeypatch.delenv("FLATM_THREADS", raising=False)
+
+    def run(*args):
+        args = list(map(str, args))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli_main(args)
+            except SystemExit as exc:
+                code = exc.code
+        return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+    return run
+
+
 def _set(path, change):
     def mutate(doc):
         *parents, leaf = path
@@ -95,6 +115,8 @@ MODEL_MUTATIONS = {
     "unknown-weighting-method": _set(("global_weights", "method"), lambda v: "tf"),
     "unknown-config-weighting": _set(("config", "gtw"), lambda v: "tf"),
     "unsorted-vocabulary": _set(("vocabulary",), lambda v: v[::-1]),
+    # Sorted and unique, but no token can ever match a number.
+    "numeric-vocabulary": _set(("vocabulary",), lambda v: list(range(len(v)))),
     "one-topic": _set(("config", "n_topics"), lambda v: 1),
     # An integer written out as 1e400 does not fit a float.
     "huge-int-in-table": _set(("word_prob",), lambda v: [10**400] + v[1:]),
@@ -108,12 +130,12 @@ MODEL_MUTATIONS = {
 }
 
 
-def run_model_command(command, model, tmp_path):
+def run_model_command(command, model, tmp_path, run=run_cli):
     if command == "top-words":
-        return run_cli("top-words", "--model", model)
+        return run("top-words", "--model", model)
     docs_file = tmp_path / "docs.txt"
     docs_file.write_text("c0w0 c0w1\n")
-    return run_cli("infer", "--model", model, "--input", docs_file)
+    return run("infer", "--model", model, "--input", docs_file)
 
 
 @pytest.fixture(scope="module")
@@ -370,7 +392,7 @@ class TestInfer:
         rows = list(csv.reader(io.StringIO(proc.stdout)))
         assert [row[0] for row in rows[1:]] == ["1", "2"]
 
-    def test_corrupt_model_exits_2(self, workspace, tmp_path):
+    def test_corrupt_model_exits_2(self, workspace, tmp_path, run_main):
         valid = (workspace / "model.json").read_text()
         cases = {"not-json": "{ not json"}
         for name, mutate in MODEL_MUTATIONS.items():
@@ -381,7 +403,7 @@ class TestInfer:
         for name, text in cases.items():
             bad.write_text(text)
             for command in ("infer", "top-words"):
-                proc = run_model_command(command, bad, tmp_path)
+                proc = run_model_command(command, bad, tmp_path, run_main)
                 assert proc.returncode == 2, (name, command, proc.stderr)
                 assert proc.stderr.startswith("flatm: error: "), (name, command)
                 assert proc.stdout == "", (name, command)
@@ -909,7 +931,7 @@ class TestConfigFile:
         assert proc.returncode == 1
         assert "truncate" in proc.stderr
 
-    def test_bad_values_exit_1_like_flags(self, workspace, tmp_path):
+    def test_bad_values_exit_1_like_flags(self, workspace, tmp_path, run_main):
         train = [
             "train", "--input", workspace / "corpus.tsv", "--format", "labeled-tsv",
             *TRAIN_ARGS, "--output", tmp_path / "m.json",
@@ -935,7 +957,7 @@ class TestConfigFile:
         config = tmp_path / "bad.json"
         for argv, settings in cases:
             config.write_text(json.dumps(settings))
-            proc = run_cli(*argv, "--config", config)
+            proc = run_main(*argv, "--config", config)
             assert proc.returncode == 1, (argv[0], settings, proc.stderr)
             [key] = settings
             assert key.replace("_", "-") in proc.stderr, (settings, proc.stderr)

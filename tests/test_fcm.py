@@ -9,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from flatm import (
-    FcmConfig,
-    SettingError,
-    fcm_run,
-    objective,
-    update_centers,
-    update_memberships,
-)
+from flatm import FcmConfig, SettingError, fcm, fcm_run, update_memberships
 
 
 def blob_pair(rng, n_per=30, dims=3, separation=10.0):
@@ -150,7 +143,7 @@ class TestCenterUpdate:
     def test_hard_memberships_give_cluster_means(self):
         data = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 4.0], [12.0, 4.0]])
         u = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        centers = update_centers(data, u, 2.0)
+        centers = fcm._centers(data, u**2.0, None)
         np.testing.assert_allclose(
             centers, [[1.0, 0.0], [11.0, 4.0]], atol=1e-12
         )
@@ -159,7 +152,7 @@ class TestCenterUpdate:
         rng = np.random.default_rng(3)
         data = rng.normal(size=(12, 3))
         u = np.full((12, 2), 0.5)
-        centers = update_centers(data, u, 2.0)
+        centers = fcm._centers(data, u**2.0, None)
         mean = data.mean(axis=0)
         np.testing.assert_allclose(centers, [mean, mean], atol=1e-12)
 
@@ -170,7 +163,7 @@ class TestCenterUpdate:
             u = rng.random((15, 4))
             u /= u.sum(axis=1, keepdims=True)
             q = float(rng.uniform(1.2, 3.0))
-            got = update_centers(x, u, q)
+            got = fcm._centers(x, u**q, None)
             np.testing.assert_allclose(
                 got, oracles.fuzzy_centers(x, u, q), atol=1e-12
             )
@@ -182,7 +175,7 @@ class TestCenterUpdate:
             rng = np.random.default_rng(123)
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="flatm.fcm"):
-                centers = update_centers(kind(data), u, 2.0, rng=rng)
+                centers = fcm._centers(kind(data), u**2.0, rng)
             assert "lost all membership mass" in caplog.text
             np.testing.assert_allclose(centers[0], data.mean(axis=0), atol=1e-12)
             assert any((centers[1] == row).all() for row in data)
@@ -196,13 +189,15 @@ class TestObjective:
         data = np.array([[0.0, 0.0], [5.0, 5.0]])
         centers = data.copy()
         u = np.eye(2)
-        assert objective(data, u, centers, 2.0) == 0.0
+        assert fcm._objective(fcm._sq_dists(data, centers), u**2.0) == 0.0
 
     def test_single_point_unit_distance(self):
         data = np.array([[1.0]])
         centers = np.array([[0.0], [3.0]])
         u = np.array([[1.0, 0.0]])
-        assert objective(data, u, centers, 2.0) == pytest.approx(1.0, abs=1e-15)
+        assert fcm._objective(fcm._sq_dists(data, centers), u**2.0) == pytest.approx(
+            1.0, abs=1e-15
+        )
 
     def test_scaling_is_quadratic(self):
         rng = np.random.default_rng(9)
@@ -210,8 +205,8 @@ class TestObjective:
         centers = rng.normal(size=(3, 2))
         u = rng.random((10, 3))
         u /= u.sum(axis=1, keepdims=True)
-        small = objective(data, u, centers, 2.0)
-        big = objective(2 * data, u, 2 * centers, 2.0)
+        small = fcm._objective(fcm._sq_dists(data, centers), u**2.0)
+        big = fcm._objective(fcm._sq_dists(2 * data, 2 * centers), u**2.0)
         assert big == pytest.approx(4 * small, rel=1e-12)
 
     def test_matches_loop_oracle(self):
@@ -221,7 +216,7 @@ class TestObjective:
         u = rng.random((12, 4))
         u /= u.sum(axis=1, keepdims=True)
         for q in (1.5, 2.0, 2.8):
-            got = objective(data, u, centers, q)
+            got = fcm._objective(fcm._sq_dists(data, centers), u**q)
             want = oracles.fuzzy_objective(data, u, centers, q)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -464,9 +459,9 @@ class TestSparseInput:
         csr = sp.csr_matrix(dense)
         u = rng.random((80, 3))
         u /= u.sum(axis=1, keepdims=True)
-        centers = update_centers(dense, u, 2.0)
+        centers = fcm._centers(dense, u**2.0, None)
         np.testing.assert_allclose(
-            update_centers(csr, u, 2.0), centers, atol=1e-12, rtol=0
+            fcm._centers(csr, u**2.0, None), centers, atol=1e-12, rtol=0
         )
         np.testing.assert_allclose(
             update_memberships(csr, centers, 1.7),
@@ -474,8 +469,8 @@ class TestSparseInput:
             atol=1e-12,
             rtol=0,
         )
-        assert objective(csr, u, centers, 2.0) == pytest.approx(
-            objective(dense, u, centers, 2.0), rel=1e-12
+        assert fcm._objective(fcm._sq_dists(csr, centers), u**2.0) == pytest.approx(
+            fcm._objective(fcm._sq_dists(dense, centers), u**2.0), rel=1e-12
         )
         config = FcmConfig(n_clusters=2, seed=5)
         a = fcm_run(dense, config)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from flatm import (
     CascadeSchedule,
     FcmConfig,
+    GlobalWeightVector,
     GtwMethod,
     InputFormatError,
     OutOfVocabularyError,
@@ -24,7 +25,9 @@ from flatm import (
     SplitPlan,
     TokenizerConfig,
     TrainConfig,
+    build_matrix,
     cascade_reduce,
+    classify,
     fold_in,
     fold_in_many,
     generate_synthetic,
@@ -218,10 +221,24 @@ def test_configs_reject_wrong_kinds_by_field_name(make, field, value):
         make(**{field: value})
 
 
+def top_words_of_tiny_model(topic=0, count=10):
+    return top_words(train(two_class_docs(n_per=3), tiny_config()), topic, count)
+
+
+_UNIT_WEIGHTS = functools.partial(GlobalWeightVector.from_raw, GtwMethod.NONE, [1.0])
+_BUILD_MATRIX = functools.partial(build_matrix, two_class_docs())
+_CLASSIFY = functools.partial(classify, two_class_docs(), tiny_config(), SplitPlan())
+
+
 @pytest.mark.parametrize(
     "make, kwargs, field",
     [
-        pytest.param(make, kwargs, field, id=f"{make.__name__}-{field}-{kwargs}")
+        pytest.param(
+            make,
+            kwargs,
+            field,
+            id=f"{getattr(make, 'func', make).__name__}-{field}-{kwargs}",
+        )
         for make, kwargs, field in [
             (FcmConfig, {"n_clusters": 1}, "n_clusters"),
             (FcmConfig, {"n_clusters": 2, "fuzzifier": 1.0}, "fuzzifier"),
@@ -233,6 +250,21 @@ def test_configs_reject_wrong_kinds_by_field_name(make, field, value):
             (CascadeSchedule, {"counts": (4, 2.5)}, "schedule"),
             (CascadeSchedule, {"counts": (3, 1)}, "schedule"),
             (CascadeSchedule, {"counts": (2, 3)}, "schedule"),
+            (CascadeSchedule, {"counts": ("a",)}, "schedule entries"),
+            (CascadeSchedule, {"counts": (None,)}, "schedule entries"),
+            (CascadeSchedule, {"counts": (True, 2)}, "schedule entries"),
+            (TokenizerConfig, {"stopwords": frozenset({1})}, "stopwords"),
+            (_UNIT_WEIGHTS, {"epsilon": True}, "epsilon"),
+            (_UNIT_WEIGHTS, {"epsilon": "x"}, "epsilon"),
+            (_UNIT_WEIGHTS, {"epsilon": 0}, "epsilon"),
+            (_BUILD_MATRIX, {"min_df": 0}, "min_df"),
+            (generate_synthetic, {"seed": 1.5}, "seed"),
+            (generate_synthetic, {"n_classes": 2.5}, "n_classes"),
+            (generate_synthetic, {"overlap_fraction": "x"}, "overlap_fraction"),
+            (_CLASSIFY, {"delta": True}, "delta"),
+            (_CLASSIFY, {"threads": 2.5}, "threads"),
+            (top_words_of_tiny_model, {"topic": 1.5}, "topic"),
+            (top_words_of_tiny_model, {"count": 2.5}, "count"),
             (TrainConfig, {"n_topics": 1}, "n_topics"),
             (TrainConfig, {"n_topics": 2, "gtw": "tf"}, "gtw"),
             (TrainConfig, {"n_topics": 2, "cascade": "no"}, "cascade"),
@@ -268,6 +300,18 @@ def test_number_fields_are_stored_as_plain_numbers(tmp_path):
     assert (config.fuzzifier, config.threshold, config.epsilon) == (2.5, 1e-3, 1)
     assert [type(config.fuzzifier), type(config.threshold)] == [float, float]
     assert type(config.epsilon) is int
+    path = tmp_path / "model.json"
+    save_model(train(two_class_docs(), config), path)
+    assert load_model(path).config == config
+
+
+def test_stopwords_that_construct_save_and_load_back(tmp_path):
+    # A non-str stop-word would train and then give a file that load_model
+    # refuses, or fail in save_model's sort; the config rejects it instead.
+    for stopwords in (frozenset({1, 2}), frozenset({"a", 3})):
+        with pytest.raises(SettingError, match="^stopwords must be a str, got "):
+            TokenizerConfig(stopwords=stopwords)
+    config = tiny_config(tokenizer=TokenizerConfig(stopwords=frozenset({"a", "pear"})))
     path = tmp_path / "model.json"
     save_model(train(two_class_docs(), config), path)
     assert load_model(path).config == config
