@@ -10,8 +10,13 @@ and numbers and strings are read as the flag's text.
 
 Flags are only parsed here: the library's configs and calls own their
 defaults and rules, and a :class:`SettingError` is a usage error naming the
-flag. ``--delta``, ``--threads``, classify's ``--folds`` minimum and
-top-words' ``--topic``/``--count`` are judged after the input is read.
+flag. Each flag stores its value under the name of the field or parameter
+it sets (``--topics`` as ``n_topics``, ``--no-cascade`` clears ``cascade``),
+so ``TrainConfig``, ``TokenizerConfig``, ``SplitPlan`` and
+``generate_synthetic`` take their arguments from the parsed flags by name;
+``--stopwords`` is the path of the list, read by the command.
+``--delta``, ``--threads``, classify's ``--folds`` minimum and top-words'
+``--topic``/``--count`` are judged after the input is read.
 
 Exit codes: 0 success, 1 bad arguments, 2 unreadable or malformed input
 files, 3 numerical or pipeline failure. Warnings go to stderr and never
@@ -65,9 +70,6 @@ EXIT_PIPELINE = 3
 
 _GTW_CHOICES = tuple(m.value for m in GtwMethod)
 
-# Settings whose flag is not the field's name with dashes for underscores.
-_FIELD_FLAGS = dict(n_topics="topics", n_classes="classes", overlap_fraction="overlap")
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the contract here is 1.
@@ -115,7 +117,7 @@ class _Parser(argparse.ArgumentParser):
         if not isinstance(data, dict):
             self.error("--config must hold a JSON object")
         flags = {
-            action.dest: action
+            action.option_strings[0][2:].replace("-", "_"): action
             for action in self._actions
             if action.option_strings and action.dest not in ("help", "config")
         }
@@ -140,6 +142,12 @@ class _Parser(argparse.ArgumentParser):
 def _defaults(fn) -> dict:
     """The library's default of each parameter of ``fn``."""
     return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+
+def _settings(fn, args: argparse.Namespace) -> dict:
+    """The parsed flags named after ``fn``'s parameters, a config's fields."""
+    params = inspect.signature(fn).parameters
+    return {name: value for name, value in vars(args).items() if name in params}
 
 
 def _schedule_arg(text: str) -> CascadeSchedule:
@@ -175,7 +183,7 @@ def _add_model_flags(p) -> None:
         help="global weighting scheme (default: %(default)s)",
     )
     p.add_argument(
-        "--topics", type=int, required=True, metavar="K",
+        "--topics", dest="n_topics", type=int, required=True, metavar="K",
         help="number of topics",
     )
     p.add_argument(
@@ -190,7 +198,7 @@ def _add_model_flags(p) -> None:
         "classify is each class's own vocabulary (default: %(default)s)",
     )
     p.add_argument(
-        "--no-cascade", action="store_true",
+        "--no-cascade", dest="cascade", action="store_false",
         help="cluster the weighted matrix directly instead of reducing first",
     )
     p.add_argument(
@@ -223,14 +231,18 @@ def _add_model_flags(p) -> None:
         "--stopwords", metavar="FILE",
         help="stop-word list file; defaults to the bundled English list",
     )
-    p.add_argument("--no-lowercase", action="store_true", help="keep token case")
+    p.add_argument(
+        "--no-lowercase", dest="lowercase", action="store_false",
+        help="keep token case",
+    )
     p.add_argument(
         "--min-token-length", type=int,
         default=TokenizerConfig.min_token_length,
         help="shortest token kept (default: %(default)s)",
     )
     p.add_argument(
-        "--keep-numeric", action="store_true", help="keep purely numeric tokens",
+        "--keep-numeric", dest="drop_numeric", action="store_false",
+        help="keep purely numeric tokens",
     )
 
 
@@ -244,7 +256,7 @@ def _add_plan_flags(p) -> None:
         help="train share for held-out splits (default: %(default)s)",
     )
     p.add_argument(
-        "--no-stratified", action="store_true",
+        "--no-stratified", dest="stratified", action="store_false",
         help="ignore labels when splitting",
     )
     p.add_argument(
@@ -260,28 +272,13 @@ def _add_plan_flags(p) -> None:
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
+    # --stopwords holds the path of the list, read here.
+    path = args.stopwords
+    stopwords = load_stopwords(path) if path else default_stopwords()
     tokenizer = TokenizerConfig(
-        lowercase=not args.no_lowercase,
-        min_token_length=args.min_token_length,
-        drop_numeric=not args.keep_numeric,
-        stopwords=(
-            load_stopwords(args.stopwords) if args.stopwords else default_stopwords()
-        ),
+        **{**_settings(TokenizerConfig, args), "stopwords": stopwords}
     )
-    return TrainConfig(
-        n_topics=args.topics,
-        gtw=args.gtw,
-        schedule=args.schedule,
-        cascade=not args.no_cascade,
-        fuzzifier=args.fuzzifier,
-        threshold=args.threshold,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-        epsilon=args.epsilon,
-        idf_variant=args.idf_variant,
-        min_df=args.min_df,
-        tokenizer=tokenizer,
-    )
+    return TrainConfig(**_settings(TrainConfig, args), tokenizer=tokenizer)
 
 
 def _threads(args: argparse.Namespace) -> int:
@@ -375,12 +372,7 @@ def cmd_top_words(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _train_config(args)
-    plan = SplitPlan(
-        seed=args.seed,
-        train_fraction=args.train_fraction,
-        folds=args.folds,
-        stratified=not args.no_stratified,
-    )
+    plan = SplitPlan(**_settings(SplitPlan, args))
     threads = _threads(args)
     docs = load_corpus(args.input, args.format)
     run = classify if args.protocol == "classify" else heldout_loglik
@@ -396,14 +388,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_synth(args: argparse.Namespace) -> int:
-    docs = generate_synthetic(
-        seed=args.seed,
-        n_classes=args.classes,
-        vocab_per_class=args.vocab_per_class,
-        docs_per_class=args.docs_per_class,
-        doc_length=args.doc_length,
-        overlap_fraction=args.overlap,
-    )
+    docs = generate_synthetic(**_settings(generate_synthetic, args))
     lines = [f"{doc.label}\t{doc.text}" for doc in docs]
     _write_or_print("\n".join(lines) + "\n", args.output)
     return EXIT_OK
@@ -478,12 +463,16 @@ def build_parser() -> _Parser:
     _add_config_flag(p)
     synth = _defaults(generate_synthetic)
     p.add_argument("--seed", type=int, default=synth["seed"], help="generator seed")
-    p.add_argument("--classes", type=int, default=synth["n_classes"])
+    p.add_argument(
+        "--classes", dest="n_classes", type=int, default=synth["n_classes"],
+        metavar="CLASSES",
+    )
     p.add_argument("--vocab-per-class", type=int, default=synth["vocab_per_class"])
     p.add_argument("--docs-per-class", type=int, default=synth["docs_per_class"])
     p.add_argument("--doc-length", type=int, default=synth["doc_length"])
     p.add_argument(
-        "--overlap", type=float, default=synth["overlap_fraction"],
+        "--overlap", dest="overlap_fraction", type=float,
+        default=synth["overlap_fraction"], metavar="OVERLAP",
         help="shared-vocabulary fraction in [0, 1)",
     )
     p.add_argument(
@@ -507,8 +496,11 @@ def main(argv: list[str] | None = None) -> int:
         field, _, rule = str(exc).partition(" ")
         if field == "threads" and args.threads is None:
             args.parser.error(f"{THREADS_ENV_VAR}: {rule}")
-        flag = _FIELD_FLAGS.get(field, field.replace("_", "-"))
-        args.parser.error(f"argument --{flag}: {rule}")
+        flag = next(
+            (a.option_strings[0] for a in args.parser._actions if a.dest == field),
+            "--" + field.replace("_", "-"),
+        )
+        args.parser.error(f"argument {flag}: {rule}")
     except (InputFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"flatm: error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -101,15 +101,7 @@ class EvalReport:
     details: tuple[dict, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "metric": self.metric,
-            "per_fold": list(self.per_fold),
-            "mean": self.mean,
-            "stdev": self.stdev,
-            "config": self.config,
-            "details": list(self.details),
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         rows = [("fold", self.metric)]

@@ -268,15 +268,12 @@ def _objective(d2: np.ndarray, um: np.ndarray) -> float:
     return float(np.multiply(um, d2.T, out=np.empty_like(um)).sum())
 
 
-def _centers(
-    x: _Points, um: np.ndarray, rng: np.random.Generator | None
-) -> np.ndarray:
+def _centers(x: _Points, um: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Centers from the powered memberships ``um`` = u^q.
 
     center_k = sum_j u_jk^q x_j / sum_j u_jk^q. A cluster with zero total
     membership mass has no defined center; it restarts at a data point
-    drawn from ``rng`` (a generator seeded 0 when None) rather than
-    dividing by zero.
+    drawn from ``rng`` rather than dividing by zero.
     """
     wsum = um.sum(axis=0)
     if sp.issparse(x):
@@ -284,8 +281,6 @@ def _centers(
     else:
         centers = np.einsum("nc,nd->cd", um, x)
     centers /= np.where(wsum > 0.0, wsum, 1.0)[:, None]
-    if rng is None:
-        rng = np.random.default_rng(0)
     for k in np.flatnonzero(wsum == 0.0):
         j = int(rng.integers(x.shape[0]))
         centers[k] = x[j].toarray()[0] if sp.issparse(x) else x[j]

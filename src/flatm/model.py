@@ -36,7 +36,7 @@ import json
 import os
 import secrets
 import shutil
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -113,6 +113,10 @@ class CascadeSchedule:
     counts: tuple[int, ...] = _DEFAULT_COUNTS
 
     def __post_init__(self) -> None:
+        if not isinstance(self.counts, (list, tuple)):
+            raise SettingError(
+                f"schedule must be a list or tuple, got {self.counts!r}"
+            )
         if not self.counts:
             raise SettingError("schedule must have at least one stage")
         counts = [_checked("schedule entries", c, float) for c in self.counts]
@@ -128,12 +132,15 @@ class CascadeSchedule:
         return len(self.counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrainConfig:
-    """Everything that determines a trained model besides the corpus."""
+    """Everything that determines a trained model besides the corpus.
 
-    n_topics: int
+    Built by keyword only. The fields are in the model file's key order.
+    """
+
     gtw: GtwMethod = GtwMethod.ENTROPY
+    n_topics: int
     schedule: CascadeSchedule = CascadeSchedule()
     cascade: bool = True
     fuzzifier: float = 2.0
@@ -477,48 +484,38 @@ def _decode_raw(values: list) -> np.ndarray:
 
 
 def _config_to_dict(config: TrainConfig) -> dict:
+    data = asdict(config)
     return {
+        **data,
         "gtw": config.gtw.value,
-        "n_topics": config.n_topics,
         "schedule": list(config.schedule.counts),
-        "cascade": config.cascade,
-        "fuzzifier": config.fuzzifier,
-        "threshold": config.threshold,
-        "max_iterations": config.max_iterations,
-        "seed": config.seed,
-        "epsilon": config.epsilon,
-        "idf_variant": config.idf_variant,
-        "min_df": config.min_df,
         "tokenizer": {
-            "lowercase": config.tokenizer.lowercase,
-            "min_token_length": config.tokenizer.min_token_length,
-            "drop_numeric": config.tokenizer.drop_numeric,
+            **data["tokenizer"],
             "stopwords": sorted(config.tokenizer.stopwords),
         },
     }
 
 
-def _config_from_dict(data: dict) -> TrainConfig:
-    tok = data["tokenizer"]
-    return TrainConfig(
-        n_topics=data["n_topics"],
-        gtw=data["gtw"],
-        schedule=CascadeSchedule(counts=data["schedule"]),
-        cascade=data["cascade"],
-        fuzzifier=data["fuzzifier"],
-        threshold=data["threshold"],
-        max_iterations=data["max_iterations"],
-        seed=data["seed"],
-        epsilon=data["epsilon"],
-        idf_variant=data["idf_variant"],
-        min_df=data["min_df"],
-        tokenizer=TokenizerConfig(
-            lowercase=tok["lowercase"],
-            min_token_length=tok["min_token_length"],
-            drop_numeric=tok["drop_numeric"],
-            stopwords=frozenset(_checked("stopwords", tok["stopwords"], list)),
-        ),
-    )
+def _stored_fields(cls: type, name: str, data) -> dict:
+    """A stored config ``name``: a JSON object keyed by exactly ``cls``'s fields."""
+    wrong = set(_checked(name, data, dict)) ^ {f.name for f in fields(cls)}
+    if wrong:
+        raise InputFormatError(
+            f"model file {name} keys differ from {cls.__name__}'s fields: "
+            + ", ".join(sorted(wrong))
+        )
+    return data
+
+
+def _config_from_dict(data) -> TrainConfig:
+    data = _stored_fields(TrainConfig, "config", data)
+    tok = _stored_fields(TokenizerConfig, "tokenizer", data["tokenizer"])
+    stopwords = frozenset(_checked("stopwords", tok["stopwords"], list))
+    return TrainConfig(**{
+        **data,
+        "schedule": CascadeSchedule(data["schedule"]),
+        "tokenizer": TokenizerConfig(**{**tok, "stopwords": stopwords}),
+    })
 
 
 # Floats per piece of a stored table. Each piece is encoded and written
@@ -629,10 +626,11 @@ def model_from_json(text: str) -> TopicModel:
 
     Raises :class:`InputFormatError` when the text is not a model file:
     bad JSON, a missing field or one of the wrong JSON type, a number too
-    large for a float, a config that :class:`TrainConfig` rejects, an
-    invalid vocabulary, stored clamped weights that disagree with the raw
-    ones, or a probability table of the wrong shape, outside [0, 1] or not
-    summing to 1.
+    large for a float, a config or tokenizer object whose keys are not
+    exactly its class's fields, a config that :class:`TrainConfig`
+    rejects, an invalid vocabulary, stored clamped weights that disagree
+    with the raw ones, or a probability table of the wrong shape, outside
+    [0, 1] or not summing to 1.
     """
     try:
         doc = json.loads(text)

@@ -121,6 +121,9 @@ MODEL_MUTATIONS = {
     # An integer written out as 1e400 does not fit a float.
     "huge-int-in-table": _set(("word_prob",), lambda v: [10**400] + v[1:]),
     "negative-config-seed": _set(("config", "seed"), lambda v: -1),
+    # A stored config holds exactly its class's fields.
+    "extra-config-key": _set(("config",), lambda v: {**v, "extra": 1}),
+    "extra-tokenizer-key": _set(("config", "tokenizer"), lambda v: {**v, "extra": 1}),
     # true and false where the sums still hold: a row of [1.0, 0.0].
     "bool-in-table": _set(("topic_given_word",), lambda v: [[True, False]] + v[1:]),
     "bool-in-raw": _set_both(
@@ -883,7 +886,7 @@ class TestEval:
 
 
 class TestConfigFile:
-    def test_config_file_supplies_flags(self, workspace, tmp_path):
+    def test_config_file_supplies_flags(self, workspace, tmp_path, run_main):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
             "topics": 2,
@@ -891,12 +894,12 @@ class TestConfigFile:
             "seed": 3,
             "folds": 2,
         }))
-        via_config = run_cli(
+        via_config = run_main(
             "eval", "classify",
             "--input", workspace / "corpus.tsv",
             "--config", config,
         )
-        via_flags = run_cli(
+        via_flags = run_main(
             "eval", "classify",
             "--input", workspace / "corpus.tsv",
             *TRAIN_ARGS,
@@ -905,12 +908,12 @@ class TestConfigFile:
         assert via_config.returncode == 0
         assert via_config.stdout == via_flags.stdout
 
-    def test_explicit_flag_overrides_config(self, workspace, tmp_path):
+    def test_explicit_flag_overrides_config(self, workspace, tmp_path, run_main):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
             "topics": 2, "schedule": [4, 2], "seed": 3, "folds": 2,
         }))
-        overridden = run_cli(
+        overridden = run_main(
             "eval", "classify",
             "--input", workspace / "corpus.tsv",
             "--config", config,
@@ -919,10 +922,10 @@ class TestConfigFile:
         report = json.loads(overridden.stdout)
         assert report["config"]["model"]["seed"] == 99
 
-    def test_unknown_config_key_exits_1(self, workspace, tmp_path):
+    def test_unknown_config_key_exits_1(self, workspace, tmp_path, run_main):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"topics": 2, "truncate": True}))
-        proc = run_cli(
+        proc = run_main(
             "train",
             "--input", workspace / "corpus.tsv",
             "--config", config,
@@ -962,23 +965,26 @@ class TestConfigFile:
             [key] = settings
             assert key.replace("_", "-") in proc.stderr, (settings, proc.stderr)
 
-    def test_keys_must_name_a_flag_exactly(self, workspace, tmp_path):
+    def test_keys_must_name_a_flag_exactly(self, workspace, tmp_path, run_main):
         config = tmp_path / "run.json"
-        for key in ("top", "config"):
+        for key in (
+            "top", "config", "n_topics", "cascade", "lowercase", "drop_numeric",
+            "stratified",
+        ):
             config.write_text(json.dumps({key: 2}))
-            proc = run_cli(
+            proc = run_main(
                 "eval", "classify", "--input", workspace / "corpus.tsv",
                 "--schedule", "4,2", "--folds", "2", "--config", config,
             )
             assert proc.returncode == 1, (key, proc.stderr)
             assert f"unknown keys: {key}" in proc.stderr
 
-    def test_schedule_as_text_or_list(self, workspace, tmp_path):
+    def test_schedule_as_text_or_list(self, workspace, tmp_path, run_main):
         config = tmp_path / "run.json"
         reports = []
         for schedule in ("4,2", [4, 2]):
             config.write_text(json.dumps({"schedule": schedule}))
-            proc = run_cli(
+            proc = run_main(
                 "eval", "classify", "--input", workspace / "corpus.tsv",
                 "--topics", "2", "--seed", "3", "--folds", "2", "--config", config,
             )
@@ -986,7 +992,9 @@ class TestConfigFile:
             reports.append(proc.stdout)
         assert reports[0] == reports[1]
 
-    def test_config_of_defaults_changes_nothing(self, workspace, tmp_path):
+    def test_config_of_defaults_changes_nothing(
+        self, workspace, tmp_path, run_main
+    ):
         config = tmp_path / "defaults.json"
         config.write_text(json.dumps({
             "format": "labeled-tsv", "gtw": "entropy", "seed": 0,
@@ -1000,15 +1008,15 @@ class TestConfigFile:
         command = [
             "eval", "loglik", "--input", workspace / "corpus.tsv", "--topics", "2",
         ]
-        plain = run_cli(*command)
-        configured = run_cli(*command, "--config", config)
+        plain = run_main(*command)
+        configured = run_main(*command, "--config", config)
         assert plain.returncode == 0, plain.stderr
         assert configured.stdout == plain.stdout
 
-    def test_malformed_config_exits_1(self, workspace, tmp_path):
+    def test_malformed_config_exits_1(self, workspace, tmp_path, run_main):
         config = tmp_path / "run.json"
         config.write_text("{ nope")
-        proc = run_cli(
+        proc = run_main(
             "train",
             "--input", workspace / "corpus.tsv",
             "--config", config,
@@ -1019,23 +1027,23 @@ class TestConfigFile:
 
 
 class TestUsage:
-    def test_no_command_shows_help_and_exits_1(self):
-        proc = run_cli()
+    def test_no_command_shows_help_and_exits_1(self, run_main):
+        proc = run_main()
         assert proc.returncode == 1
         assert "COMMAND" in proc.stdout or "COMMAND" in proc.stderr
 
-    def test_unknown_flag_exits_1(self):
-        proc = run_cli("train", "--frobnicate")
+    def test_unknown_flag_exits_1(self, run_main):
+        proc = run_main("train", "--frobnicate")
         assert proc.returncode == 1
 
-    def test_bad_flag_value_exits_1(self):
-        proc = run_cli("train", "--topics", "1")
+    def test_bad_flag_value_exits_1(self, run_main):
+        proc = run_main("train", "--topics", "1")
         assert proc.returncode == 1
-        proc = run_cli("train", "--schedule", "2,4")
+        proc = run_main("train", "--schedule", "2,4")
         assert proc.returncode == 1
 
-    def test_help_exits_0(self):
-        proc = run_cli("--help")
+    def test_help_exits_0(self, run_main):
+        proc = run_main("--help")
         assert proc.returncode == 0
         assert "train" in proc.stdout
 
@@ -1061,7 +1069,7 @@ class TestUsage:
         ],
     )
     def test_library_rules_judge_flags_as_usage_errors(
-        self, workspace, tmp_path, command, flag, value
+        self, workspace, tmp_path, run_main, command, flag, value
     ):
         corpus = ["--input", workspace / "corpus.tsv", *TRAIN_ARGS, "--folds", "2"]
         argv = {
@@ -1071,7 +1079,7 @@ class TestUsage:
             "gen-synth": ["gen-synth"],
         }[command]
         output = tmp_path / "out"
-        proc = run_cli(*argv, flag, value, "--output", output)
+        proc = run_main(*argv, flag, value, "--output", output)
         assert proc.returncode == 1, proc.stderr
         assert "usage:" in proc.stderr
         assert f"argument {flag}: " in proc.stderr

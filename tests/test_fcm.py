@@ -143,7 +143,7 @@ class TestCenterUpdate:
     def test_hard_memberships_give_cluster_means(self):
         data = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 4.0], [12.0, 4.0]])
         u = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        centers = fcm._centers(data, u**2.0, None)
+        centers = fcm._centers(data, u**2.0, np.random.default_rng(0))
         np.testing.assert_allclose(
             centers, [[1.0, 0.0], [11.0, 4.0]], atol=1e-12
         )
@@ -152,7 +152,7 @@ class TestCenterUpdate:
         rng = np.random.default_rng(3)
         data = rng.normal(size=(12, 3))
         u = np.full((12, 2), 0.5)
-        centers = fcm._centers(data, u**2.0, None)
+        centers = fcm._centers(data, u**2.0, np.random.default_rng(0))
         mean = data.mean(axis=0)
         np.testing.assert_allclose(centers, [mean, mean], atol=1e-12)
 
@@ -163,7 +163,7 @@ class TestCenterUpdate:
             u = rng.random((15, 4))
             u /= u.sum(axis=1, keepdims=True)
             q = float(rng.uniform(1.2, 3.0))
-            got = fcm._centers(x, u**q, None)
+            got = fcm._centers(x, u**q, np.random.default_rng(0))
             np.testing.assert_allclose(
                 got, oracles.fuzzy_centers(x, u, q), atol=1e-12
             )
@@ -459,9 +459,12 @@ class TestSparseInput:
         csr = sp.csr_matrix(dense)
         u = rng.random((80, 3))
         u /= u.sum(axis=1, keepdims=True)
-        centers = fcm._centers(dense, u**2.0, None)
+        centers = fcm._centers(dense, u**2.0, np.random.default_rng(0))
         np.testing.assert_allclose(
-            fcm._centers(csr, u**2.0, None), centers, atol=1e-12, rtol=0
+            fcm._centers(csr, u**2.0, np.random.default_rng(0)),
+            centers,
+            atol=1e-12,
+            rtol=0,
         )
         np.testing.assert_allclose(
             update_memberships(csr, centers, 1.7),

@@ -253,6 +253,8 @@ _CLASSIFY = functools.partial(classify, two_class_docs(), tiny_config(), SplitPl
             (CascadeSchedule, {"counts": ("a",)}, "schedule entries"),
             (CascadeSchedule, {"counts": (None,)}, "schedule entries"),
             (CascadeSchedule, {"counts": (True, 2)}, "schedule entries"),
+            (CascadeSchedule, {"counts": 5}, "schedule"),
+            (CascadeSchedule, {"counts": {4: 1, 2: 1}}, "schedule"),
             (TokenizerConfig, {"stopwords": frozenset({1})}, "stopwords"),
             (_UNIT_WEIGHTS, {"epsilon": True}, "epsilon"),
             (_UNIT_WEIGHTS, {"epsilon": "x"}, "epsilon"),
