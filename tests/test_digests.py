@@ -101,8 +101,9 @@ def outputs(tmp_path_factory):
             "--schedule", "4,2", "--folds", "2",
         ).encode()
         for words in HELP:
-            name = "-".join(["help", *(words or ["flatm"])])
-            found[name] = _run(*words, "--help").encode()
+            found["-".join(["help", *words] if words else ["help", "flatm"])] = (
+                _run(*words, "--help").encode()
+            )
     return found
 
 
