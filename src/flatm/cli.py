@@ -301,7 +301,8 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _train_config(args)
-    docs = load_corpus(args.input, args.format)
+    # Read as training counts it, so the corpus text is never held whole.
+    docs = iter_corpus(args.input, args.format)
     # Each stage's (c, iterations, converged); its memberships would otherwise
     # stay alive until the model is saved.
     stages: list[tuple[int, int, bool]] = []

@@ -15,7 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -339,8 +339,27 @@ def _count_block(
     return ids, counts.astype(np.intc), terms, tokens
 
 
+def _code_blocks(
+    docs: Iterable[RawDocument], config: TokenizerConfig, codes: _TokenCodes
+) -> Iterator[tuple[array, list[int], list[str]]]:
+    """Consecutive documents in blocks of about ``_BLOCK_TOKENS`` token
+    codes: each block's codes and lengths for :func:`_count_block`, and
+    its documents' ids."""
+    block, lengths, ids = array("i"), [], []
+    for doc in docs:
+        raw = _raw_tokens(doc.text, config)
+        block.extend(codes.read(raw))
+        lengths.append(len(raw))
+        ids.append(doc.doc_id)
+        if len(block) >= _BLOCK_TOKENS:
+            yield block, lengths, ids
+            block, lengths, ids = array("i"), [], []
+    if lengths:
+        yield block, lengths, ids
+
+
 def build_matrix(
-    docs: Sequence[RawDocument],
+    docs: Iterable[RawDocument],
     config: TokenizerConfig | None = None,
     min_df: int = 1,
     *,
@@ -349,12 +368,15 @@ def build_matrix(
     """Tokenize ``docs`` and build the count matrix.
 
     This is the one place text becomes counts: training, fold-in and
-    scoring all call it. A call runs the tokenizer's filter and the term
-    lookup once per distinct raw token, not once per occurrence; each
-    occurrence costs the regex and one dictionary lookup. Documents are
-    counted in blocks of about 65k tokens, so only term ids and counts
-    (int32) outlive a block. The result's ``tokens`` holds every
-    document's filtered token total, as ``len(tokenize(doc.text))``.
+    scoring all call it. ``docs`` may be any iterable, a one-shot stream
+    included; it is read once, in order. A call runs the tokenizer's
+    filter and the term lookup once per distinct raw token, not once per
+    occurrence; each occurrence costs the regex and one dictionary lookup.
+    Documents are counted in blocks of about 65k tokens: only one block's
+    token codes are held at a time, and only term ids and counts (int32)
+    and each document's id and totals outlive it, so no document's text is
+    kept. The result's ``tokens`` holds every document's filtered token
+    total, as ``len(tokenize(doc.text))``.
 
     Without ``vocabulary``, the vocabulary is every term found in at least
     ``min_df`` documents, sorted; raises ``ValueError`` if no documents
@@ -366,8 +388,6 @@ def build_matrix(
     if config is None:
         config = TokenizerConfig()
     if vocabulary is None:
-        if not docs:
-            raise ValueError("corpus is empty")
         if _checked("min_df", min_df, int) < 1:
             raise SettingError("min_df must be >= 1")
         # Provisional ids in the order terms are first met; sorted at the end.
@@ -383,21 +403,22 @@ def build_matrix(
             return map(index.get, terms, itertools.repeat(_UNKNOWN))
 
     codes = _TokenCodes(config, term_ids)
-    # Term ids and counts, column after column.
+    # Term ids and counts, column after column; per block, each document's
+    # number of distinct terms (after indptr's leading zero) and token total.
     ids, values = array("i"), array("i")
-    indptr = np.zeros(len(docs) + 1, dtype=np.int64)
-    tokens = np.empty(len(docs), dtype=np.int64)
-    block, lengths, start = array("i"), [], 0
-    for stop, doc in enumerate(docs, start=1):
-        raw = _raw_tokens(doc.text, config)
-        block.extend(codes.read(raw))
-        lengths.append(len(raw))
-        if len(block) >= _BLOCK_TOKENS or stop == len(docs):
-            block_ids, counts, terms, tokens[start:stop] = _count_block(block, lengths)
-            indptr[start + 1 : stop + 1] = len(ids) + np.cumsum(terms)
-            ids.frombytes(block_ids.tobytes())
-            values.frombytes(counts.tobytes())
-            block, lengths, start = array("i"), [], stop
+    terms, tokens = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    doc_ids: list[str] = []
+    for block, lengths, block_doc_ids in _code_blocks(docs, config, codes):
+        doc_ids += block_doc_ids
+        block_ids, counts, block_terms, block_tokens = _count_block(block, lengths)
+        ids.frombytes(block_ids.tobytes())
+        values.frombytes(counts.tobytes())
+        terms.append(block_terms)
+        tokens.append(block_tokens)
+    if vocabulary is None and not doc_ids:
+        raise ValueError("corpus is empty")
+    indptr = np.cumsum(np.concatenate(terms))
+    tokens = np.concatenate(tokens)
     row = np.frombuffer(ids, dtype=np.intc)
     data = np.frombuffer(values, dtype=np.intc).astype(np.float64)
     if vocabulary is None:
@@ -414,9 +435,8 @@ def build_matrix(
             row, data = row[known], data[known]
             indptr = np.concatenate(([0], np.cumsum(known)))[indptr]
     columns = sp.csc_matrix(
-        (data, row, indptr), shape=(len(vocabulary), len(docs)), dtype=np.float64
+        (data, row, indptr), shape=(len(vocabulary), len(doc_ids)), dtype=np.float64
     )
-    doc_ids = tuple(doc.doc_id for doc in docs)
     return vocabulary, TermDocMatrix(
-        counts=columns.tocsr(), doc_ids=doc_ids, tokens=tokens
+        counts=columns.tocsr(), doc_ids=tuple(doc_ids), tokens=tokens
     )

@@ -11,7 +11,9 @@ Points are the rows of a float64 matrix, dense or scipy sparse;
 ``fuzzifier`` is the exponent q > 1. The input type picks the distance
 and center kernels. A sparse matrix never becomes dense: distances use
 the expansion d2_jk = |x_j|^2 - 2 x_j.v_k + |v_k|^2, clamped at 0, and
-centers are (U^q)^T X / sum_j u_jk^q as a sparse product.
+centers are (U^q)^T X / sum_j u_jk^q as a sparse product. The row norms
+|x_j|^2 never change, so a run computes them once, before its first
+iteration.
 
 The expansion suits a sparse term-by-document matrix, whose rows are
 far from each other and from the centers. It does not suit the dense
@@ -151,9 +153,20 @@ _Points = np.ndarray | sp.csr_matrix
 
 
 def _as_points(data) -> _Points:
-    """CSR for sparse input, a C-contiguous array otherwise; float64."""
+    """Canonical CSR for sparse input, a C-contiguous array otherwise; float64.
+
+    Canonical: column indices sorted, duplicate entries summed and explicit
+    zeros dropped, as ``x.multiply(x)`` would leave them. A matrix not in
+    that form is put into it on a copy, so the caller's matrix is unchanged
+    and results depend on its values only, not on how they are stored.
+    """
     if sp.issparse(data):
-        return sp.csr_matrix(data, dtype=np.float64)
+        x = sp.csr_matrix(data, dtype=np.float64)
+        if not (x.has_canonical_format and x.data.all()):
+            x = x.copy()
+            x.sum_duplicates()
+            x.eliminate_zeros()
+        return x
     return np.ascontiguousarray(np.asarray(data, dtype=np.float64))
 
 
@@ -179,22 +192,42 @@ def _initial_membership(
     return u / u.sum(axis=1, keepdims=True)
 
 
+def _row_norms(x: sp.csr_matrix) -> np.ndarray:
+    """Squared row norms |x_j|^2 of a canonical CSR matrix.
+
+    The reduction ``x.multiply(x).sum(axis=1)`` runs, without its matrix
+    copy, and so its bits: ``reduceat`` over the non-empty rows only (an
+    equal index pair would give the element, not zero). One difference
+    is left: a square that underflows to zero (|x| below about 1e-162)
+    stays in the sum, where scipy drops it, so such a row's norm may
+    differ in the last bit.
+    """
+    sq = np.zeros(x.shape[0])
+    rows = np.flatnonzero(np.diff(x.indptr))
+    if rows.size:
+        sq[rows] = np.add.reduceat(x.data * x.data, x.indptr[rows])
+    return sq
+
+
 def _sq_dists(
     x: _Points,
     centers: np.ndarray,
     out: np.ndarray | None = None,
     diff: np.ndarray | None = None,
+    x_sq: np.ndarray | None = None,
 ) -> np.ndarray:
     """Squared Euclidean distances, cluster-major: shape (n_clusters, n_points).
 
-    ``out`` receives the distances and ``diff``, for dense ``x``, holds one
-    cluster's difference rows; both are allocated when not given.
+    ``out`` receives the distances; for dense ``x``, ``diff`` holds one
+    cluster's difference rows, and for sparse ``x``, ``x_sq`` is
+    :func:`_row_norms` of ``x``. Each is made when not given.
     """
     n, c = x.shape[0], centers.shape[0]
     if out is None:
         out = np.empty((c, n))
     if sp.issparse(x):
-        x_sq = np.asarray(x.multiply(x).sum(axis=1)).ravel()
+        if x_sq is None:
+            x_sq = _row_norms(x)
         np.subtract(x_sq, (2.0 * (x @ centers.T)).T, out=out)
         out += np.einsum("cd,cd->c", centers, centers)[:, None]
         return np.maximum(out, 0.0, out=out)
@@ -317,13 +350,14 @@ def fcm_run(
     um = u**q
     d2 = np.empty((config.n_clusters, x.shape[0]))
     diff = None if sp.issparse(x) else np.empty(x.shape)
+    x_sq = _row_norms(x) if sp.issparse(x) else None
     trace: list[float] = []
     centers = np.zeros((config.n_clusters, x.shape[1]))
     converged = False
     iterations = 0
     for iteration in range(1, config.max_iterations + 1):
         centers = _centers(x, um, rng)
-        _sq_dists(x, centers, d2, diff)
+        _sq_dists(x, centers, d2, diff, x_sq)
         u_new = _memberships(d2, q)
         max_delta = float(np.abs(u_new - u).max())
         um = u_new**q

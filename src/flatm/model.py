@@ -18,7 +18,9 @@ memberships P(T|W):
 The weighted matrix stays sparse (CSR) throughout training: stage 0 of
 the cascade, or the topic run without a cascade, clusters it as CSR,
 and P(W|D) is its column-normalized CSR copy, so P(T|D) is a sparse
-product. Memory follows the non-zeros, not terms x documents.
+product. Memory follows the non-zeros, not terms x documents. Training
+reads its documents as a stream, so ``flatm train`` never holds the
+corpus text whole: only the counting block at hand.
 
 Fold-in is the same assembly applied to new columns: unseen documents are
 counted over the model vocabulary by ``build_matrix``, weighted with the
@@ -328,12 +330,14 @@ def topic_given_doc(
 
 
 def train(
-    docs: Sequence[RawDocument],
+    docs: Iterable[RawDocument],
     config: TrainConfig,
     on_stage: Callable[[int, FcmResult], None] | None = None,
 ) -> TopicModel:
     """Run the whole pipeline on ``docs``.
 
+    ``docs`` may be any iterable, a one-shot stream included; it is
+    consumed once, by ``build_matrix``, before any weighting or clustering.
     ``on_stage`` sees every clustering run: cascade stages first (indices
     0..len(schedule)-1), then the topic run with the next index. With
     ``cascade=False`` the topic clustering runs directly on the weighted

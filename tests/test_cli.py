@@ -342,6 +342,79 @@ class TestTrain:
         assert "document 'hollow' has no term in the vocabulary" in proc.stderr
         assert not (tmp_path / "m.json").exists()
 
+    def test_late_bad_line_leaves_no_model_and_existing_output_as_it_was(
+        self, tmp_path, run_main
+    ):
+        # train reads the corpus as it counts it, so line 300 is met long
+        # after training began; still nothing may be written.
+        rng = np.random.default_rng(300)
+        lines = [
+            f"c{i % 2}\t" + " ".join(rng.choice(_WORDS[:20], size=5))
+            for i in range(600)
+        ]
+        corpus, out = tmp_path / "docs.tsv", tmp_path / "model.json"
+        args = (
+            "train", "--input", corpus, "--format", "labeled-tsv", *TRAIN_ARGS,
+            "--output", out,
+        )
+        for line, message in [
+            (b"no tab on line 300", "line 300: expected label<TAB>text"),
+            (b"c0\tcaf\xe9 c0w1", "decode"),
+        ]:
+            encoded = [text.encode("utf-8") for text in lines]
+            encoded[299] = line
+            corpus.write_bytes(b"\n".join(encoded) + b"\n")
+            if out.exists():
+                out.unlink()
+            proc = run_main(*args)
+            assert proc.returncode == 2
+            assert message in proc.stderr
+            assert proc.stdout == ""
+            assert list(tmp_path.iterdir()) == [corpus]
+            out.write_bytes(b"earlier model\n")
+            out.chmod(0o640)
+            proc = run_main(*args)
+            assert proc.returncode == 2
+            assert message in proc.stderr
+            assert out.read_bytes() == b"earlier model\n"
+            assert out.stat().st_mode & 0o777 == 0o640
+            assert sorted(tmp_path.iterdir()) == sorted([corpus, out])
+
+    def test_peak_memory_does_not_grow_with_the_text(self, tmp_path):
+        # The second corpus repeats each document's text ten times: the same
+        # non-zeros from ten times the text, which train must not hold.
+        docs = flatm.generate_synthetic(
+            seed=5, n_classes=4, vocab_per_class=100, docs_per_class=250,
+            doc_length=100, overlap_fraction=0.2,
+        )
+        one, ten = tmp_path / "one.tsv", tmp_path / "ten.tsv"
+        one.write_text(
+            "".join(f"{d.label}\t{d.text}\n" for d in docs), encoding="utf-8"
+        )
+        ten.write_text(
+            "".join(f"{d.label}\t{' '.join([d.text] * 10)}\n" for d in docs),
+            encoding="utf-8",
+        )
+        # Both are longer than one counting block, so a block's working
+        # arrays are no larger for the ten-fold text.
+        assert len(docs) * 100 > flatm.corpus._BLOCK_TOKENS
+        out = tmp_path / "model.json"
+
+        def peak(path) -> int:
+            argv = ["train", "--input", str(path), "--format", "labeled-tsv"]
+            argv += ["--topics", "4", "--seed", "1", "--output", str(out)]
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli_main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(one)  # the first run also pays for lazy imports and caches
+        one_peak, ten_peak = peak(one), peak(ten)
+        assert ten_peak <= 1.1 * one_peak, (one_peak, ten_peak)
+
 
 class TestInfer:
     def test_matches_library_fold_in(self, workspace, tmp_path):

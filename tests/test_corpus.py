@@ -14,6 +14,7 @@ from flatm import (
     Vocabulary,
     build_matrix,
     default_stopwords,
+    generate_synthetic,
     iter_corpus,
     load_corpus,
     load_stopwords,
@@ -432,6 +433,48 @@ class TestBuildMatrix:
         counts = sp.csr_matrix(np.array([[1.0, 0.0], [2.0, 3.0]]))
         tdm = TermDocMatrix(counts=counts, doc_ids=("a", "b"))
         assert tdm.tokens.tolist() == [3, 3]
+
+
+def _same_result(got, want):
+    (got_vocab, got_tdm), (want_vocab, want_tdm) = got, want
+    assert got_vocab == want_vocab
+    assert got_tdm.counts.shape == want_tdm.counts.shape
+    assert got_tdm.doc_ids == want_tdm.doc_ids
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got_tdm.counts, name), getattr(want_tdm.counts, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got_tdm.tokens.dtype == want_tdm.tokens.dtype
+    assert got_tdm.tokens.tobytes() == want_tdm.tokens.tobytes()
+
+
+class TestBuildMatrixStream:
+    """A one-shot stream of documents gives the matrix of the same list."""
+
+    @pytest.mark.parametrize("docs_per_class", [3, 400])
+    @pytest.mark.parametrize("own_vocabulary", [False, True])
+    def test_generator_equals_list(self, docs_per_class, own_vocabulary):
+        docs = generate_synthetic(
+            seed=9, n_classes=4, vocab_per_class=60, docs_per_class=docs_per_class,
+            doc_length=50, overlap_fraction=0.2,
+        )
+        if docs_per_class > 3:
+            raw = sum(len(doc.text.split()) for doc in docs)
+            assert raw > corpus._BLOCK_TOKENS
+        # A vocabulary of half the documents leaves terms of the rest out.
+        vocabulary = build_matrix(docs[::2])[0] if own_vocabulary else None
+        want = build_matrix(docs, min_df=2, vocabulary=vocabulary)
+        got = build_matrix((doc for doc in docs), min_df=2, vocabulary=vocabulary)
+        _same_result(got, want)
+
+    def test_empty_stream(self):
+        with pytest.raises(ValueError, match="corpus is empty"):
+            build_matrix(iter([]))
+        vocab = Vocabulary(terms=("cat", "dog"))
+        got = build_matrix(iter([]), vocabulary=vocab)
+        assert got[0] is vocab
+        assert got[1].counts.shape == (2, 0)
+        _same_result(got, build_matrix([], vocabulary=vocab))
 
 
 # Words that exercise the tokenizer: stop-words, digits, mixed case,

@@ -9,7 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from flatm import FcmConfig, SettingError, fcm, fcm_run, update_memberships
+from flatm import (
+    FcmConfig,
+    SettingError,
+    apply_gtw,
+    build_matrix,
+    compute_global_weights,
+    fcm,
+    fcm_run,
+    generate_synthetic,
+    update_memberships,
+)
 
 
 def blob_pair(rng, n_per=30, dims=3, separation=10.0):
@@ -447,6 +457,87 @@ def test_pairwise_sum_is_numpy_row_sum_order():
         want = np.add.reduce(w, axis=1)
         got = _pairwise_sum(np.ascontiguousarray(w.T))
         assert got.tobytes() == want.tobytes(), c
+
+
+class TestRowNorms:
+    """A sparse run squares its rows once, with the bits of scipy's
+    ``x.multiply(x).sum(axis=1)``, which the distances used before."""
+
+    @staticmethod
+    def assert_scipy_bits(x):
+        want = np.asarray(x.multiply(x).sum(axis=1)).ravel()
+        got = fcm._row_norms(x)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("gtw", ["entropy", "gfidf"])
+    def test_weighted_synthetic_matrix(self, gtw):
+        docs = generate_synthetic(
+            seed=4, n_classes=20, vocab_per_class=50, docs_per_class=50,
+            doc_length=10, overlap_fraction=0.1,
+        )
+        _, tdm = build_matrix(docs)
+        weighted = apply_gtw(tdm, compute_global_weights(tdm, gtw))
+        # Rows of 1 to over 128 entries take every branch of the pairwise sum.
+        row_nnz = np.diff(weighted.indptr)
+        assert row_nnz.min() < 8 and row_nnz.max() > 128
+        self.assert_scipy_bits(weighted)
+
+    def test_empty_rows_first_between_and_last(self):
+        rng = np.random.default_rng(8)
+        dense = rng.random((9, 300)) ** 3
+        dense[dense < 0.3] = 0.0
+        dense[[0, 1, 4, 7, 8]] = 0.0
+        x = sp.csr_matrix(dense)
+        assert np.flatnonzero(np.diff(x.indptr)).tolist() == [2, 3, 5, 6]
+        self.assert_scipy_bits(x)
+
+    def test_all_zero_matrix(self):
+        self.assert_scipy_bits(sp.csr_matrix((6, 4)))
+
+
+@pytest.mark.parametrize("storage", ["duplicate halves", "unsorted", "explicit zeros"])
+def test_sparse_run_depends_on_values_not_storage(storage):
+    # Row 5 is stored another way with the same values; the caller's
+    # matrix must come back as it was given.
+    rng = np.random.default_rng(12)
+    dense = blob_pair(rng, n_per=20, dims=12, separation=6.0)
+    dense[np.abs(dense) < 0.5] = 0.0
+    plain = sp.csr_matrix(dense)
+    lo, hi = plain.indptr[5], plain.indptr[6]
+    values, columns = plain.data[lo:hi], plain.indices[lo:hi]
+    if storage == "duplicate halves":
+        values, columns = np.repeat(values / 2, 2), np.repeat(columns, 2)
+    elif storage == "unsorted":
+        values, columns = values[::-1], columns[::-1]
+    else:
+        values = np.concatenate([values, [0.0, 0.0]])
+        columns = np.concatenate([columns, np.flatnonzero(dense[5] == 0.0)[:2]])
+    indptr = plain.indptr.copy()
+    indptr[6:] += len(values) - (hi - lo)
+    stored = sp.csr_matrix(
+        (
+            np.concatenate([plain.data[:lo], values, plain.data[hi:]]),
+            np.concatenate([plain.indices[:lo], columns, plain.indices[hi:]]),
+            indptr,
+        ),
+        shape=plain.shape,
+    )
+    arrays = [a.copy() for a in (stored.data, stored.indices, stored.indptr)]
+    config = FcmConfig(n_clusters=3, seed=2)
+    a, b = fcm_run(plain, config), fcm_run(stored, config)
+    assert b.membership.tobytes() == a.membership.tobytes()
+    assert b.centers.tobytes() == a.centers.tobytes()
+    assert b.objective_trace == a.objective_trace
+    assert b.iterations == a.iterations
+    centers = a.centers
+    assert (
+        update_memberships(stored, centers, 2.0).tobytes()
+        == update_memberships(plain, centers, 2.0).tobytes()
+    )
+    for before, after in zip(arrays, (stored.data, stored.indices, stored.indptr)):
+        assert after.dtype == before.dtype
+        assert after.tobytes() == before.tobytes()
 
 
 class TestSparseInput:

@@ -565,6 +565,13 @@ class TestTrain:
                 model.topic_given_doc.sum(axis=0), 1.0, atol=1e-9
             )
 
+    @pytest.mark.parametrize("cascade", [True, False])
+    def test_one_shot_stream_trains_the_same_model(self, cascade):
+        docs = two_class_docs()
+        config = tiny_config(cascade=cascade)
+        streamed = train((doc for doc in docs), config)
+        assert model_to_json(streamed) == model_to_json(train(docs, config))
+
     def test_gtw_none_uses_unit_weights(self):
         docs = two_class_docs()
         model = train(docs, tiny_config(gtw=GtwMethod.NONE))
