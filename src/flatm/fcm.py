@@ -27,9 +27,13 @@ Distances and the membership update work cluster-major, on (c, n)
 arrays, so that each per-point reduction over the clusters (the minimum
 and the normalising sum) runs over contiguous rows instead of along
 short strided ones. The arithmetic is that of the point-major (n, c)
-form element for element: row k of the dense distances is the same
-einsum over the same C-order ``x - v_k`` rows; the minimum is exact in
-any order; the ratio, the power and the quotient are elementwise; and
+form element for element. Dense distances read a (dims, n) transpose of
+the points, made once per run, and go one dimension at a time over
+whole (c, n) arrays: the differences are the same, their squares are
+the same products, and :func:`_einsum_sum` adds a point's products in
+the order ``einsum("nd,nd->n")`` adds its C-order ``x_j - v_k`` row, so
+each distance keeps the einsum's bits. The minimum is exact in any
+order; the ratio, the power and the quotient are elementwise; and
 :func:`_pairwise_sum` adds each point's c values in the order numpy's
 ``sum(axis=1)`` adds a C-order row. One transpose then gives the
 C-order (n, c) memberships that the center update, the objective and
@@ -209,35 +213,77 @@ def _row_norms(x: sp.csr_matrix) -> np.ndarray:
     return sq
 
 
+def _prepared(x: _Points) -> np.ndarray:
+    """What every distance call of a run reads besides ``x``, made once per
+    run: :func:`_row_norms` of a sparse ``x``, and the C-order (dims, n)
+    transpose of a dense one, whose dimensions are contiguous rows."""
+    return _row_norms(x) if sp.issparse(x) else np.ascontiguousarray(x.T)
+
+
 def _sq_dists(
     x: _Points,
     centers: np.ndarray,
     out: np.ndarray | None = None,
-    diff: np.ndarray | None = None,
-    x_sq: np.ndarray | None = None,
+    prepared: np.ndarray | None = None,
 ) -> np.ndarray:
     """Squared Euclidean distances, cluster-major: shape (n_clusters, n_points).
 
-    ``out`` receives the distances; for dense ``x``, ``diff`` holds one
-    cluster's difference rows, and for sparse ``x``, ``x_sq`` is
-    :func:`_row_norms` of ``x``. Each is made when not given.
+    ``out`` receives the distances and ``prepared`` is :func:`_prepared` of
+    ``x``; each is made when not given. Dense distances go one dimension
+    i at a time over all clusters and points: the (c, n) differences
+    ``x_ji - v_ki`` are squared and added by :func:`_einsum_sum`, so each
+    element has the bits of ``einsum("nd,nd->n")`` over its C-order
+    difference row.
     """
     n, c = x.shape[0], centers.shape[0]
     if out is None:
         out = np.empty((c, n))
+    if prepared is None:
+        prepared = _prepared(x)
     if sp.issparse(x):
-        if x_sq is None:
-            x_sq = _row_norms(x)
-        np.subtract(x_sq, (2.0 * (x @ centers.T)).T, out=out)
+        np.subtract(prepared, (2.0 * (x @ centers.T)).T, out=out)
         out += np.einsum("cd,cd->c", centers, centers)[:, None]
         return np.maximum(out, 0.0, out=out)
-    if diff is None:
-        diff = np.empty(x.shape)
-    # One cluster at a time: the contraction runs over the same C-order
-    # (n, dims) difference rows whatever c is, and writes a contiguous row.
-    for k in range(c):
-        np.subtract(x, centers[k], out=diff)
-        np.einsum("nd,nd->n", diff, diff, out=out[k])
+
+    def square_diff(i: int, buf: np.ndarray) -> None:
+        np.subtract(prepared[i], centers[:, i, None], out=buf)
+        buf *= buf
+
+    return _einsum_sum(x.shape[1], square_diff, out)
+
+
+def _einsum_sum(
+    d: int, term: Callable[[int, np.ndarray], None], out: np.ndarray
+) -> np.ndarray:
+    """Sum of d terms into ``out``, added in the order numpy's baseline
+    float64 kernel for ``einsum("nd,nd->n")`` adds the d products of a
+    contiguous row. ``term(i, buf)`` writes term i into ``buf``, an array
+    shaped like ``out``.
+
+    The kernel keeps two lanes, lane 0 for the even indices and lane 1 for
+    the odd ones. Each full block of eight is added back to front, 6, 4,
+    2, 0 into lane 0 and 7, 5, 3, 1 into lane 1; the remaining indices
+    are added in pairs, front to back; the sum is lane 0 + lane 1. A
+    lane's first term is stored, not added to zero, which gives the same
+    bits for every term but -0.0. No terms sum to zero.
+    """
+    if d == 0:
+        out.fill(0.0)
+        return out
+    full = d - d % 8
+    even = [b + k for b in range(0, full, 8) for k in (6, 4, 2, 0)]
+    even += range(full, d, 2)
+    odd = [i + 1 for i in even if i + 1 < d]
+    buf, lane1 = np.empty_like(out), np.empty_like(out)
+    for lane, order in ((out, even), (lane1, odd)):
+        for k, i in enumerate(order):
+            if k == 0:
+                term(i, lane)
+            else:
+                term(i, buf)
+                lane += buf
+    if odd:
+        out += lane1
     return out
 
 
@@ -349,15 +395,14 @@ def fcm_run(
     u = _initial_membership(x.shape[0], config.n_clusters, rng)
     um = u**q
     d2 = np.empty((config.n_clusters, x.shape[0]))
-    diff = None if sp.issparse(x) else np.empty(x.shape)
-    x_sq = _row_norms(x) if sp.issparse(x) else None
+    prepared = _prepared(x)
     trace: list[float] = []
     centers = np.zeros((config.n_clusters, x.shape[1]))
     converged = False
     iterations = 0
     for iteration in range(1, config.max_iterations + 1):
         centers = _centers(x, um, rng)
-        _sq_dists(x, centers, d2, diff, x_sq)
+        _sq_dists(x, centers, d2, prepared)
         u_new = _memberships(d2, q)
         max_delta = float(np.abs(u_new - u).max())
         um = u_new**q

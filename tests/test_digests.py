@@ -6,7 +6,10 @@ Every command runs in this process through ``flatm.cli.main``: a
 CSV of the default model, an ``eval classify`` JSON report and the
 ``--help`` text of every parser. A digest moves when one byte moves, so
 a refactor that must keep the outputs, or a numpy or scipy upgrade that
-changes a stored float by one ulp, fails here.
+changes a stored float by one ulp, fails here. The default model is also
+trained by ``python -m flatm`` with numpy's run-time CPU dispatch
+switched off and with OpenBLAS pinned to an old core type, and must keep
+its digest.
 
 A change meant to move these bytes updates the digests below and says
 so, with the reason, in CHANGES.md.
@@ -15,10 +18,20 @@ so, with the reason, in CHANGES.md.
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flatm
 from flatm.cli import main as cli_main
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 GEN_ARGS = [
     "gen-synth",
@@ -27,6 +40,7 @@ GEN_ARGS = [
     "--docs-per-class", "8",
     "--doc-length", "10",
 ]
+TRAIN_ARGS = ["--topics", "2", "--seed", "3"]
 MODELS = {
     "default": [],
     "no-cascade": ["--no-cascade"],
@@ -89,8 +103,7 @@ def outputs(tmp_path_factory):
         corpus_flags = ["--input", corpus, "--format", "labeled-tsv"]
         for name, flags in MODELS.items():
             model = tmp / f"model-{name}.json"
-            _run("train", *corpus_flags, "--topics", "2", "--seed", "3",
-                 *flags, "--output", model)
+            _run("train", *corpus_flags, *TRAIN_ARGS, *flags, "--output", model)
             found[model.name] = model.read_bytes()
         infer = tmp / "infer-default.csv"
         _run("infer", "--model", tmp / "model-default.json", *corpus_flags,
@@ -114,3 +127,33 @@ def test_every_output_has_a_digest(outputs):
 @pytest.mark.parametrize("name", list(DIGESTS))
 def test_output_bytes_match_the_digest(outputs, name):
     assert hashlib.sha256(outputs[name]).hexdigest() == DIGESTS[name]
+
+
+# The dispatch targets this numpy build has that this host runs; with all
+# of them disabled, numpy runs its baseline kernels only.
+HOST_DISPATCH = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+
+
+@pytest.mark.parametrize(
+    "switch",
+    [
+        {"NPY_DISABLE_CPU_FEATURES": HOST_DISPATCH},
+        {"OPENBLAS_CORETYPE": "Prescott"},
+    ],
+    ids=["numpy-baseline", "openblas-prescott"],
+)
+def test_default_model_digest_under_cpu_switches(outputs, tmp_path, switch):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_bytes(outputs["corpus.tsv"])
+    model = tmp_path / "model.json"
+    path = [str(Path(flatm.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **switch)
+    env.pop("FLATM_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatm", "train", "--input", str(corpus),
+         "--format", "labeled-tsv", *TRAIN_ARGS, "--output", str(model)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(model.read_bytes()).hexdigest()
+    assert digest == DIGESTS["model-default.json"]

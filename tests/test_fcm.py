@@ -459,6 +459,28 @@ def test_pairwise_sum_is_numpy_row_sum_order():
         assert got.tobytes() == want.tobytes(), c
 
 
+def test_einsum_sum_is_einsum_row_order():
+    # Dense distances add a point's squared differences dimension by
+    # dimension, so they must add in the order einsum adds a C-order row.
+    # d = 1..32 takes the pairs, the blocks of eight and both mixed; an
+    # odd d starts every other row of the (n, d) array unaligned; d = 0
+    # is the empty sum.
+    rng = np.random.default_rng(32)
+    for d in range(0, 33):
+        for _ in range(20):
+            scale = 10.0 ** rng.uniform(-8.0, 2.0, size=(37, 1))
+            x = rng.normal(size=(37, d)) * scale
+            y = rng.normal(size=(37, d)) * scale
+            want = np.einsum("nd,nd->n", x, y)
+            xt, yt = x.T.copy(), y.T.copy()
+
+            def product(i, buf):
+                np.multiply(xt[i], yt[i], out=buf)
+
+            got = fcm._einsum_sum(d, product, np.full(37, np.nan))
+            assert got.tobytes() == want.tobytes(), d
+
+
 class TestRowNorms:
     """A sparse run squares its rows once, with the bits of scipy's
     ``x.multiply(x).sum(axis=1)``, which the distances used before."""
