@@ -112,10 +112,6 @@ class TokenizerConfig:
 def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
     """Split ``text`` into filtered tokens. Deterministic, order-preserving.
 
-    Tokens are the maximal runs of alphanumeric characters (those for
-    which ``str.isalnum()`` is true, so not underscore); text that is
-    such runs between whitespace is split on the whitespace, without the
-    regex (see :func:`_raw_tokens`).
     ``build_matrix`` applies the same filter, but once per distinct token
     of a call rather than once per occurrence.
     """
@@ -125,21 +121,8 @@ def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
 
 
 def _raw_tokens(text: str, config: TokenizerConfig) -> list[str]:
-    """Tokens of ``text`` before the filter, after optional lowercasing.
-
-    These are ``_TOKEN_RE``'s matches, found by ``str.split`` when every
-    piece it gives is alphanumeric. That is exact: ``[^\\W_]`` matches
-    exactly the characters for which ``str.isalnum()`` is true, and none
-    of the characters ``split`` breaks at is one of them, so such pieces
-    are the regex's maximal runs. Other text (punctuation, underscores,
-    zero-width or combining characters) goes to the regex.
-    """
-    if config.lowercase:
-        text = text.lower()
-    tokens = text.split()
-    if all(map(str.isalnum, tokens)):
-        return tokens
-    return _TOKEN_RE.findall(text)
+    """Tokens of ``text`` before the filter, after optional lowercasing."""
+    return _TOKEN_RE.findall(text.lower() if config.lowercase else text)
 
 
 def _kept_tokens(tokens: Iterable[str], config: TokenizerConfig) -> list[str]:
@@ -388,8 +371,7 @@ def build_matrix(
     scoring all call it. ``docs`` may be any iterable, a one-shot stream
     included; it is read once, in order. A call runs the tokenizer's
     filter and the term lookup once per distinct raw token, not once per
-    occurrence; each occurrence costs its share of the split (or the
-    regex) and one dictionary lookup.
+    occurrence; each occurrence costs the regex and one dictionary lookup.
     Documents are counted in blocks of about 65k tokens: only one block's
     token codes are held at a time, and only term ids and counts (int32)
     and each document's id and totals outlive it, so no document's text is

@@ -1,6 +1,4 @@
 
-import string
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -89,38 +87,6 @@ class TestTokenize:
         config = TokenizerConfig(min_token_length=np.int64(3))
         assert type(config.min_token_length) is int
         assert tokenize("ab abc", config) == ["abc"]
-
-
-# Word characters (``İ`` lowercases to ``i`` plus a combining dot, which
-# is not one), every character ``str.split`` breaks at, and characters
-# that are neither: punctuation with ``_``, ZWSP, ZWJ, a combining accent.
-_WORD_CHARS = string.ascii_letters + string.digits + "½²٣Ⅻİ"
-_SPLIT_BREAKS = (
-    " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680"
-    + "".join(map(chr, range(0x2000, 0x200B)))
-    + "\u2028\u2029\u202f\u205f\u3000"
-)
-_OTHER_CHARS = string.punctuation + "\u200b\u200d\u0301"
-
-
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
-@given(
-    pieces=st.lists(
-        st.one_of(
-            st.text(_WORD_CHARS, min_size=1, max_size=5),
-            st.sampled_from(_SPLIT_BREAKS),
-            st.sampled_from(_OTHER_CHARS),
-        ),
-        max_size=12,
-    )
-)
-def test_raw_tokens_are_the_regex_matches(pieces):
-    # Splitting on whitespace first must find exactly the regex's runs.
-    text = "".join(pieces)
-    for lowercase in (True, False):
-        config = TokenizerConfig(lowercase=lowercase)
-        want = corpus._TOKEN_RE.findall(text.lower() if lowercase else text)
-        assert corpus._raw_tokens(text, config) == want
 
 
 class TestStopwordFiles:
