@@ -419,8 +419,11 @@ def build_matrix(
         raise ValueError("corpus is empty")
     indptr = np.cumsum(np.concatenate(terms))
     tokens = np.concatenate(tokens)
-    row = np.frombuffer(ids, dtype=np.intc)
-    data = np.frombuffer(values, dtype=np.intc).astype(np.float64)
+    # The counts stay int32 until the CSR is built and become float64 last;
+    # they are small integers, so no value changes. Each buffer is freed
+    # with its last view, once the array made from it has replaced it.
+    row, data = np.frombuffer(ids, dtype=np.intc), np.frombuffer(values, dtype=np.intc)
+    del ids, values
     if vocabulary is None:
         df = np.bincount(row, minlength=len(provisional))
         kept = sorted(t for t, i in provisional.items() if df[i] >= min_df)
@@ -434,9 +437,11 @@ def build_matrix(
         if not known.all():
             row, data = row[known], data[known]
             indptr = np.concatenate(([0], np.cumsum(known)))[indptr]
-    columns = sp.csc_matrix(
-        (data, row, indptr), shape=(len(vocabulary), len(doc_ids)), dtype=np.float64
-    )
+        del known
+    shape = (len(vocabulary), len(doc_ids))
+    counts = sp.csc_matrix((data, row, indptr), shape=shape).tocsr()
+    del data, row
+    counts.data = counts.data.astype(np.float64)
     return vocabulary, TermDocMatrix(
-        counts=columns.tocsr(), doc_ids=tuple(doc_ids), tokens=tokens
+        counts=counts, doc_ids=tuple(doc_ids), tokens=tokens
     )

@@ -528,7 +528,7 @@ def generate_synthetic(
         pool = [f"c{ci}w{t}" for t in range(vocab_per_class)] + shared
         for d in range(docs_per_class):
             picks = rng.integers(0, len(pool), size=doc_length)
-            text = " ".join(pool[int(p)] for p in picks)
+            text = " ".join(map(pool.__getitem__, picks.tolist()))
             docs.append(
                 RawDocument(doc_id=f"{label}-{d:03d}", text=text, label=label)
             )

@@ -47,7 +47,7 @@ import logging
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -196,20 +196,57 @@ def _initial_membership(
     return u / u.sum(axis=1, keepdims=True)
 
 
+# Entries per block of the passes that go over a CSR matrix's entries by
+# blocks of whole rows, so that a pass holds its temporaries for one block
+# at a time rather than arrays as long as all the non-zeros.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(indptr: np.ndarray) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """Consecutive blocks of whole rows of a CSR matrix with ``indptr``,
+    each of about ``_BLOCK_ENTRIES`` entries, or one row longer than that.
+
+    Yields each block's rows, its entries, and its ``indptr`` counted from
+    the block's first entry.
+    """
+    n_rows = len(indptr) - 1
+    r0 = 0
+    while r0 < n_rows:
+        end = int(indptr[r0]) + _BLOCK_ENTRIES
+        r1 = int(np.searchsorted(indptr, end, side="right")) - 1
+        r1 = min(max(r1, r0 + 1), n_rows)
+        s, e = int(indptr[r0]), int(indptr[r1])
+        yield slice(r0, r1), slice(s, e), indptr[r0 : r1 + 1] - s
+        r0 = r1
+
+
+def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-row sums of ``values`` laid out like the data of a CSR matrix
+    with ``indptr``, by scipy's own reduction for ``sum(axis=1)``:
+    ``reduceat`` over the non-empty rows only (an equal index pair would
+    give the element, not zero). Each row's sum depends on its own values
+    alone, so sums taken block by block have the same bits.
+    """
+    sums = np.zeros(len(indptr) - 1)
+    rows = np.flatnonzero(np.diff(indptr))
+    if rows.size:
+        sums[rows] = np.add.reduceat(values, indptr[rows])
+    return sums
+
+
 def _row_norms(x: sp.csr_matrix) -> np.ndarray:
     """Squared row norms |x_j|^2 of a canonical CSR matrix.
 
     The reduction ``x.multiply(x).sum(axis=1)`` runs, without its matrix
-    copy, and so its bits: ``reduceat`` over the non-empty rows only (an
-    equal index pair would give the element, not zero). One difference
-    is left: a square that underflows to zero (|x| below about 1e-162)
-    stays in the sum, where scipy drops it, so such a row's norm may
-    differ in the last bit.
+    copy, and so its bits: :func:`_row_sums` of the squares, a block of
+    rows at a time. One difference is left: a square that underflows to
+    zero (|x| below about 1e-162) stays in the sum, where scipy drops it,
+    so such a row's norm may differ in the last bit.
     """
-    sq = np.zeros(x.shape[0])
-    rows = np.flatnonzero(np.diff(x.indptr))
-    if rows.size:
-        sq[rows] = np.add.reduceat(x.data * x.data, x.indptr[rows])
+    sq = np.empty(x.shape[0])
+    for rows, entries, indptr in _row_blocks(x.indptr):
+        block = x.data[entries]
+        sq[rows] = _row_sums(indptr, block * block)
     return sq
 
 

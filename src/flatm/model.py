@@ -17,10 +17,13 @@ memberships P(T|W):
 
 The weighted matrix stays sparse (CSR) throughout training: stage 0 of
 the cascade, or the topic run without a cascade, clusters it as CSR,
-and P(W|D) is its column-normalized CSR copy, so P(T|D) is a sparse
+and P(W|D) is that matrix column-normalized, so P(T|D) is a sparse
 product. Memory follows the non-zeros, not terms x documents. Training
 reads its documents as a stream, so ``flatm train`` never holds the
-corpus text whole: only the counting block at hand.
+corpus text whole: only the counting block at hand. It weights the count
+matrix and then normalizes its columns in place, a block of rows at a
+time, so it holds one matrix as long as the non-zeros; the public
+``apply_gtw`` and ``word_given_doc`` run the same kernels on a copy.
 
 Fold-in is the same assembly applied to new columns: unseen documents are
 counted over the model vocabulary by ``build_matrix``, weighted with the
@@ -53,12 +56,21 @@ from .corpus import (
     Vocabulary,
     build_matrix,
 )
-from .fcm import FcmConfig, FcmResult, SettingError, _checked, _require, fcm_run
+from .fcm import (
+    FcmConfig,
+    FcmResult,
+    SettingError,
+    _checked,
+    _require,
+    _row_blocks,
+    fcm_run,
+)
 from .weighting import (
     DEFAULT_EPSILON,
     GlobalWeightVector,
     GtwMethod,
     _check_idf_variant,
+    _weigh,
     apply_gtw,
     compute_global_weights,
 )
@@ -308,12 +320,27 @@ def word_given_doc(values: sp.spmatrix | np.ndarray) -> sp.csr_matrix:
     all zero.
     """
     a = sp.csr_matrix(values, dtype=np.float64)
-    # Each column's entries added in row order, as a.sum(axis=0) adds them.
-    col_mass = np.bincount(a.indices, weights=a.data, minlength=a.shape[1])
-    col_mass[col_mass == 0.0] = 1.0
-    pwd = a.copy()
-    pwd.data /= col_mass[pwd.indices]
-    return pwd
+    return _normalize_columns(a.copy(), _doc_mass(a))
+
+
+def _doc_mass(a: sp.csr_matrix) -> np.ndarray:
+    """Each column's sum, its entries added in row order as
+    ``a.sum(axis=0)`` and ``bincount`` add them: ``add.at`` adds one
+    entry at a time, in order, a block of rows at a time."""
+    mass = np.zeros(a.shape[1])
+    for _, entries, _ in _row_blocks(a.indptr):
+        np.add.at(mass, a.indices[entries], a.data[entries])
+    return mass
+
+
+def _normalize_columns(a: sp.csr_matrix, mass: np.ndarray) -> sp.csr_matrix:
+    """Divide each entry of ``a`` by its column's ``mass``, in place, a
+    block of rows at a time; a column without mass is left as it is.
+    Returns ``a``."""
+    mass = np.where(mass == 0.0, 1.0, mass)
+    for _, entries, _ in _row_blocks(a.indptr):
+        a.data[entries] /= mass[a.indices[entries]]
+    return a
 
 
 def topic_given_doc(
@@ -354,11 +381,16 @@ def train(
     weights = compute_global_weights(
         tdm, config.gtw, epsilon=config.epsilon, idf_variant=config.idf_variant
     )
-    weighted = apply_gtw(tdm, weights)
-    # Only the ids outlive the counts, which are freed before clustering.
+    # train owns the counts: they are weighted in place, and after the
+    # clustering normalized in place into P(W|D), so that one matrix as long
+    # as the non-zeros is held at a time. Only the ids outlive the counts.
+    weighted = _weigh(tdm.counts, weights.clamped)
     doc_ids = tdm.doc_ids
     del tdm
-    empty = np.flatnonzero(weighted.getnnz(axis=0) == 0)
+    # Every weight and every count is positive, so a document has mass
+    # exactly when it has a counted term.
+    mass = _doc_mass(weighted)
+    empty = np.flatnonzero(mass == 0.0)
     if empty.size:
         doc_id = doc_ids[empty[0]]
         raise ValueError(f"document {doc_id!r} has no term in the vocabulary")
@@ -368,8 +400,7 @@ def train(
     )
     pw = word_probabilities(weighted)
     pwt = word_given_topic(ptw, pw)
-    pwd = word_given_doc(weighted)
-    ptd = topic_given_doc(ptw, pwd)
+    ptd = topic_given_doc(ptw, _normalize_columns(weighted, mass))
     return TopicModel(
         vocabulary=vocab,
         config=config,
@@ -405,9 +436,12 @@ def _fold_chunk(
     _, tdm = build_matrix(
         docs, model.config.tokenizer, vocabulary=model.vocabulary
     )
+    # The callers read the counts, so they are weighted on a copy; as in
+    # train, a document is known exactly when its column has mass.
     weighted = apply_gtw(tdm, model.global_weights)
-    ptd = topic_given_doc(model.topic_given_word, word_given_doc(weighted))
-    return tdm, ptd, weighted.getnnz(axis=0) > 0
+    mass = _doc_mass(weighted)
+    ptd = topic_given_doc(model.topic_given_word, _normalize_columns(weighted, mass))
+    return tdm, ptd, mass > 0.0
 
 
 def _fold_chunks(
@@ -527,7 +561,11 @@ def _config_from_dict(data) -> TrainConfig:
 # instead of the whole document's Python floats and text (~25 MB for
 # 10100 terms x 10000 documents, K=10). Pieces of 65536 floats still
 # raised `flatm train`'s peak RSS by up to 6 MB whenever the heap had not
-# been trimmed after training; 4096 keeps the peak on the training itself.
+# been trimmed after training. With 4096, saving now sets that peak, since
+# training holds one matrix as long as the non-zeros: on the 10100 x 10000
+# corpus it adds ~1.1 MB to the 74-75 MB at the end of training, through
+# the pieces encoded whole (the vocabulary, the word-level vectors and
+# table rows of 10100 floats).
 _JSON_PIECE_FLOATS = 4096
 
 _dumps = functools.partial(json.dumps, ensure_ascii=False, allow_nan=False)

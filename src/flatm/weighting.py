@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import TermDocMatrix, Vocabulary
-from .fcm import SettingError, _checked
+from .fcm import SettingError, _checked, _row_blocks, _row_sums
 
 __all__ = [
     "GtwMethod",
@@ -118,10 +118,23 @@ def local_weights(matrix: TermDocMatrix | sp.spmatrix) -> sp.csr_matrix:
     return counts
 
 
-def _row_sums(counts: sp.csr_matrix, values: np.ndarray) -> np.ndarray:
-    """Per-row sums of ``values`` laid out like ``counts.data``."""
-    cells = sp.csr_matrix((values, counts.indices, counts.indptr), shape=counts.shape)
-    return np.asarray(cells.sum(axis=1)).ravel()
+def _row_statistics(
+    counts: sp.csr_matrix, method: GtwMethod
+) -> tuple[np.ndarray, np.ndarray]:
+    """The row sums ``gf_i`` of the counts, and for ``entropy`` the per-row
+    sums of ``p_ij log2(p_ij)``, for ``normal`` those of ``f_ij^2`` (zeros
+    otherwise); taken a block of rows at a time, so that ``p`` and its
+    logarithms are one block long."""
+    gf, sums = np.empty(counts.shape[0]), np.zeros(counts.shape[0])
+    for rows, entries, indptr in _row_blocks(counts.indptr):
+        f = counts.data[entries]
+        gf[rows] = _row_sums(indptr, f)
+        if method is GtwMethod.ENTROPY:
+            p = f * np.repeat(1.0 / gf[rows], np.diff(indptr))
+            sums[rows] = _row_sums(indptr, p * np.log2(p))
+        elif method is GtwMethod.NORMAL:
+            sums[rows] = _row_sums(indptr, f**2)
+    return gf, sums
 
 
 def compute_global_weights(
@@ -156,21 +169,19 @@ def compute_global_weights(
     _check_idf_variant(idf_variant)
     counts = local_weights(matrix)
     n_docs = counts.shape[1]
-    cells_per_row = np.diff(counts.indptr)
-    gf = _row_sums(counts, counts.data)
-    df = cells_per_row.astype(np.float64)
+    if method is GtwMethod.ENTROPY and n_docs < 2:
+        raise ValueError("entropy weighting requires at least 2 documents")
+    gf, sums = _row_statistics(counts, method)
+    df = np.diff(counts.indptr).astype(np.float64)
     if method is GtwMethod.ENTROPY:
-        if n_docs < 2:
-            raise ValueError("entropy weighting requires at least 2 documents")
-        p = counts.data * np.repeat(1.0 / gf, cells_per_row)
-        raw = 1.0 + _row_sums(counts, p * np.log2(p)) / np.log2(n_docs)
+        raw = 1.0 + sums / np.log2(n_docs)
     elif method is GtwMethod.IDF:
         raw = np.log2(n_docs / (gf if idf_variant == "total-frequency" else df))
     elif method is GtwMethod.PROBIDF:
         with np.errstate(divide="ignore"):
             raw = np.log2((n_docs - df) / df)
     elif method is GtwMethod.NORMAL:
-        raw = 1.0 / np.sqrt(_row_sums(counts, counts.data**2))
+        raw = 1.0 / np.sqrt(sums)
     elif method is GtwMethod.GFIDF:
         raw = gf / df
     else:
@@ -192,9 +203,15 @@ def apply_gtw(
             f"weight vector length {len(weights)} does not match "
             f"{counts.shape[0]} terms"
         )
-    weighted = counts.copy()
-    weighted.data *= np.repeat(weights.clamped, np.diff(counts.indptr))
-    return weighted
+    return _weigh(counts.copy(), weights.clamped)
+
+
+def _weigh(counts: sp.csr_matrix, clamped: np.ndarray) -> sp.csr_matrix:
+    """Scale each row of ``counts`` by its weight in ``clamped``, in place,
+    a block of rows at a time; returns ``counts``."""
+    for rows, entries, indptr in _row_blocks(counts.indptr):
+        counts.data[entries] *= np.repeat(clamped[rows], np.diff(indptr))
+    return counts
 
 
 def global_weights_tsv(vocab: Vocabulary, weights: GlobalWeightVector) -> str:

@@ -61,10 +61,11 @@ def run_cli(*args, env_extra=None, check=False):
 @pytest.fixture
 def run_main(monkeypatch):
     """``run_cli`` inside this process: ``flatm.cli.main`` with its stdout,
-    stderr and exit code captured, for tests that would start many processes."""
+    stderr and exit code captured, for tests with no process boundary under
+    test."""
     monkeypatch.delenv("FLATM_THREADS", raising=False)
 
-    def run(*args):
+    def run(*args, check=False):
         args = list(map(str, args))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -72,6 +73,10 @@ def run_main(monkeypatch):
                 code = cli_main(args)
             except SystemExit as exc:
                 code = exc.code
+        if check and code != 0:
+            raise AssertionError(
+                f"flatm {' '.join(args)} exited {code}:\n{err.getvalue()}"
+            )
         return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
     return run
@@ -160,8 +165,8 @@ def workspace(tmp_path_factory):
 
 
 class TestGenSynth:
-    def test_stdout_is_label_tab_text(self):
-        proc = run_cli(*GEN_ARGS, check=True)
+    def test_stdout_is_label_tab_text(self, run_main):
+        proc = run_main(*GEN_ARGS, check=True)
         lines = proc.stdout.splitlines()
         assert len(lines) == 16
         label, text = lines[0].split("\t")
@@ -169,15 +174,15 @@ class TestGenSynth:
         assert len(text.split()) == 10
         assert lines[-1].startswith("class1\t")
 
-    def test_byte_deterministic(self):
-        a = run_cli(*GEN_ARGS, "--seed", "5", check=True)
-        b = run_cli(*GEN_ARGS, "--seed", "5", check=True)
-        c = run_cli(*GEN_ARGS, "--seed", "6", check=True)
+    def test_byte_deterministic(self, run_main):
+        a = run_main(*GEN_ARGS, "--seed", "5", check=True)
+        b = run_main(*GEN_ARGS, "--seed", "5", check=True)
+        c = run_main(*GEN_ARGS, "--seed", "6", check=True)
         assert a.stdout == b.stdout
         assert a.stdout != c.stdout
 
-    def test_bad_overlap_is_usage_error(self):
-        proc = run_cli("gen-synth", "--overlap", "1.5")
+    def test_bad_overlap_is_usage_error(self, run_main):
+        proc = run_main("gen-synth", "--overlap", "1.5")
         assert proc.returncode == 1
 
 
@@ -286,13 +291,13 @@ class TestTrain:
         assert term == "c0w0"
         float(raw), float(clamped)
 
-    def test_missing_required_flag_exits_1(self, workspace):
-        proc = run_cli("train", "--input", workspace / "corpus.tsv")
+    def test_missing_required_flag_exits_1(self, workspace, run_main):
+        proc = run_main("train", "--input", workspace / "corpus.tsv")
         assert proc.returncode == 1
         assert "required" in proc.stderr
 
-    def test_missing_input_file_exits_2(self, tmp_path):
-        proc = run_cli(
+    def test_missing_input_file_exits_2(self, tmp_path, run_main):
+        proc = run_main(
             "train",
             "--input", tmp_path / "absent.tsv",
             "--format", "labeled-tsv",
@@ -301,7 +306,7 @@ class TestTrain:
         )
         assert proc.returncode == 2
 
-    def test_undecodable_input_files_exit_2(self, workspace, tmp_path):
+    def test_undecodable_input_files_exit_2(self, workspace, tmp_path, run_main):
         bad = tmp_path / "latin1.txt"
         bad.write_bytes(b"class0\tcaf\xe9 c0w1\n")
         train = [
@@ -313,12 +318,12 @@ class TestTrain:
             [*train, "--input", workspace / "corpus.tsv", "--stopwords", bad],
             ["infer", "--model", bad, "--input", workspace / "corpus.tsv"],
         ):
-            proc = run_cli(*argv)
+            proc = run_main(*argv)
             assert proc.returncode == 2, (argv, proc.stderr)
             assert "decode" in proc.stderr
 
-    def test_pipeline_error_exits_3(self, workspace, tmp_path):
-        proc = run_cli(
+    def test_pipeline_error_exits_3(self, workspace, tmp_path, run_main):
+        proc = run_main(
             "train",
             "--input", workspace / "corpus.tsv",
             "--format", "labeled-tsv",
@@ -329,13 +334,13 @@ class TestTrain:
         assert proc.returncode == 3
         assert "n_topics" in proc.stderr
 
-    def test_document_without_counted_term_exits_3(self, tmp_path):
+    def test_document_without_counted_term_exits_3(self, tmp_path, run_main):
         corpus = tmp_path / "docs"
         corpus.mkdir()
         for i in range(6):
             (corpus / f"d{i}.txt").write_text(f"c0w{i} c0w{i + 1} c1w{i}\n")
         (corpus / "hollow.txt").write_text("the and of\n")
-        proc = run_cli(
+        proc = run_main(
             "train", "--input", corpus, *TRAIN_ARGS, "--output", tmp_path / "m.json"
         )
         assert proc.returncode == 3
@@ -764,8 +769,8 @@ class TestInferStream:
 
 
 class TestTopWords:
-    def test_tsv_matches_library(self, workspace):
-        proc = run_cli(
+    def test_tsv_matches_library(self, workspace, run_main):
+        proc = run_main(
             "top-words", "--model", workspace / "model.json", "--count", "3",
             check=True,
         )
@@ -780,8 +785,8 @@ class TestTopWords:
             assert term == expected[rank - 1][0]
             assert float(prob) == expected[rank - 1][1]
 
-    def test_single_topic_selection(self, workspace):
-        proc = run_cli(
+    def test_single_topic_selection(self, workspace, run_main):
+        proc = run_main(
             "top-words",
             "--model", workspace / "model.json",
             "--topic", "1",
@@ -792,8 +797,8 @@ class TestTopWords:
         assert len(lines) == 2
         assert all(line.startswith("1\t") for line in lines)
 
-    def test_out_of_range_topic_exits_1(self, workspace):
-        proc = run_cli(
+    def test_out_of_range_topic_exits_1(self, workspace, run_main):
+        proc = run_main(
             "top-words", "--model", workspace / "model.json", "--topic", "9",
         )
         assert proc.returncode == 1
