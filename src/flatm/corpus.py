@@ -40,6 +40,10 @@ CORPUS_FORMATS = ("dir-of-txt", "labeled-tsv", "lines")
 
 # Runs of word characters, underscore excluded. Unicode-aware.
 _TOKEN_RE = re.compile(r"[^\W_]+")
+# str.translate tables for ASCII text: letters and digits stay, every other
+# character becomes a space; the second also maps A-Z to a-z.
+_ASCII_SPACED = "".join(c if c.isalnum() else " " for c in map(chr, range(128)))
+_ASCII_SPACED_LOWER = _ASCII_SPACED.lower()
 
 
 class InputFormatError(Exception):
@@ -112,6 +116,9 @@ class TokenizerConfig:
 def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
     """Split ``text`` into filtered tokens. Deterministic, order-preserving.
 
+    Raw tokens are the maximal runs of characters for which
+    ``str.isalnum`` holds (``_TOKEN_RE``), found by one ``str.translate``
+    and split when the text is ASCII and by the regex otherwise.
     ``build_matrix`` applies the same filter, but once per distinct token
     of a call rather than once per occurrence.
     """
@@ -121,7 +128,19 @@ def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
 
 
 def _raw_tokens(text: str, config: TokenizerConfig) -> list[str]:
-    """Tokens of ``text`` before the filter, after optional lowercasing."""
+    """Tokens of ``text`` before the filter, after optional lowercasing.
+
+    ASCII text (``str.isascii`` reads a flag, so the check is O(1)) is
+    copied once by ``str.translate`` and split at spaces; any other text is
+    lowercased if asked and matched by ``_TOKEN_RE``. Both give the same
+    tokens: on ASCII text the regex matches exactly the runs of A-Z, a-z
+    and 0-9, and ``str.lower`` maps only A-Z. The check is made on the text
+    as given, so text that only lowercases to ASCII (U+212A KELVIN SIGN
+    becomes ``k``) takes the regex.
+    """
+    if text.isascii():
+        table = _ASCII_SPACED_LOWER if config.lowercase else _ASCII_SPACED
+        return text.translate(table).split()
     return _TOKEN_RE.findall(text.lower() if config.lowercase else text)
 
 
@@ -258,7 +277,7 @@ def _iter_lines(path: Path, labeled: bool, allow_empty: bool) -> Iterator[RawDoc
                     raise InputFormatError(f"{path}: line {lineno}: empty label")
             else:
                 label, body = None, line
-            if not body.strip() and not allow_empty:
+            if not allow_empty and (not body or body.isspace()):
                 raise InputFormatError(f"{path}: line {lineno}: empty document")
             yield RawDocument(doc_id=str(lineno), text=body, label=label)
 
@@ -273,7 +292,7 @@ def _iter_dir_of_txt(files: list[Path], allow_empty: bool) -> Iterator[RawDocume
             )
         seen[doc_id] = file
         text = file.read_text(encoding="utf-8-sig")
-        if not text.strip() and not allow_empty:
+        if not allow_empty and (not text or text.isspace()):
             raise InputFormatError(f"{file}: empty document")
         yield RawDocument(doc_id=doc_id, text=text)
 
@@ -371,7 +390,8 @@ def build_matrix(
     scoring all call it. ``docs`` may be any iterable, a one-shot stream
     included; it is read once, in order. A call runs the tokenizer's
     filter and the term lookup once per distinct raw token, not once per
-    occurrence; each occurrence costs the regex and one dictionary lookup.
+    occurrence; each occurrence costs its share of the tokenizer's one pass
+    over the text and one dictionary lookup.
     Documents are counted in blocks of about 65k tokens: only one block's
     token codes are held at a time, and only term ids and counts (int32)
     and each document's id and totals outlive it, so no document's text is

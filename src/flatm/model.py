@@ -556,24 +556,26 @@ def _config_from_dict(data) -> TrainConfig:
     })
 
 
-# Floats per piece of a stored table. Each piece is encoded and written
-# before the next, so saving adds well under 1 MB to the trained model
-# instead of the whole document's Python floats and text (~25 MB for
-# 10100 terms x 10000 documents, K=10). Pieces of 65536 floats still
+# Items per piece of a stored array or list: floats of a table, a vector
+# or the raw weights, terms of the vocabulary, document ids. Each piece is
+# encoded and written before the next, so saving adds well under 1 MB to
+# the trained model instead of the whole document's Python floats and text
+# (~25 MB for 10100 terms x 10000 documents, K=10). Pieces of 65536 floats
 # raised `flatm train`'s peak RSS by up to 6 MB whenever the heap had not
-# been trimmed after training. With 4096, saving now sets that peak, since
-# training holds one matrix as long as the non-zeros: on the 10100 x 10000
-# corpus it adds ~1.1 MB to the 74-75 MB at the end of training, through
-# the pieces encoded whole (the vocabulary, the word-level vectors and
-# table rows of 10100 floats).
+# been trimmed after training. Rows and lists longer than a piece are cut
+# too: encoded whole, the 10100-item rows and lists of the 10100 x 10000
+# corpus's model raised that peak by 1.1 MB in 7 of 10 runs, above the
+# 74-75 MB at the end of training; cut, by at most 0.5 MB.
 _JSON_PIECE_FLOATS = 4096
 
 _dumps = functools.partial(json.dumps, ensure_ascii=False, allow_nan=False)
 
 
 def _json_pieces(value) -> Iterator[str]:
-    """``_dumps(value)`` in pieces; arrays go by blocks of whole rows.
+    """``_dumps(value)`` in pieces of at most ``_JSON_PIECE_FLOATS`` items.
 
+    A table goes by blocks of whole rows, or row by row in pieces when a
+    row is longer than a piece; a vector or list goes by runs of items.
     Joined, the pieces equal the one-shot encoding byte for byte: a float
     is written as its repr and list items are separated by ", " in both.
     """
@@ -584,17 +586,29 @@ def _json_pieces(value) -> Iterator[str]:
             yield from _json_pieces(item)
         yield "}"
     elif isinstance(value, np.ndarray) and value.ndim == 2:
-        rows = max(1, _JSON_PIECE_FLOATS // max(1, value.shape[1]))
         yield "["
-        for start in range(0, value.shape[0], rows):
-            # A block's rows without the block's own brackets.
-            block = _dumps(value[start : start + rows].tolist())[1:-1]
-            yield (", " if start else "") + block
+        if value.shape[1] > _JSON_PIECE_FLOATS:
+            for i, row in enumerate(value):
+                if i:
+                    yield ", "
+                yield from _json_pieces(row)
+        else:
+            yield from _item_runs(value, _JSON_PIECE_FLOATS // max(1, value.shape[1]))
         yield "]"
-    elif isinstance(value, np.ndarray):
-        yield _dumps(value.tolist())
+    elif isinstance(value, (list, np.ndarray)):
+        yield "["
+        yield from _item_runs(value, _JSON_PIECE_FLOATS)
+        yield "]"
     else:
         yield _dumps(value)
+
+
+def _item_runs(items, size: int) -> Iterator[str]:
+    """``items`` encoded ``size`` at a time, without the list's brackets."""
+    for start in range(0, len(items), size):
+        run = items[start : start + size]
+        text = _dumps(run.tolist() if isinstance(run, np.ndarray) else run)
+        yield (", " if start else "") + text[1:-1]
 
 
 def _model_json_pieces(model: TopicModel) -> Iterator[str]:

@@ -58,28 +58,29 @@ def run_cli(*args, env_extra=None, check=False):
     return proc
 
 
+def run_in_process(*args, check=False):
+    """``run_cli`` inside this process: ``flatm.cli.main`` with its stdout,
+    stderr and exit code captured, for runs with no process boundary under
+    test."""
+    args = list(map(str, args))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(args)
+        except SystemExit as exc:
+            code = exc.code
+    if check and code != 0:
+        raise AssertionError(
+            f"flatm {' '.join(args)} exited {code}:\n{err.getvalue()}"
+        )
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
 @pytest.fixture
 def run_main(monkeypatch):
-    """``run_cli`` inside this process: ``flatm.cli.main`` with its stdout,
-    stderr and exit code captured, for tests with no process boundary under
-    test."""
+    """``run_in_process`` with ``FLATM_THREADS`` unset, as ``run_cli`` has it."""
     monkeypatch.delenv("FLATM_THREADS", raising=False)
-
-    def run(*args, check=False):
-        args = list(map(str, args))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli_main(args)
-            except SystemExit as exc:
-                code = exc.code
-        if check and code != 0:
-            raise AssertionError(
-                f"flatm {' '.join(args)} exited {code}:\n{err.getvalue()}"
-            )
-        return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
-
-    return run
+    return run_in_process
 
 
 def _set(path, change):
@@ -138,7 +139,7 @@ MODEL_MUTATIONS = {
 }
 
 
-def run_model_command(command, model, tmp_path, run=run_cli):
+def run_model_command(command, model, tmp_path, run):
     if command == "top-words":
         return run("top-words", "--model", model)
     docs_file = tmp_path / "docs.txt"
@@ -152,8 +153,8 @@ def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     corpus = root / "corpus.tsv"
     model = root / "model.json"
-    run_cli(*GEN_ARGS, "--output", corpus, check=True)
-    run_cli(
+    run_in_process(*GEN_ARGS, "--output", corpus, check=True)
+    run_in_process(
         "train",
         "--input", corpus,
         "--format", "labeled-tsv",
@@ -187,9 +188,9 @@ class TestGenSynth:
 
 
 class TestTrain:
-    def test_reports_stages_and_writes_model(self, workspace):
+    def test_reports_stages_and_writes_model(self, workspace, run_main):
         out = workspace / "rerun.json"
-        proc = run_cli(
+        proc = run_main(
             "train",
             "--input", workspace / "corpus.tsv",
             "--format", "labeled-tsv",
@@ -205,10 +206,12 @@ class TestTrain:
         model = load_model(out)
         assert model.n_topics == 2
 
-    def test_model_file_is_byte_identical_across_reruns(self, workspace, tmp_path):
+    def test_model_file_is_byte_identical_across_reruns(
+        self, workspace, tmp_path, run_main
+    ):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
-            run_cli(
+            run_main(
                 "train",
                 "--input", workspace / "corpus.tsv",
                 "--format", "labeled-tsv",
@@ -239,7 +242,7 @@ class TestTrain:
         assert out.read_text(encoding="utf-8") == "earlier\n"
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
-    def test_train_and_eval_files_share_the_writer(self, workspace, tmp_path):
+    def test_train_and_eval_files_share_the_writer(self, workspace, tmp_path, run_main):
         # Each existing target sits behind a symlink: it is written through
         # the link and keeps its mode, as infer's --output is.
         names = ["model.json", "weights.tsv", "report.json", "report.csv"]
@@ -250,13 +253,13 @@ class TestTrain:
             (real / name).chmod(0o640)
             (tmp_path / name).symlink_to(real / name)
         corpus = workspace / "corpus.tsv"
-        run_cli(
+        run_main(
             "train", "--input", corpus, "--format", "labeled-tsv", *TRAIN_ARGS,
             "--output", tmp_path / "model.json",
             "--dump-weights", tmp_path / "weights.tsv",
             check=True,
         )
-        run_cli(
+        run_main(
             "eval", "loglik", "--input", corpus, *TRAIN_ARGS, "--folds", "1",
             "--output", tmp_path / "report.json", "--csv", tmp_path / "report.csv",
             check=True,
@@ -273,9 +276,9 @@ class TestTrain:
         assert (real / "report.csv").read_text().startswith("fold,metric,value\n")
         assert (real / "weights.tsv").read_text() != "earlier\n"
 
-    def test_dump_weights_tsv(self, workspace, tmp_path):
+    def test_dump_weights_tsv(self, workspace, tmp_path, run_main):
         weights = tmp_path / "weights.tsv"
-        run_cli(
+        run_main(
             "train",
             "--input", workspace / "corpus.tsv",
             "--format", "labeled-tsv",
@@ -422,11 +425,11 @@ class TestTrain:
 
 
 class TestInfer:
-    def test_matches_library_fold_in(self, workspace, tmp_path):
+    def test_matches_library_fold_in(self, workspace, tmp_path, run_main):
         docs_file = tmp_path / "docs.txt"
         texts = ["c0w0 c0w1 c0w2 c0w0", "c1w4 c1w5 c1w5"]
         docs_file.write_text("\n".join(texts) + "\n")
-        proc = run_cli(
+        proc = run_main(
             "infer",
             "--model", workspace / "model.json",
             "--input", docs_file,
@@ -440,19 +443,19 @@ class TestInfer:
             got = np.array([float(v) for v in row[1:]])
             np.testing.assert_array_equal(got, expected)
 
-    def test_empty_input_gives_header_only(self, workspace, tmp_path):
+    def test_empty_input_gives_header_only(self, workspace, tmp_path, run_main):
         empty = tmp_path / "empty.txt"
         empty.write_text("")
-        proc = run_cli(
+        proc = run_main(
             "infer", "--model", workspace / "model.json", "--input", empty,
         )
         assert proc.returncode == 0
         assert proc.stdout == "doc_id,topic_0,topic_1\n"
 
-    def test_oov_document_flagged_not_fatal(self, workspace, tmp_path):
+    def test_oov_document_flagged_not_fatal(self, workspace, tmp_path, run_main):
         docs_file = tmp_path / "docs.txt"
         docs_file.write_text("c0w0 c0w1\nzebra yak walrus\n")
-        proc = run_cli(
+        proc = run_main(
             "infer", "--model", workspace / "model.json", "--input", docs_file,
         )
         assert proc.returncode == 0
@@ -460,13 +463,13 @@ class TestInfer:
         assert lines[2].endswith("ERROR_OOV")
         assert "no in-vocabulary terms" in proc.stderr
 
-    def test_one_row_per_input_line(self, workspace, tmp_path):
+    def test_one_row_per_input_line(self, workspace, tmp_path, run_main):
         # A form feed inside a line does not start a new document.
         docs_file = tmp_path / "docs.txt"
         docs_file.write_text(
             "c0w0 c0w1\x0cc1w4 c1w5\nc1w5 c0w2\u2028zebra\n", encoding="utf-8"
         )
-        proc = run_cli(
+        proc = run_main(
             "infer", "--model", workspace / "model.json", "--input", docs_file,
             check=True,
         )
@@ -489,7 +492,7 @@ class TestInfer:
                 assert proc.stderr.startswith("flatm: error: "), (name, command)
                 assert proc.stdout == "", (name, command)
 
-    def test_rounded_probability_still_loads(self, workspace, tmp_path):
+    def test_rounded_probability_still_loads(self, workspace, tmp_path, run_main):
         # Assembly can round a P(T|D) entry to just above 1.
         doc = json.loads((workspace / "model.json").read_text())
         doc["topic_given_doc"]["values"][0][0] = 1.0000000000000002
@@ -497,7 +500,7 @@ class TestInfer:
         rounded = tmp_path / "rounded.json"
         rounded.write_text(json.dumps(doc))
         for command in ("infer", "top-words"):
-            proc = run_model_command(command, rounded, tmp_path)
+            proc = run_model_command(command, rounded, tmp_path, run_main)
             assert proc.returncode == 0, (command, proc.stderr)
 
 
@@ -549,13 +552,15 @@ class TestInferStream:
     """``infer`` reads, folds in and writes a chunk of documents at a time."""
 
     @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
-    def test_lines_csv_equals_whole_input_fold_in(self, workspace, tmp_path, n):
+    def test_lines_csv_equals_whole_input_fold_in(
+        self, workspace, tmp_path, n, run_main
+    ):
         path = tmp_path / "docs.txt"
         write_lines_file(path, document_lines(n))
         docs = load_corpus(path, "lines", allow_empty=True)
         assert [d.text for d in docs] == oracles.reference_lines(path)
         model = load_model(workspace / "model.json")
-        proc = run_cli(
+        proc = run_main(
             "infer", "--model", workspace / "model.json", "--input", path, check=True
         )
         assert proc.stdout == reference_infer_csv(model, docs)
@@ -564,7 +569,7 @@ class TestInferStream:
     @pytest.mark.parametrize("format", ["labeled-tsv", "dir-of-txt"])
     def test_other_formats_equal_whole_input_fold_in(
         self, workspace, tmp_path, format
-    ):
+, run_main):
         lines = document_lines(600)
         if format == "labeled-tsv":
             path = tmp_path / "docs.tsv"
@@ -576,7 +581,7 @@ class TestInferStream:
                 file.parent.mkdir(parents=True, exist_ok=True)
                 file.write_text(line, encoding="utf-8")
         out = tmp_path / "topics.csv"
-        proc = run_cli(
+        proc = run_main(
             "infer", "--model", workspace / "model.json", "--input", path,
             "--format", format, "--output", out, check=True,
         )
@@ -589,7 +594,7 @@ class TestInferStream:
 
     def test_bad_line_leaves_no_output_and_existing_output_as_it_was(
         self, workspace, tmp_path
-    ):
+, run_main):
         lines = [f"c{i % 2}\t{text}" for i, text in enumerate(document_lines(600))]
         lines[299] = "no tab on line 300"
         corpus = tmp_path / "docs.tsv"
@@ -599,19 +604,19 @@ class TestInferStream:
             "infer", "--model", workspace / "model.json", "--input", corpus,
             "--format", "labeled-tsv",
         )
-        proc = run_cli(*args, "--output", out)
+        proc = run_main(*args, "--output", out)
         assert proc.returncode == 2
         assert "line 300: expected label<TAB>text" in proc.stderr
         assert list(tmp_path.iterdir()) == [corpus]
         out.write_bytes(b"earlier,run\r\n")
         out.chmod(0o640)
-        proc = run_cli(*args, "--output", out)
+        proc = run_main(*args, "--output", out)
         assert proc.returncode == 2
         assert out.read_bytes() == b"earlier,run\r\n"
         assert out.stat().st_mode & 0o777 == 0o640
         assert sorted(tmp_path.iterdir()) == sorted([corpus, out])
         # On stdout, rows already made stay printed: whole rows, in order.
-        proc = run_cli(*args)
+        proc = run_main(*args)
         assert proc.returncode == 2
         model = load_model(workspace / "model.json")
         docs = [
@@ -621,7 +626,7 @@ class TestInferStream:
         assert reference_infer_csv(model, docs).startswith(proc.stdout)
         assert proc.stdout.endswith("\n")
 
-    def test_output_may_replace_the_input(self, workspace, tmp_path):
+    def test_output_may_replace_the_input(self, workspace, tmp_path, run_main):
         texts = "\n".join(document_lines(600)) + "\n"
         apart, same = tmp_path / "apart.txt", tmp_path / "same.txt"
         apart.write_text(texts, encoding="utf-8")
@@ -629,13 +634,15 @@ class TestInferStream:
         same.chmod(0o640)
         infer = ("infer", "--model", workspace / "model.json", "--input")
         out = tmp_path / "topics.csv"
-        run_cli(*infer, apart, "--output", out, check=True)
-        run_cli(*infer, same, "--output", same, check=True)
+        run_main(*infer, apart, "--output", out, check=True)
+        run_main(*infer, same, "--output", same, check=True)
         assert same.read_bytes() == out.read_bytes()
         assert same.stat().st_mode & 0o777 == 0o640
         assert sorted(tmp_path.iterdir()) == sorted([apart, same, out])
 
-    def test_output_file_is_made_as_open_would_make_it(self, workspace, tmp_path):
+    def test_output_file_is_made_as_open_would_make_it(
+        self, workspace, tmp_path, run_main
+    ):
         # A new file gets 0o666 less the umask, and a symlink is written
         # through, not replaced.
         docs_file = tmp_path / "docs.txt"
@@ -646,16 +653,17 @@ class TestInferStream:
         infer = ("infer", "--model", workspace / "model.json", "--input", docs_file)
         umask = os.umask(0o027)
         try:
-            run_cli(*infer, "--output", link, check=True)
+            run_main(*infer, "--output", link, check=True)
         finally:
             os.umask(umask)
         assert link.is_symlink()
         target = tmp_path / "real" / "topics.csv"
         assert target.stat().st_mode & 0o777 == 0o640
-        assert target.read_text(encoding="utf-8") == run_cli(*infer, check=True).stdout
+        assert target.read_text(encoding="utf-8") == run_main(*infer, check=True).stdout
         assert [p.name for p in (tmp_path / "real").iterdir()] == ["topics.csv"]
 
     def test_output_in_a_missing_directory_is_named(self, workspace, tmp_path):
+        # Through `python -m flatm`: the entry passes main's exit code on.
         docs_file = tmp_path / "docs.txt"
         docs_file.write_text("c0w0 c0w1\n", encoding="utf-8")
         out = tmp_path / "missing" / "topics.csv"
@@ -671,13 +679,13 @@ class TestInferStream:
 
     def test_output_naming_a_directory_fails_before_reading(
         self, workspace, tmp_path
-    ):
+, run_main):
         # The bad line would be reported if the input were read first.
         corpus = tmp_path / "docs.tsv"
         corpus.write_text("no tab\n", encoding="utf-8")
         out = tmp_path / "topics"
         out.mkdir()
-        proc = run_cli(
+        proc = run_main(
             "infer", "--model", workspace / "model.json", "--input", corpus,
             "--format", "labeled-tsv", "--output", out,
         )
@@ -719,7 +727,7 @@ class TestInferStream:
         assert expected
         assert run_cli(*args, "--output", "/dev/stdout", check=True).stdout == expected
 
-    def test_every_output_flag_shares_the_writer(self, workspace, tmp_path):
+    def test_every_output_flag_shares_the_writer(self, workspace, tmp_path, run_main):
         # top-words and gen-synth keep a file's mode and write through a
         # symlink, as infer does.
         (tmp_path / "real").mkdir()
@@ -732,10 +740,10 @@ class TestInferStream:
             target.chmod(0o640)
             link = tmp_path / name
             link.symlink_to(target)
-            run_cli(*args, "--output", link, check=True)
+            run_main(*args, "--output", link, check=True)
             assert link.is_symlink()
             assert target.stat().st_mode & 0o777 == 0o640
-            assert target.read_text(encoding="utf-8") == run_cli(
+            assert target.read_text(encoding="utf-8") == run_main(
                 *args, check=True
             ).stdout
         assert sorted(p.name for p in (tmp_path / "real").iterdir()) == [
@@ -806,18 +814,18 @@ class TestTopWords:
 
 
 class TestEval:
-    def run_classify(self, workspace, *extra, env_extra=None):
-        return run_cli(
+    def run_classify(self, run, workspace, *extra, **env):
+        return run(
             "eval", "classify",
             "--input", workspace / "corpus.tsv",
             *TRAIN_ARGS,
             "--folds", "2",
             *extra,
-            env_extra=env_extra,
+            **env,
         )
 
-    def test_classify_json_report(self, workspace):
-        proc = self.run_classify(workspace)
+    def test_classify_json_report(self, workspace, run_main):
+        proc = self.run_classify(run_main, workspace)
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["protocol"] == "classify"
@@ -827,27 +835,28 @@ class TestEval:
         assert report["config"]["model"]["seed"] == 3
         assert "threads" not in json.dumps(report["config"])
 
-    def test_threads_do_not_change_output_bytes(self, workspace):
-        a = self.run_classify(workspace, "--threads", "1")
-        b = self.run_classify(workspace, "--threads", "4")
+    def test_threads_do_not_change_output_bytes(self, workspace, run_main):
+        a = self.run_classify(run_main, workspace, "--threads", "1")
+        b = self.run_classify(run_main, workspace, "--threads", "4")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
     def test_threads_env_fallback(self, workspace):
-        a = self.run_classify(workspace)
-        b = self.run_classify(workspace, env_extra={"FLATM_THREADS": "3"})
+        a = self.run_classify(run_cli, workspace)
+        b = self.run_classify(run_cli, workspace, env_extra={"FLATM_THREADS": "3"})
         assert b.returncode == 0
         assert a.stdout == b.stdout
-        bad = self.run_classify(workspace, env_extra={"FLATM_THREADS": "many"})
+        bad = self.run_classify(run_cli, workspace, env_extra={"FLATM_THREADS": "many"})
         assert bad.returncode == 1
-        zero = self.run_classify(workspace, env_extra={"FLATM_THREADS": "0"})
+        zero = self.run_classify(run_cli, workspace, env_extra={"FLATM_THREADS": "0"})
         assert zero.returncode == 1
         assert "FLATM_THREADS: must be >= 1" in zero.stderr
 
-    def test_output_csv_and_text_sinks(self, workspace, tmp_path):
+    def test_output_csv_and_text_sinks(self, workspace, tmp_path, run_main):
         out_json = tmp_path / "report.json"
         out_csv = tmp_path / "report.csv"
         proc = self.run_classify(
+            run_main,
             workspace,
             "--output", out_json,
             "--csv", out_csv,
@@ -861,8 +870,8 @@ class TestEval:
         assert lines[0] == "fold,metric,value"
         assert lines[1] == "0,accuracy,1.0"
 
-    def test_loglik_report(self, workspace):
-        proc = run_cli(
+    def test_loglik_report(self, workspace, run_main):
+        proc = run_main(
             "eval", "loglik",
             "--input", workspace / "corpus.tsv",
             *TRAIN_ARGS,
@@ -876,22 +885,22 @@ class TestEval:
         assert report["details"][0]["n_train"] == 12
         assert "baseline_loglik" in report["details"][0]
 
-    def test_byte_identical_reruns(self, workspace):
-        a = run_cli(
+    def test_byte_identical_reruns(self, workspace, run_main):
+        a = run_main(
             "eval", "loglik",
             "--input", workspace / "corpus.tsv",
             *TRAIN_ARGS, "--folds", "2",
         )
-        b = run_cli(
+        b = run_main(
             "eval", "loglik",
             "--input", workspace / "corpus.tsv",
             *TRAIN_ARGS, "--folds", "2",
         )
         assert a.stdout == b.stdout
 
-    def test_loglik_threads_do_not_change_output_bytes(self, workspace):
+    def test_loglik_threads_do_not_change_output_bytes(self, workspace, run_main):
         a, b = (
-            run_cli(
+            run_main(
                 "eval", "loglik",
                 "--input", workspace / "corpus.tsv",
                 *TRAIN_ARGS, "--folds", "2", "--threads", threads,
@@ -901,40 +910,40 @@ class TestEval:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
-    def test_byte_order_mark_changes_nothing(self, workspace, tmp_path):
+    def test_byte_order_mark_changes_nothing(self, workspace, tmp_path, run_main):
         marked = tmp_path / "marked.tsv"
         marked.write_bytes(b"\xef\xbb\xbf" + (workspace / "corpus.tsv").read_bytes())
-        plain = self.run_classify(workspace)
-        proc = run_cli(
+        plain = self.run_classify(run_main, workspace)
+        proc = run_main(
             "eval", "classify", "--input", marked, *TRAIN_ARGS, "--folds", "2"
         )
         assert plain.returncode == proc.returncode == 0
         assert proc.stdout == plain.stdout
 
-    def classify_below_schedule(self, tmp_path, *extra):
+    def classify_below_schedule(self, run, tmp_path, *extra):
         corpus = tmp_path / "small.tsv"
         if not corpus.exists():
-            run_cli(
+            run(
                 "gen-synth", "--classes", "2", "--vocab-per-class", "10",
                 "--docs-per-class", "8", "--doc-length", "10",
                 "--output", corpus,
                 check=True,
             )
-        return run_cli(
+        return run(
             "eval", "classify", "--input", corpus, "--topics", "2", "--folds", "2",
             *extra,
         )
 
-    def test_class_below_schedule_is_named(self, tmp_path):
-        proc = self.classify_below_schedule(tmp_path)
+    def test_class_below_schedule_is_named(self, tmp_path, run_main):
+        proc = self.classify_below_schedule(run_main, tmp_path)
         assert proc.returncode == 3
         assert "class 'class0'" in proc.stderr
         assert "10 terms, schedule starts at 10" in proc.stderr
         assert "--schedule" in proc.stderr
 
-    def test_schedule_error_crosses_worker_processes_intact(self, tmp_path):
-        serial = self.classify_below_schedule(tmp_path, "--threads", "1")
-        pooled = self.classify_below_schedule(tmp_path, "--threads", "2")
+    def test_schedule_error_crosses_worker_processes_intact(self, tmp_path, run_main):
+        serial = self.classify_below_schedule(run_main, tmp_path, "--threads", "1")
+        pooled = self.classify_below_schedule(run_main, tmp_path, "--threads", "2")
         assert serial.returncode == pooled.returncode == 3
         assert "class 'class0'" in pooled.stderr
         assert pooled.stderr == serial.stderr
@@ -944,13 +953,13 @@ class TestEval:
     )
     def test_document_without_counted_term_names_the_job(
         self, workspace, tmp_path, protocol, job
-    ):
+, run_main):
         corpus = tmp_path / "hollow.tsv"
         corpus.write_text(
             "class0\tthe and of\n" + (workspace / "corpus.tsv").read_text()
         )
         serial, pooled = (
-            run_cli(
+            run_main(
                 "eval", protocol, "--input", corpus, *TRAIN_ARGS,
                 "--folds", "2", "--threads", threads,
             )

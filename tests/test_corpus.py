@@ -89,6 +89,40 @@ class TestTokenize:
         assert tokenize("ab abc", config) == ["abc"]
 
 
+# No filter: every raw token is kept, so tokenize gives the regex's tokens.
+_UNFILTERED = {"min_token_length": 1, "drop_numeric": False, "stopwords": frozenset()}
+
+
+@pytest.mark.parametrize("lowercase", [True, False])
+def test_every_pair_of_ascii_characters_tokenizes_as_the_regex(lowercase):
+    # Each pair sits beside letters of both cases, digits and underscores.
+    config = TokenizerConfig(lowercase=lowercase, **_UNFILTERED)
+    ascii = [chr(i) for i in range(128)]
+    for a in ascii:
+        for b in ascii:
+            text = f"Aa{a}{b}9_{a}Z{b}0{a}{b}_b"
+            want = oracles.reference_tokens(text, config)
+            assert tokenize(text, config) == want, repr(text)
+
+
+# Characters that lowercase to ASCII or to more than one character, that
+# are whitespace or a word character only outside ASCII, or are an ASCII
+# separator that is not a space.
+_EDGE_CHARACTERS = ["\u212a", "\u0130", "\xa0", "\x85", "\u2028", "\xb2", "\x1c"]
+_ASCII_TEXT = st.text(alphabet=st.characters(max_codepoint=127))
+_ANY_TEXT = st.lists(
+    st.one_of(st.text(max_size=6), _ASCII_TEXT, st.sampled_from(_EDGE_CHARACTERS)),
+    max_size=8,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(text=st.one_of(_ASCII_TEXT, _ANY_TEXT), lowercase=st.booleans())
+def test_tokens_equal_the_regex_on_any_text(text, lowercase):
+    config = TokenizerConfig(lowercase=lowercase, **_UNFILTERED)
+    assert tokenize(text, config) == oracles.reference_tokens(text, config)
+
+
 class TestStopwordFiles:
     def test_defaults_include_function_words(self):
         words = default_stopwords()
@@ -221,9 +255,10 @@ class TestLoadCorpus:
         path.write_text("", encoding="utf-8")
         assert load_corpus(path, "lines") == []
 
-    def test_empty_document_rejected_unless_allowed(self, tmp_path):
+    @pytest.mark.parametrize("blank", ["   ", "\x85\u2028"])
+    def test_empty_document_rejected_unless_allowed(self, tmp_path, blank):
         path = tmp_path / "corpus.txt"
-        path.write_text("first\n   \n", encoding="utf-8")
+        path.write_text(f"first\n{blank}\n", encoding="utf-8")
         with pytest.raises(InputFormatError, match="line 2"):
             load_corpus(path, "lines")
         docs = load_corpus(path, "lines", allow_empty=True)
@@ -549,6 +584,30 @@ def test_vocabulary_counts_equal_counter_of_tokens(
         assert tdm.counts[vocab.index[term]].nnz == 0
     for text in texts:
         assert tokenize(text, config) == oracles.reference_tokens(text, config)
+
+
+@pytest.mark.parametrize("lowercase", [True, False])
+def test_ascii_and_other_documents_counted_in_one_block(lowercase):
+    # ASCII documents are split by translate, the others by the regex; here
+    # they are interleaved in one counting block.
+    texts = [
+        "Fever, kidney_stone (CT) 42",
+        "Fi\u00e8vre FEVER na\u00efve \u212aelvin 37\u00b0C",
+        "x-ray:KIDNEY\tfever",
+        "Stra\u00dfe\xa0fever\u2028Kidney \u0130stanbul",
+        "",
+        "kidney_Fever",
+    ]
+    assert sum(len(t.split()) for t in texts) < corpus._BLOCK_TOKENS
+    config = TokenizerConfig(lowercase=lowercase)
+    reference = oracles.reference_count_matrix(texts, config)
+    vocab, tdm = build_matrix(_docs(*texts), config)
+    _same_as_oracle(vocab, tdm, reference)
+    _same_as_oracle(
+        vocab,
+        build_matrix(_docs(*texts), config, vocabulary=vocab)[1],
+        oracles.reference_count_matrix(texts, config, terms=vocab.terms),
+    )
 
 
 def test_filter_sees_each_distinct_token_once_per_call(monkeypatch):

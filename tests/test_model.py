@@ -852,6 +852,24 @@ class TestSerialization:
             save_model(model, path)
         assert path.read_bytes() == one_shot.encode("utf-8")
 
+    @pytest.mark.parametrize("piece_floats", [1, 3])
+    def test_long_rows_and_lists_are_cut_into_pieces(self, piece_floats):
+        # Vectors, string lists and tables at lengths around multiples of
+        # the piece size, rows longer than a piece included.
+        rng = np.random.default_rng(piece_floats)
+        values = []
+        for n in range(3 * piece_floats + 2):
+            values += [rng.random(n), [f"t{i}" for i in range(n)]]
+            values += [rng.random((2, n)), rng.random((n, 2))]
+        with mock.patch.object(model_module, "_JSON_PIECE_FLOATS", piece_floats):
+            for value in values:
+                pieces = list(model_module._json_pieces(value))
+                plain = value.tolist() if isinstance(value, np.ndarray) else value
+                assert "".join(pieces) == model_module._dumps(plain)
+                # A piece of k items holds at most k separators, counting
+                # the one before its first item.
+                assert max(p.count(", ") for p in pieces) <= piece_floats, pieces
+
     def test_rejects_malformed_input(self):
         with pytest.raises(InputFormatError):
             model_from_json("not json at all {")
