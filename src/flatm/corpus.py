@@ -8,14 +8,12 @@ lexicographic order, columns are documents in input order.
 from __future__ import annotations
 
 import importlib.resources
-import itertools
 import re
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -297,9 +295,8 @@ def _iter_dir_of_txt(files: list[Path], allow_empty: bool) -> Iterator[RawDocume
         yield RawDocument(doc_id=doc_id, text=text)
 
 
-# Codes of raw tokens that are not term ids.
-_UNKNOWN = -1  # passes the filter, not in the vocabulary
-_DROPPED = -2  # removed by the filter
+# Code of a raw token the filter removes; kept ones index _TokenCodes.terms.
+_DROPPED = -1
 # Token codes gathered before a block of documents is counted, which bounds
 # the block's numpy scratch arrays to ~2 MB unless one document is longer.
 # Counting 1M tokens of 10000 documents took the same time with 8k to 64k.
@@ -307,21 +304,19 @@ _BLOCK_TOKENS = 1 << 16
 
 
 class _TokenCodes(dict):
-    """Raw token -> term id, ``_UNKNOWN`` or ``_DROPPED``, for one
-    :func:`build_matrix` call.
+    """Raw token -> code, for one :func:`build_matrix` call: ``_DROPPED``
+    for a token the filter removes, else the token's index in ``terms``,
+    which lists the kept tokens in the order they were first met.
 
     :meth:`read` looks each token up in C. The first token it has not
-    seen runs the filter, and ``term_ids``, over all of that document's
-    unseen distinct tokens at once, so each distinct token is filtered
-    once per call.
+    seen runs the filter over all of that document's unseen distinct
+    tokens at once, so each distinct token is filtered once per call.
     """
 
-    def __init__(
-        self, config: TokenizerConfig, term_ids: Callable[[list[str]], Iterable[int]]
-    ):
+    def __init__(self, config: TokenizerConfig):
         super().__init__()
         self.config = config
-        self.term_ids = term_ids
+        self.terms: list[str] = []
         self.document: list[str] = []
 
     def read(self, raw: list[str]) -> Iterator[int]:
@@ -333,7 +328,8 @@ class _TokenCodes(dict):
         new = set(self.document).difference(self)
         kept = _kept_tokens(new, self.config)
         self.update(dict.fromkeys(new, _DROPPED))
-        self.update(zip(kept, self.term_ids(kept)))
+        self.update(zip(kept, range(len(self.terms), len(self.terms) + len(kept))))
+        self.terms += kept
         return self[token]
 
 
@@ -343,9 +339,9 @@ def _count_block(
     """Count the (document, term) pairs of consecutive documents.
 
     ``codes`` holds the documents' token codes one after another and
-    ``lengths`` how many belong to each. Returns the term ids and counts
-    of each document's distinct terms in order (int32), each document's
-    number of distinct terms, and its token total without dropped tokens.
+    ``lengths`` how many belong to each. Returns the codes and counts of
+    each document's distinct kept tokens in code order (int32), each
+    document's number of them, and its token total without dropped tokens.
     """
     codes = np.frombuffer(codes, dtype=np.intc)
     lengths = np.array(lengths, dtype=np.int64)
@@ -389,11 +385,11 @@ def build_matrix(
     This is the one place text becomes counts: training, fold-in and
     scoring all call it. ``docs`` may be any iterable, a one-shot stream
     included; it is read once, in order. A call runs the tokenizer's
-    filter and the term lookup once per distinct raw token, not once per
-    occurrence; each occurrence costs its share of the tokenizer's one pass
-    over the text and one dictionary lookup.
+    filter once per distinct raw token; each occurrence costs its share of
+    the tokenizer's one pass over the text and one dictionary lookup, and
+    codes, given as tokens are first met, map to rows once at the end.
     Documents are counted in blocks of about 65k tokens: only one block's
-    token codes are held at a time, and only term ids and counts (int32)
+    token codes are held at a time, and only codes and counts (int32)
     and each document's id and totals outlive it, so no document's text is
     kept. The result's ``tokens`` holds every document's filtered token
     total, as ``len(tokenize(doc.text))``.
@@ -407,23 +403,10 @@ def build_matrix(
     """
     if config is None:
         config = TokenizerConfig()
-    if vocabulary is None:
-        if _checked("min_df", min_df, int) < 1:
-            raise SettingError("min_df must be >= 1")
-        # Provisional ids in the order terms are first met; sorted at the end.
-        provisional = defaultdict(itertools.count().__next__)
-
-        def term_ids(terms: list[str]) -> Iterable[int]:
-            return map(provisional.__getitem__, terms)
-
-    else:
-        index = vocabulary.index
-
-        def term_ids(terms: list[str]) -> Iterable[int]:
-            return map(index.get, terms, itertools.repeat(_UNKNOWN))
-
-    codes = _TokenCodes(config, term_ids)
-    # Term ids and counts, column after column; per block, each document's
+    if vocabulary is None and _checked("min_df", min_df, int) < 1:
+        raise SettingError("min_df must be >= 1")
+    codes = _TokenCodes(config)
+    # Codes and counts, column after column; per block, each document's
     # number of distinct terms (after indptr's leading zero) and token total.
     ids, values = array("i"), array("i")
     terms, tokens = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
@@ -444,20 +427,26 @@ def build_matrix(
     # with its last view, once the array made from it has replaced it.
     row, data = np.frombuffer(ids, dtype=np.intc), np.frombuffer(values, dtype=np.intc)
     del ids, values
+    # Each code's row in the vocabulary, or -1 for a term outside it.
+    found = codes.terms
     if vocabulary is None:
-        df = np.bincount(row, minlength=len(provisional))
-        kept = sorted(t for t, i in provisional.items() if df[i] >= min_df)
-        if not kept:
+        df = np.bincount(row, minlength=len(found))
+        kept = np.array(sorted(np.flatnonzero(df >= min_df), key=found.__getitem__))
+        if not kept.size:
             raise ValueError("every document tokenized to nothing; no vocabulary")
-        vocabulary = Vocabulary(terms=tuple(kept))
-        final = np.full(len(provisional), -1, dtype=np.intc)
-        final[[provisional[t] for t in kept]] = np.arange(len(kept))
-        row = final[row]
-        known = row >= 0
-        if not known.all():
-            row, data = row[known], data[known]
-            indptr = np.concatenate(([0], np.cumsum(known)))[indptr]
-        del known
+        vocabulary = Vocabulary(terms=tuple(map(found.__getitem__, kept)))
+        code_rows = np.full(len(found), -1, dtype=np.intc)
+        code_rows[kept] = np.arange(len(kept))
+    else:
+        index = vocabulary.index
+        code_rows = np.array([index.get(term, -1) for term in found], dtype=np.intc)
+    row = code_rows[row]
+    known = row >= 0
+    if not known.all():
+        row, data = row[known], data[known]
+        indptr = np.concatenate(([0], np.cumsum(known)))[indptr]
+    del known
+    # A column's rows need not ascend: tocsr writes each row's columns in order.
     shape = (len(vocabulary), len(doc_ids))
     counts = sp.csc_matrix((data, row, indptr), shape=shape).tocsr()
     del data, row

@@ -186,6 +186,8 @@ def _score_many(
     score has the same bits alone or inside any batch.
     """
     delta = _check_scoring(delta)
+    if word_dist is not None and np.shape(word_dist) != (model.n_terms,):
+        raise SettingError(f"word_dist must have shape ({model.n_terms},)")
     log_delta = math.log(delta)
     scores = []
     for tdm, ptd, _ in _fold_chunks(model, docs):
@@ -224,7 +226,7 @@ def doc_log_likelihood(
 
     Returns (loglik, oov_tokens, total_tokens). By default each known
     token w contributes log(delta + sum_k P(w|T_k) P(T_k|d)) with P(T|d)
-    from fold-in; pass ``word_dist`` (length m) to score against a fixed
+    from fold-in; pass ``word_dist`` (shape (m,)) to score against a fixed
     word distribution instead, e.g. the unigram P(w). Unknown tokens and
     fully out-of-vocabulary documents contribute log(delta) per token.
     The result has the same bits as this document's score inside

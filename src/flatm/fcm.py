@@ -101,6 +101,14 @@ def _require(config, kind: type, *names: str) -> None:
         object.__setattr__(config, name, _checked(name, getattr(config, name), kind))
 
 
+def _check_fuzzifier(fuzzifier: float) -> float:
+    """``fuzzifier`` as a number above 1, or :class:`SettingError`."""
+    fuzzifier = _checked("fuzzifier", fuzzifier, float)
+    if not fuzzifier > 1.0:
+        raise SettingError("fuzzifier must be > 1")
+    return fuzzifier
+
+
 def _check_seed(seed: int) -> None:
     """Reject a seed outside [0, 2**64), the range numpy's seeding takes."""
     if not 0 <= seed < _MAX_SEED:
@@ -127,8 +135,7 @@ class FcmConfig:
         _require(self, float, "fuzzifier", "threshold")
         if self.n_clusters < 2:
             raise SettingError("n_clusters must be >= 2")
-        if not self.fuzzifier > 1.0:
-            raise SettingError("fuzzifier must be > 1")
+        _check_fuzzifier(self.fuzzifier)
         if not self.threshold > 0.0:
             raise SettingError("threshold must be positive")
         if self.max_iterations < 1:
@@ -415,9 +422,13 @@ def _centers(x: _Points, um: np.ndarray, rng: np.random.Generator) -> np.ndarray
 def update_memberships(
     data: np.ndarray | sp.spmatrix, centers: np.ndarray, fuzzifier: float
 ) -> np.ndarray:
-    """One membership update against fixed centers."""
+    """One membership update of (n, d) ``data`` against fixed (c, d)
+    ``centers``; ``fuzzifier`` follows :class:`FcmConfig`'s rule."""
+    fuzzifier, x = _check_fuzzifier(fuzzifier), _as_points(data)
     centers = np.ascontiguousarray(centers, dtype=np.float64)
-    return _memberships(_sq_dists(_as_points(data), centers), fuzzifier)
+    if x.ndim != 2 or centers.ndim != 2 or centers.shape[1] != x.shape[1]:
+        raise ValueError("centers must have shape (c, d) for data of shape (n, d)")
+    return _memberships(_sq_dists(x, centers), fuzzifier)
 
 
 def fcm_run(

@@ -467,11 +467,11 @@ def fold_in_many(
     zero. Fold-in is the training assembly applied to new columns: the
     documents are counted over the model vocabulary by ``build_matrix``,
     weighted by ``apply_gtw`` with the stored global weights, normalized
-    by ``word_given_doc`` and mixed through the stored P(T|W) by
-    ``topic_given_doc``, in O(nnz * K). A column's arithmetic depends only
-    on that document, so a training document gets back its stored
-    P(T|D) column bit for bit, and a document gets the same bits alone
-    or inside any batch.
+    by ``_normalize_columns`` (as in ``word_given_doc``) and mixed through
+    the stored P(T|W) by ``topic_given_doc``, in O(nnz * K). A column's
+    arithmetic depends only on that document, so a training document gets
+    back its stored P(T|D) column bit for bit, and a document gets the
+    same bits alone or inside any batch.
     """
     ptd = np.zeros((model.n_topics, len(docs)))
     known = np.zeros(len(docs), dtype=bool)
@@ -684,9 +684,10 @@ def model_from_json(text: str) -> TopicModel:
     bad JSON, a missing field or one of the wrong JSON type, a number too
     large for a float, a config or tokenizer object whose keys are not
     exactly its class's fields, a config that :class:`TrainConfig`
-    rejects, an invalid vocabulary, stored clamped weights that disagree
-    with the raw ones, or a probability table of the wrong shape, outside
-    [0, 1] or not summing to 1.
+    rejects, an invalid vocabulary, weights whose method or epsilon is not
+    the config's or whose clamped values disagree with the raw ones, or a
+    probability table of the wrong shape, outside [0, 1] or not summing
+    to 1.
     """
     try:
         doc = json.loads(text)
@@ -702,10 +703,10 @@ def model_from_json(text: str) -> TopicModel:
         terms = _checked("vocabulary", doc["vocabulary"], list)
         vocabulary = Vocabulary(tuple(_checked("vocabulary", t, str) for t in terms))
         gw = doc["global_weights"]
+        if [gw["method"], gw["epsilon"]] != [config.gtw.value, config.epsilon]:
+            raise InputFormatError("model file weights: method or epsilon not config's")
         weights = GlobalWeightVector.from_raw(
-            GtwMethod(gw["method"]),
-            _decode_raw(gw["raw"]),
-            epsilon=gw["epsilon"],
+            config.gtw, _decode_raw(gw["raw"]), epsilon=config.epsilon
         )
         ptd = doc["topic_given_doc"]
         doc_ids = _checked("doc_ids", ptd["doc_ids"], list)

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import TermDocMatrix, Vocabulary
-from .fcm import SettingError, _checked, _row_blocks, _row_sums
+from .fcm import SettingError, _as_points, _checked, _row_blocks, _row_sums
 
 __all__ = [
     "GtwMethod",
@@ -92,22 +92,18 @@ class GlobalWeightVector:
 
 
 def _as_counts(matrix: TermDocMatrix | sp.spmatrix) -> sp.csr_matrix:
+    """The counts as a canonical float64 CSR, by :func:`~flatm.fcm._as_points`."""
     counts = matrix.counts if isinstance(matrix, TermDocMatrix) else matrix
-    counts = sp.csr_matrix(counts, dtype=np.float64)
-    if (counts.data == 0).any():
-        # csr_matrix() returns a float64 CSR input itself, not a copy: drop
-        # explicit zeros from a copy so the caller's matrix is left alone.
-        counts = counts.copy()
-        counts.eliminate_zeros()
+    counts = _as_points(sp.csr_matrix(counts))
     if counts.nnz and counts.data.min() < 0:
         raise ValueError("counts must be nonnegative")
     return counts
 
 
 def local_weights(matrix: TermDocMatrix | sp.spmatrix) -> sp.csr_matrix:
-    """The checked counts ``f`` as a float64 CSR without explicit zeros.
+    """The checked counts ``f`` as a float64 CSR with one entry per non-zero.
 
-    A clean float64 CSR input's arrays come back shared, not copied. Every
+    A canonical float64 CSR input's arrays come back shared, not copied. Every
     term must occur at least once overall, otherwise its proportions are
     undefined.
     """
@@ -194,8 +190,8 @@ def apply_gtw(
 ) -> sp.csr_matrix:
     """The weighted matrix ``a_ij = clamped_i * f_ij``, as a new float64 CSR.
 
-    Explicit zeros in the counts are dropped, so a column's non-zeros are
-    exactly the document's counted terms.
+    The counts are read as :func:`local_weights` reads them, so a column's
+    non-zeros are exactly the document's counted terms, one entry each.
     """
     counts = _as_counts(matrix)
     if counts.shape[0] != len(weights):

@@ -120,6 +120,9 @@ MODEL_MUTATIONS = {
     ),
     "unknown-weighting-method": _set(("global_weights", "method"), lambda v: "tf"),
     "unknown-config-weighting": _set(("config", "gtw"), lambda v: "tf"),
+    # Valid weights, but not those of the config (entropy, epsilon 1e-6).
+    "weighting-method-not-config": _set(("global_weights", "method"), lambda v: "idf"),
+    "weights-epsilon-not-config": _set(("global_weights", "epsilon"), lambda v: 1e-8),
     "unsorted-vocabulary": _set(("vocabulary",), lambda v: v[::-1]),
     # Sorted and unique, but no token can ever match a number.
     "numeric-vocabulary": _set(("vocabulary",), lambda v: list(range(len(v)))),

@@ -2,9 +2,11 @@
 
 Every command runs in this process through ``flatm.cli.main``: a
 ``gen-synth`` corpus, four model files (the default cascade,
-``--no-cascade``, ``--fuzzifier 1.5`` and ``--gtw gfidf``), the ``infer``
-CSV of the default model, an ``eval classify`` JSON report and the
-``--help`` text of every parser. A digest moves when one byte moves, so
+``--no-cascade``, ``--fuzzifier 1.5`` and ``--gtw gfidf``), a
+``--min-df 2`` model of the corpus's texts with words that it drops, the
+``infer`` CSVs of the default model on the corpus and on a ``lines`` file
+of mixed text, an ``eval classify`` JSON report and the ``--help`` text of
+every parser. A digest moves when one byte moves, so
 a refactor that must keep the outputs, or a numpy or scipy upgrade that
 changes a stored float by one ulp, fails here. The default model is also
 trained by ``python -m flatm`` with numpy's run-time CPU dispatch
@@ -47,6 +49,24 @@ MODELS = {
     "fuzzifier-1.5": ["--fuzzifier", "1.5"],
     "gtw-gfidf": ["--gtw", "gfidf"],
 }
+# Appended to the corpus's texts for the --min-df 2 model: each extra line
+# is used by several documents and kept; each document's solo<j> is dropped.
+MIN_DF_EXTRAS = [
+    "Naïve naïve café",
+    "once_only 42 the",
+    "Zeta-zeta, ZETA!",
+    "Ωmega über",
+    "mixedCase 7up",
+]
+# Inferred against the default model: out-of-vocabulary words, one line
+# with no model term at all, stop-words, digits, mixed case, underscores
+# and non-ASCII words.
+INFER_LINES = [
+    "C0W0 c0w1, the c0w2; unseen_word 1234 and c0w3!",
+    "Ünïcödé zebra 42 of the",
+    "c1w4 c1w5 naïve C1W6 x c1w7 c1w7",
+    "c0w0\u00a0c1w9 über_alles \u2014 7up c0w5",
+]
 HELP = [
     [],
     ["train"],
@@ -64,7 +84,9 @@ DIGESTS = {
     "model-no-cascade.json": "0c56b0d32b982246661b805614229662cc28ac5a078402b5b8c805e7ee5b6939",
     "model-fuzzifier-1.5.json": "dd1e084646f0b7178febea19e1e6307d455947da688fa0d5935dc8535cf6cbc9",
     "model-gtw-gfidf.json": "2ca7380e8bed51fd0c976e0609d7b5eeab935b1c5ee2eef6b1adb3cefb56b063",
+    "model-min-df-2.json": "74ad5b3a88df40c983458081d7e9ce94432413975b31aea3e2323bff3a6ad8d6",
     "infer-default.csv": "5635b4bb92f49003d6673bae47d8f74e8e192c5d06ca8d5726f4a39f873edbed",
+    "infer-lines.csv": "f36d765615b7dfe5971257bb4e0afb106c440290745f3539d29f385245e06b95",
     "eval-classify.json": "3642a463690cbe33454f5ae17105ac4303edc77072d466a0eb8768955c148d8a",
     "help-flatm": "a06431fb221f1661a9cbc7b816adb856f58300ee20dce986db2ff1935d0ceef5",
     "help-train": "6afc4c2f32aea9ad1204873bc29567a518dac7737891d28fd250d61df673ef67",
@@ -105,9 +127,25 @@ def outputs(tmp_path_factory):
             model = tmp / f"model-{name}.json"
             _run("train", *corpus_flags, *TRAIN_ARGS, *flags, "--output", model)
             found[model.name] = model.read_bytes()
+        texts = [line.split("\t")[1] for line in corpus.read_text().splitlines()]
+        mixed = tmp / "mixed.txt"
+        mixed.write_text("".join(
+            f"{text} {MIN_DF_EXTRAS[j % len(MIN_DF_EXTRAS)]} solo{j}\n"
+            for j, text in enumerate(texts)
+        ), encoding="utf-8")
+        model = tmp / "model-min-df-2.json"
+        _run("train", "--input", mixed, "--format", "lines", *TRAIN_ARGS,
+             "--min-df", "2", "--output", model)
+        found[model.name] = model.read_bytes()
         infer = tmp / "infer-default.csv"
         _run("infer", "--model", tmp / "model-default.json", *corpus_flags,
              "--output", infer)
+        found[infer.name] = infer.read_bytes()
+        lines = tmp / "lines.txt"
+        lines.write_text("".join(f"{line}\n" for line in INFER_LINES), encoding="utf-8")
+        infer = tmp / "infer-lines.csv"
+        _run("infer", "--model", tmp / "model-default.json", "--input", lines,
+             "--format", "lines", "--output", infer)
         found[infer.name] = infer.read_bytes()
         found["eval-classify.json"] = _run(
             "eval", "classify", *corpus_flags, "--topics", "2", "--seed", "3",

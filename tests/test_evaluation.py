@@ -304,6 +304,15 @@ class TestDocLogLikelihood:
         with pytest.raises(ValueError, match="delta"):
             doc_log_likelihood(model, docs[0], 0.0)
 
+    def test_rejects_word_dist_of_another_shape(self):
+        model, docs = self.make_model()
+        m = model.n_terms
+        for word_dist in (np.full(3, 0.1), np.full(m + 5, 0.1), np.full((m, 1), 0.1)):
+            with pytest.raises(SettingError, match="^word_dist must have shape"):
+                doc_log_likelihood(model, docs[0], word_dist=word_dist)
+            with pytest.raises(SettingError, match="^word_dist must have shape"):
+                corpus_log_likelihood(model, docs, word_dist=word_dist)
+
 
 @pytest.fixture(scope="module")
 def small_model():

@@ -148,6 +148,21 @@ class TestMembershipUpdate:
         np.testing.assert_allclose(u.sum(axis=1), 1.0, atol=1e-12)
         assert u.min() >= 0.0 and u.max() <= 1.0
 
+    @pytest.mark.parametrize("q", [1.0, 0.5, float("nan"), "2"])
+    def test_fuzzifier_follows_the_config_rule(self, q):
+        data, centers = np.array([[0.0]]), np.array([[1.0], [-2.0]])
+        with pytest.raises(SettingError, match="^fuzzifier must be"):
+            update_memberships(data, centers, q)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_centers_of_another_width_rejected(self, sparse):
+        data = np.array([[0.0, 1.0], [2.0, 0.0]])
+        for centers in (np.zeros((2, 3)), np.zeros((2, 1)), np.zeros(2)):
+            with pytest.raises(ValueError, match="centers must have shape"):
+                update_memberships(
+                    sp.csr_matrix(data) if sparse else data, centers, 2.0
+                )
+
 
 class TestCenterUpdate:
     def test_hard_memberships_give_cluster_means(self):

@@ -182,7 +182,8 @@ SCHEMES = TestFormulaOracles.CASES + [
 @st.composite
 def stored_counts(draw):
     """A count matrix with no all-zero row, and a CSR of it in which some
-    zero cells are stored as explicit zeros."""
+    zero cells are stored as explicit zeros, some counts of 2 or more as
+    two entries, and some rows with their columns in reverse order."""
     m = draw(st.integers(min_value=1, max_value=6))
     n = draw(st.integers(min_value=2, max_value=6))
     cells = st.lists(
@@ -191,14 +192,23 @@ def stored_counts(draw):
     f = np.array(draw(cells), dtype=np.float64).reshape(m, n)
     for i in np.flatnonzero(f.sum(axis=1) == 0):
         f[i, draw(st.integers(min_value=0, max_value=n - 1))] = 1.0
-    explicit = np.array(
-        draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
-    ).reshape(m, n)
-    stored = (f != 0) | explicit
-    csr = sp.csr_matrix(
-        (f[stored], np.nonzero(stored)[1], np.r_[0, np.cumsum(stored.sum(axis=1))]),
-        shape=(m, n),
-    )
+    flags = st.lists(st.booleans(), min_size=m * n, max_size=m * n)
+    explicit = np.array(draw(flags)).reshape(m, n)
+    split = np.array(draw(flags)).reshape(m, n)
+    reverse = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    data, indices, indptr = [], [], [0]
+    for i in range(m):
+        entries = []
+        for j in range(n):
+            if split[i, j] and f[i, j] >= 2:
+                entries += [(j, 1.0), (j, f[i, j] - 1.0)]
+            elif f[i, j] or explicit[i, j]:
+                entries.append((j, f[i, j]))
+        for j, value in entries[::-1] if reverse[i] else entries:
+            indices.append(j)
+            data.append(value)
+        indptr.append(len(data))
+    csr = sp.csr_matrix((data, indices, indptr), shape=(m, n))
     return f, csr
 
 
@@ -206,7 +216,7 @@ def stored_counts(draw):
 @given(drawn=stored_counts())
 def test_every_scheme_matches_its_oracle_on_csr_and_term_doc_matrix(drawn):
     f, csr = drawn
-    nnz = csr.nnz
+    stored = csr.data.copy(), csr.indices.copy(), csr.indptr.copy()
     tdm = TermDocMatrix(
         counts=csr, doc_ids=tuple(f"d{j}" for j in range(f.shape[1]))
     )
@@ -217,7 +227,9 @@ def test_every_scheme_matches_its_oracle_on_csr_and_term_doc_matrix(drawn):
             np.testing.assert_allclose(
                 got.raw, expected, atol=1e-12, rtol=0, err_msg=f"{method}\n{f}"
             )
-    assert csr.nnz == nnz  # explicit zeros are dropped from a copy
+    # The matrix is canonicalized on a copy.
+    for before, after in zip(stored, (csr.data, csr.indices, csr.indptr)):
+        np.testing.assert_array_equal(before, after)
 
 
 class TestWeightProperties:
