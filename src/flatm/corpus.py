@@ -160,11 +160,13 @@ def _kept_tokens(tokens: Iterable[str], config: TokenizerConfig) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Immutable term list in lexicographic order with a reverse index."""
+    """Immutable string term list in lexicographic order with a reverse index."""
 
     terms: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(term, str) for term in self.terms):
+            raise ValueError("vocabulary terms must be strings")
         if list(self.terms) != sorted(set(self.terms)):
             raise ValueError("vocabulary terms must be unique and sorted")
 

@@ -69,6 +69,7 @@ from .weighting import (
     DEFAULT_EPSILON,
     GlobalWeightVector,
     GtwMethod,
+    _check_gtw,
     _check_idf_variant,
     _weigh,
     apply_gtw,
@@ -167,10 +168,7 @@ class TrainConfig:
     tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "gtw", GtwMethod(self.gtw))
-        except ValueError:
-            raise SettingError(f"gtw must be a GtwMethod, got {self.gtw!r}") from None
+        object.__setattr__(self, "gtw", _check_gtw("gtw", self.gtw))
         # Clustering settings are stored as plain numbers; fcm_config() checks them.
         _require(self, int, "n_topics", "max_iterations", "seed", "min_df")
         _require(self, CascadeSchedule, "schedule")
@@ -198,14 +196,32 @@ class TrainConfig:
         )
 
 
+# Slack for rounding in stored probabilities: a column of P(T|D) mixing
+# P(T|W) rows that are all 1.0 can sum to 1.0000000000000002.
+_TABLE_TOLERANCE = 1e-9
+
+
+def _check_table(name: str, a, shape: tuple[int, ...], axis: int) -> None:
+    """Float64 of ``shape``, entries in [0, 1] (so finite), sums of 1 on ``axis``."""
+    if getattr(a, "dtype", None) != np.float64 or a.shape != shape:
+        raise ValueError(f"{name} must be a float64 array of shape {shape}")
+    if not np.all((a >= -_TABLE_TOLERANCE) & (a <= 1.0 + _TABLE_TOLERANCE)):
+        raise ValueError(f"{name} has an entry outside [0, 1]")
+    if not np.all(np.abs(a.sum(axis=axis) - 1.0) <= _TABLE_TOLERANCE):
+        raise ValueError(f"{name} does not sum to 1")
+
+
 @dataclass(frozen=True)
 class TopicModel:
     """A trained model: vocabulary, probability tables, and provenance.
 
-    Shapes, with m terms, K topics, n training documents:
-    ``topic_given_word`` (m, K) rows sum to 1; ``word_prob`` (m,) sums to
-    1; ``word_given_topic`` (K, m) rows sum to 1; ``topic_given_doc``
-    (K, n) columns sum to 1.
+    Shapes, with m terms, K = ``config.n_topics`` topics, n training
+    documents: ``topic_given_word`` (m, K) rows sum to 1; ``word_prob``
+    (m,) sums to 1; ``word_given_topic`` (K, m) is :func:`word_given_topic`
+    of those two, bit for bit; ``topic_given_doc`` (K, n) columns sum to 1.
+    Construction raises ``ValueError`` unless these hold (entries float64
+    in [0, 1]), the weights are of the config's ``gtw`` and ``epsilon``
+    with one per term, and the ``doc_ids`` are strings.
     """
 
     vocabulary: Vocabulary
@@ -216,6 +232,24 @@ class TopicModel:
     word_given_topic: np.ndarray
     topic_given_doc: np.ndarray
     doc_ids: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        w, m, k = self.global_weights, len(self.vocabulary), self.config.n_topics
+        if (w.method, w.epsilon, len(w)) != (self.config.gtw, self.config.epsilon, m):
+            raise ValueError(
+                "global weights must be of the config's gtw and epsilon, one per term"
+            )
+        if not all(isinstance(doc_id, str) for doc_id in self.doc_ids):
+            raise ValueError("doc_ids must be strings")
+        n, pwt = len(self.doc_ids), self.word_given_topic
+        _check_table("topic_given_word", self.topic_given_word, (m, k), axis=1)
+        _check_table("word_prob", self.word_prob, (m,), axis=0)
+        _check_table("word_given_topic", pwt, (k, m), axis=1)
+        _check_table("topic_given_doc", self.topic_given_doc, (k, n), axis=0)
+        # Compared as bits, so that not even the sign of a zero may differ.
+        expected = word_given_topic(self.topic_given_word, self.word_prob)
+        if not np.array_equal(pwt.view(np.uint64), expected.view(np.uint64)):
+            raise ValueError("word_given_topic is not P(T|W) inverted against P(W)")
 
     @property
     def n_topics(self) -> int:
@@ -303,14 +337,16 @@ def word_given_topic(
     topic_given_word: np.ndarray, word_prob: np.ndarray
 ) -> np.ndarray:
     """Bayes inversion of P(T|W) against P(W); rows are topics, sum to 1."""
-    ptw = np.asarray(topic_given_word, dtype=np.float64)
+    # C order, so that the column sums add in one order whatever the layout.
+    ptw = np.ascontiguousarray(topic_given_word, dtype=np.float64)
     pw = np.asarray(word_prob, dtype=np.float64)
     joint = ptw * pw[:, None]
     topic_mass = joint.sum(axis=0)
     empty = np.flatnonzero(topic_mass == 0.0)
     if empty.size:
         raise ValueError(f"topic {int(empty[0])} has zero probability mass")
-    return (joint / topic_mass).T
+    joint /= topic_mass
+    return joint.T
 
 
 def word_given_doc(values: sp.spmatrix | np.ndarray) -> sp.csr_matrix:
@@ -510,17 +546,6 @@ def top_words(
     return [(term, float(prob)) for term, prob in order[:count]]
 
 
-def _encode_raw(raw: np.ndarray) -> list:
-    return [("-inf" if x == -np.inf else float(x)) for x in raw]
-
-
-def _decode_raw(values: list) -> np.ndarray:
-    return np.array(
-        [(-np.inf if x == "-inf" else _checked("raw", x, float)) for x in values],
-        dtype=np.float64,
-    )
-
-
 def _config_to_dict(config: TrainConfig) -> dict:
     data = asdict(config)
     return {
@@ -612,6 +637,7 @@ def _item_runs(items, size: int) -> Iterator[str]:
 
 
 def _model_json_pieces(model: TopicModel) -> Iterator[str]:
+    weights = model.global_weights
     doc = {
         "version": MODEL_FORMAT_VERSION,
         "config": _config_to_dict(model.config),
@@ -624,10 +650,10 @@ def _model_json_pieces(model: TopicModel) -> Iterator[str]:
             "values": model.topic_given_doc,
         },
         "global_weights": {
-            "method": model.global_weights.method.value,
-            "epsilon": model.global_weights.epsilon,
-            "raw": _encode_raw(model.global_weights.raw),
-            "clamped": model.global_weights.clamped,
+            "method": weights.method.value,
+            "epsilon": weights.epsilon,
+            "raw": ["-inf" if x == -np.inf else float(x) for x in weights.raw],
+            "clamped": weights.clamped,
         },
     }
     yield from _json_pieces(doc)
@@ -644,50 +670,30 @@ def model_to_json(model: TopicModel) -> str:
     return "".join(_model_json_pieces(model))
 
 
-# Slack for rounding in stored probabilities: a column of P(T|D) mixing
-# P(T|W) rows that are all 1.0 can sum to 1.0000000000000002.
-_TABLE_TOLERANCE = 1e-9
-
-
-def _numbers(name: str, values, shape: tuple[int, ...]) -> np.ndarray:
-    """A stored array of JSON numbers, checked for shape and entry type.
+def _numbers(name: str, values) -> np.ndarray:
+    """A stored vector or table of JSON numbers as a float64 array.
 
     numpy would read ``true``, ``false`` and numeric strings as numbers.
     """
     a = np.array(values, dtype=np.float64)
-    if a.shape != shape:
-        raise InputFormatError(
-            f"model file {name} has shape {a.shape}, expected {shape}"
-        )
     entries = itertools.chain.from_iterable(values) if a.ndim == 2 else values
     if not set(map(type, entries)) <= {int, float}:
         raise InputFormatError(f"model file {name} has an entry that is not a number")
     return a
 
 
-def _table(name: str, values, shape: tuple[int, ...], axis: int) -> np.ndarray:
-    """A stored probability table, checked for shape, type, range and sums."""
-    a = _numbers(name, values, shape)
-    if not np.all(np.isfinite(a)):
-        raise InputFormatError(f"model file {name} has a non-finite entry")
-    if a.min() < -_TABLE_TOLERANCE or a.max() > 1.0 + _TABLE_TOLERANCE:
-        raise InputFormatError(f"model file {name} has an entry outside [0, 1]")
-    if np.abs(a.sum(axis=axis) - 1.0).max() > _TABLE_TOLERANCE:
-        raise InputFormatError(f"model file {name} does not sum to 1")
-    return a
-
-
 def model_from_json(text: str) -> TopicModel:
     """Inverse of :func:`model_to_json`; arrays come back bit-identical.
 
-    Raises :class:`InputFormatError` when the text is not a model file:
-    bad JSON, a missing field or one of the wrong JSON type, a number too
-    large for a float, a config or tokenizer object whose keys are not
-    exactly its class's fields, a config that :class:`TrainConfig`
-    rejects, an invalid vocabulary, weights whose method or epsilon is not
-    the config's or whose clamped values disagree with the raw ones, or a
-    probability table of the wrong shape, outside [0, 1] or not summing
-    to 1.
+    Maps the JSON onto the constructors, which hold the model's rules.
+    Raises :class:`InputFormatError` for bad JSON, another version, a
+    missing field or one of the wrong JSON type (``true`` or a string for
+    a number, apart from the raw weights' ``"-inf"``), a number too large
+    for a float, config or tokenizer keys other than its class's fields,
+    stored clamped weights other than ``max(raw, epsilon)``, or any value
+    that :class:`TrainConfig`, :class:`~flatm.corpus.Vocabulary`,
+    :class:`~flatm.weighting.GlobalWeightVector` or :class:`TopicModel`
+    rejects.
     """
     try:
         doc = json.loads(text)
@@ -699,38 +705,21 @@ def model_from_json(text: str) -> TopicModel:
     if isinstance(version, bool) or version != MODEL_FORMAT_VERSION:
         raise InputFormatError(f"unsupported model format version: {version!r}")
     try:
-        config = _config_from_dict(doc["config"])
+        gw, ptd = doc["global_weights"], doc["topic_given_doc"]
+        raw = [-np.inf if x == "-inf" else _checked("raw", x, float) for x in gw["raw"]]
+        weights = GlobalWeightVector(gw["method"], raw, gw["epsilon"])
+        if not np.array_equal(_numbers("clamped", gw["clamped"]), weights.clamped):
+            raise ValueError("clamped weights are not max(raw, epsilon)")
         terms = _checked("vocabulary", doc["vocabulary"], list)
-        vocabulary = Vocabulary(tuple(_checked("vocabulary", t, str) for t in terms))
-        gw = doc["global_weights"]
-        if [gw["method"], gw["epsilon"]] != [config.gtw.value, config.epsilon]:
-            raise InputFormatError("model file weights: method or epsilon not config's")
-        weights = GlobalWeightVector.from_raw(
-            config.gtw, _decode_raw(gw["raw"]), epsilon=config.epsilon
-        )
-        ptd = doc["topic_given_doc"]
-        doc_ids = _checked("doc_ids", ptd["doc_ids"], list)
-        doc_ids = tuple(_checked("doc_ids", d, str) for d in doc_ids)
-        m, k, n = len(vocabulary), config.n_topics, len(doc_ids)
-        if len(weights) != m or not np.array_equal(
-            _numbers("clamped", gw["clamped"], (m,)), weights.clamped
-        ):
-            raise InputFormatError(
-                "model file clamped weights do not match max(raw, epsilon)"
-            )
         return TopicModel(
-            vocabulary=vocabulary,
-            config=config,
+            vocabulary=Vocabulary(tuple(terms)),
+            config=_config_from_dict(doc["config"]),
             global_weights=weights,
-            topic_given_word=_table(
-                "topic_given_word", doc["topic_given_word"], (m, k), axis=1
-            ),
-            word_prob=_table("word_prob", doc["word_prob"], (m,), axis=0),
-            word_given_topic=_table(
-                "word_given_topic", doc["word_given_topic"], (k, m), axis=1
-            ),
-            topic_given_doc=_table("topic_given_doc", ptd["values"], (k, n), axis=0),
-            doc_ids=doc_ids,
+            topic_given_word=_numbers("topic_given_word", doc["topic_given_word"]),
+            word_prob=_numbers("word_prob", doc["word_prob"]),
+            word_given_topic=_numbers("word_given_topic", doc["word_given_topic"]),
+            topic_given_doc=_numbers("topic_given_doc", ptd["values"]),
+            doc_ids=tuple(_checked("doc_ids", ptd["doc_ids"], list)),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"model file missing or malformed field: {exc}") from exc

@@ -13,13 +13,13 @@ of documents containing term i, and ``p_ij = f_ij / sum_j f_ij``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .corpus import TermDocMatrix, Vocabulary
-from .fcm import SettingError, _as_points, _checked, _row_blocks, _row_sums
+from .fcm import SettingError, _as_points, _require, _row_blocks, _row_sums
 
 __all__ = [
     "GtwMethod",
@@ -45,6 +45,14 @@ def _check_idf_variant(idf_variant: str) -> None:
         )
 
 
+def _check_gtw(name: str, method) -> GtwMethod:
+    """``method`` as a :class:`GtwMethod`, or :class:`SettingError` naming ``name``."""
+    try:
+        return GtwMethod(method)
+    except ValueError:
+        raise SettingError(f"{name} must be a GtwMethod, got {method!r}") from None
+
+
 class GtwMethod(enum.Enum):
     """Global term weighting schemes. ``NONE`` leaves counts untouched."""
 
@@ -61,31 +69,30 @@ class GlobalWeightVector:
     """One weight per term, before and after clamping.
 
     ``raw`` is the scheme's value as computed; it may be zero, negative,
-    or -inf (probabilistic idf on a term present in every document).
-    ``clamped = max(raw, epsilon)`` is what multiplication uses, keeping
-    every term's row alive with a small positive weight.
+    or -inf (probabilistic idf on a term present in every document), not
+    nan or +inf. ``clamped = max(raw, epsilon)``, derived on construction,
+    is what multiplication uses, keeping every term's row alive with a
+    small positive weight. ``method`` and ``epsilon`` follow
+    :class:`~flatm.model.TrainConfig`'s rules.
     """
 
     method: GtwMethod
     raw: np.ndarray
-    clamped: np.ndarray
     epsilon: float = DEFAULT_EPSILON
+    clamped: np.ndarray = field(init=False)
 
-    @classmethod
-    def from_raw(
-        cls, method: GtwMethod, raw: np.ndarray, epsilon: float = DEFAULT_EPSILON
-    ) -> "GlobalWeightVector":
-        epsilon = _checked("epsilon", epsilon, float)
-        if not epsilon > 0:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "method", _check_gtw("method", self.method))
+        _require(self, float, "epsilon")
+        if not self.epsilon > 0:
             raise SettingError("epsilon must be positive")
-        raw = np.asarray(raw, dtype=np.float64)
+        raw = np.asarray(self.raw, dtype=np.float64)
         if raw.ndim != 1:
             raise ValueError("global weights must be a 1-d vector")
         if np.any(np.isnan(raw)) or np.any(raw == np.inf):
             raise ValueError("global weights must not contain nan or +inf")
-        return cls(
-            method=method, raw=raw, clamped=np.maximum(raw, epsilon), epsilon=epsilon
-        )
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "clamped", np.maximum(raw, self.epsilon))
 
     def __len__(self) -> int:
         return len(self.raw)
@@ -161,7 +168,7 @@ def compute_global_weights(
     positive weight. ``idf_variant`` must be in ``IDF_VARIANTS`` whatever
     the method, the rule :class:`~flatm.model.TrainConfig` applies.
     """
-    method = GtwMethod(method)
+    method = _check_gtw("method", method)
     _check_idf_variant(idf_variant)
     counts = local_weights(matrix)
     n_docs = counts.shape[1]
@@ -182,7 +189,7 @@ def compute_global_weights(
         raw = gf / df
     else:
         raw = np.ones(counts.shape[0])
-    return GlobalWeightVector.from_raw(method, raw, epsilon)
+    return GlobalWeightVector(method, raw, epsilon)
 
 
 def apply_gtw(

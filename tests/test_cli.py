@@ -114,6 +114,8 @@ MODEL_MUTATIONS = {
     "truncated-word-given-topic-rows": _set(
         ("word_given_topic",), lambda v: [row[:5] for row in v]
     ),
+    # Every row still sums to 1, but topic k now lists another topic's words.
+    "word-given-topic-rows-reversed": _set(("word_given_topic",), lambda v: v[::-1]),
     "word-prob-not-normalized": _set(("word_prob",), lambda v: [2 * x for x in v]),
     "nan-topic-given-doc": _set(
         ("topic_given_doc", "values"), lambda v: [[float("nan")] + v[0][1:]] + v[1:]

@@ -355,6 +355,11 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary(terms=("a", "a"))
 
+    def test_requires_string_terms(self):
+        # Sorted and unique, but no token can ever match a number.
+        with pytest.raises(ValueError, match="strings"):
+            Vocabulary((1, 2))
+
     def test_index_and_contains(self):
         vocab = Vocabulary(terms=("cat", "dog"))
         assert vocab.index == {"cat": 0, "dog": 1}

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -226,7 +227,7 @@ def top_words_of_tiny_model(topic=0, count=10):
     return top_words(train(two_class_docs(n_per=3), tiny_config()), topic, count)
 
 
-_UNIT_WEIGHTS = functools.partial(GlobalWeightVector.from_raw, GtwMethod.NONE, [1.0])
+_UNIT_WEIGHTS = functools.partial(GlobalWeightVector, GtwMethod.NONE, [1.0])
 _BUILD_MATRIX = functools.partial(build_matrix, two_class_docs())
 _CLASSIFY = functools.partial(classify, two_class_docs(), tiny_config(), SplitPlan())
 
@@ -398,6 +399,17 @@ class TestWordGivenTopic:
         pw /= pw.sum()
         out = word_given_topic(ptw, pw)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_same_bits_whatever_the_layout(self):
+        # A model built from Fortran-order P(T|W) must still load: the file
+        # gives P(T|W) back in C order, and P(W|T) is checked against it.
+        rng = np.random.default_rng(8)
+        ptw = rng.random((1000, 3))
+        ptw /= ptw.sum(axis=1, keepdims=True)
+        pw = rng.random(1000)
+        pw /= pw.sum()
+        fortran = word_given_topic(np.asfortranarray(ptw), pw)
+        assert fortran.tobytes() == word_given_topic(ptw, pw).tobytes()
 
     def test_empty_topic_rejected(self):
         ptw = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -886,6 +898,61 @@ class TestSerialization:
     def test_load_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_model(tmp_path / "absent.json")
+
+
+class TestModelRules:
+    """A model checks its own rules, so a library caller who builds or
+    changes one meets the checks that ``train`` and ``load_model`` meet."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return train(two_class_docs(n_per=3), tiny_config())
+
+    def test_word_given_topic_rows_in_another_order_are_rejected(self, model):
+        # Each row still sums to 1, but topic 0 would list topic 1's words.
+        reordered = np.ascontiguousarray(model.word_given_topic[::-1])
+        with pytest.raises(ValueError, match="word_given_topic"):
+            dataclasses.replace(model, word_given_topic=reordered)
+        doc = json.loads(model_to_json(model))
+        doc["word_given_topic"] = doc["word_given_topic"][::-1]
+        with pytest.raises(InputFormatError, match="word_given_topic"):
+            model_from_json(json.dumps(doc))
+
+    def test_word_given_topic_must_match_bit_for_bit(self, model):
+        # One entry one ulp lower: well inside the sums' tolerance.
+        pwt = model.word_given_topic.copy()
+        pwt[0, 0] = np.nextafter(pwt[0, 0], 0.0)
+        with pytest.raises(ValueError, match="word_given_topic"):
+            dataclasses.replace(model, word_given_topic=pwt)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda w: GlobalWeightVector(GtwMethod.IDF, w.raw, w.epsilon),
+            lambda w: GlobalWeightVector(w.method, w.raw, 1e-8),
+            lambda w: GlobalWeightVector(w.method, w.raw[:-1], w.epsilon),
+        ],
+        ids=["method", "epsilon", "length"],
+    )
+    def test_weights_must_be_those_of_the_config(self, model, change):
+        with pytest.raises(ValueError, match="global weights"):
+            dataclasses.replace(model, global_weights=change(model.global_weights))
+
+    def test_doc_ids_must_be_strings(self, model):
+        with pytest.raises(ValueError, match="doc_ids"):
+            dataclasses.replace(model, doc_ids=(1,) + model.doc_ids[1:])
+
+    def test_tables_keep_their_shape_range_and_sums(self, model):
+        ptd = model.topic_given_doc
+        for table in (ptd[:, :-1], ptd.astype(np.float32), 2 * ptd, -ptd):
+            with pytest.raises(ValueError, match="topic_given_doc"):
+                dataclasses.replace(model, topic_given_doc=table)
+
+    def test_weights_of_a_method_named_by_string_save(self, model):
+        weights = GlobalWeightVector("entropy", model.global_weights.raw)
+        assert weights.method is GtwMethod.ENTROPY
+        changed = dataclasses.replace(model, global_weights=weights)
+        assert model_to_json(changed) == model_to_json(model)
 
 
 def assert_same_model_bits(back, model):

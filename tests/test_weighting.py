@@ -30,7 +30,7 @@ def lw_from(rows) -> sp.csr_matrix:
 
 
 def unit_weights(n_terms: int) -> GlobalWeightVector:
-    return GlobalWeightVector.from_raw(GtwMethod.NONE, np.ones(n_terms))
+    return GlobalWeightVector(GtwMethod.NONE, np.ones(n_terms))
 
 
 class TestLocalWeights:
@@ -107,6 +107,20 @@ class TestFrozenExamples:
             TrainConfig(n_topics=2, gtw=method, idf_variant="bm25")
         assert str(weights_error.value) == str(config_error.value)
         assert str(weights_error.value).startswith("idf_variant must be one of ")
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: TrainConfig(n_topics=2, gtw="bogus"), "gtw"),
+            (lambda: compute_global_weights(lw_from([[1.0, 1.0]]), "bogus"), "method"),
+            (lambda: GlobalWeightVector("bogus", np.ones(1)), "method"),
+        ],
+        ids=["TrainConfig", "compute_global_weights", "GlobalWeightVector"],
+    )
+    def test_gtw_method_has_one_rule(self, make, name):
+        message = f"^{name} must be a GtwMethod, got 'bogus'$"
+        with pytest.raises(SettingError, match=message):
+            make()
 
     def test_probidf(self):
         lw = lw_from([[2.0, 0.0, 0.0, 0.0], [1.0, 3.0, 0.0, 0.0],
@@ -283,13 +297,26 @@ class TestWeightProperties:
             with pytest.raises(ValueError, match="positive"):
                 compute_global_weights(lw, GtwMethod.ENTROPY, epsilon=epsilon)
             with pytest.raises(ValueError, match="positive"):
-                GlobalWeightVector.from_raw(GtwMethod.NONE, np.ones(1), epsilon)
+                GlobalWeightVector(GtwMethod.NONE, np.ones(1), epsilon)
+
+
+class TestGlobalWeightVector:
+    def test_clamped_is_derived_not_passed(self):
+        with pytest.raises(TypeError, match="clamped"):
+            GlobalWeightVector(GtwMethod.NONE, np.ones(2), clamped=np.zeros(2))
+        w = GlobalWeightVector(GtwMethod.IDF, [-np.inf, -1.0, 2.0], 0.5)
+        assert w.clamped.tolist() == [0.5, 0.5, 2.0]
+
+    def test_raw_must_be_a_vector_without_nan_or_plus_inf(self):
+        for raw in ([[1.0]], [np.nan], [np.inf]):
+            with pytest.raises(ValueError, match="global weights"):
+                GlobalWeightVector(GtwMethod.NONE, raw)
 
 
 class TestApplyGtw:
     def test_scales_rows(self):
         f = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 2.0]]))
-        w = GlobalWeightVector.from_raw(GtwMethod.NONE, np.array([1.0, 0.5]))
+        w = GlobalWeightVector(GtwMethod.NONE, np.array([1.0, 0.5]))
         a = apply_gtw(f, w)
         np.testing.assert_array_equal(
             a.toarray(), [[1.0, 0.0], [0.5, 1.0]]
