@@ -16,7 +16,8 @@ so ``TrainConfig``, ``TokenizerConfig``, ``SplitPlan`` and
 ``generate_synthetic`` take their arguments from the parsed flags by name;
 ``--stopwords`` is the path of the list, read by the command.
 ``--delta``, ``--threads``, classify's ``--folds`` minimum and top-words'
-``--topic``/``--count`` are judged after the input is read.
+``--topic``/``--count`` are judged after the input is read; infer's
+``$FLATM_THREADS`` after the model is read, before the documents are.
 
 Exit codes: 0 success, 1 bad arguments, 2 unreadable or malformed input
 files, 3 numerical or pipeline failure. Warnings go to stderr and never
@@ -28,7 +29,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import inspect
+import io
 import json
 import os
 import sys
@@ -38,19 +41,29 @@ from pathlib import Path
 from .corpus import (
     CORPUS_FORMATS,
     InputFormatError,
+    RawDocument,
     TokenizerConfig,
     default_stopwords,
     iter_corpus,
     load_corpus,
     load_stopwords,
 )
-from .evaluation import SplitPlan, classify, generate_synthetic, heldout_loglik
+from .evaluation import (
+    SplitPlan,
+    _run_jobs,
+    _usable_cpus,
+    classify,
+    generate_synthetic,
+    heldout_loglik,
+)
 from .fcm import FcmResult, SettingError
 from .model import (
     CascadeSchedule,
     ScheduleError,
+    TopicModel,
     TrainConfig,
-    _fold_chunks,
+    _chunks,
+    _fold_chunk,
     _replacing,
     load_model,
     save_model,
@@ -281,10 +294,14 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(**_settings(TrainConfig, args), tokenizer=tokenizer)
 
 
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(THREADS_ENV_VAR, "").strip() or "1"
+def _threads(args: argparse.Namespace, default: int) -> int:
+    """eval's --threads, else $FLATM_THREADS, else ``default``."""
+    threads = getattr(args, "threads", None)
+    if threads is not None:
+        return threads
+    env = os.environ.get(THREADS_ENV_VAR, "").strip()
+    if not env:
+        return default
     try:
         return int(env)
     except ValueError:
@@ -333,23 +350,37 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _csv_rows(model: TopicModel, chunk: list[RawDocument]) -> tuple[str, int]:
+    """The CSV rows of a chunk of documents folded in, and how many of them
+    had no in-vocabulary term."""
+    tdm, ptd, known = _fold_chunk(model, chunk)
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(
+        [doc_id, *map(repr, column)] if ok else [doc_id, "ERROR_OOV"]
+        for doc_id, column, ok in zip(tdm.doc_ids, ptd.T.tolist(), known.tolist())
+    )
+    return text.getvalue(), int((~known).sum())
+
+
 def cmd_infer(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     docs = iter_corpus(args.input, args.format, allow_empty=True)
+    # Workers, one per usable CPU by default, fold in and format whole
+    # chunks; their rows go out a chunk at a time, in input order, so memory
+    # stays flat in the input size.
+    chunks = _run_jobs(
+        functools.partial(_csv_rows, model),
+        _chunks(docs),
+        _threads(args, _usable_cpus()),
+    )
     oov = 0
     stdout = contextlib.nullcontext(sys.stdout)
     with _replacing(args.output) if args.output else stdout as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["doc_id"] + [f"topic_{k}" for k in range(model.n_topics)])
-        # Rows go out a chunk at a time, so memory stays flat in the input size.
-        for tdm, ptd, known in _fold_chunks(model, docs):
-            writer.writerows(
-                [doc_id, *map(repr, column)] if ok else [doc_id, "ERROR_OOV"]
-                for doc_id, column, ok in zip(
-                    tdm.doc_ids, ptd.T.tolist(), known.tolist()
-                )
-            )
-            oov += int((~known).sum())
+        for rows, chunk_oov in chunks:
+            out.write(rows)
+            oov += chunk_oov
     if oov:
         print(
             f"warning: {oov} document(s) had no in-vocabulary terms",
@@ -374,7 +405,7 @@ def cmd_top_words(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _train_config(args)
     plan = SplitPlan(**_settings(SplitPlan, args))
-    threads = _threads(args)
+    threads = _threads(args, 1)
     docs = load_corpus(args.input, args.format)
     run = classify if args.protocol == "classify" else heldout_loglik
     report = run(docs, config, plan, delta=args.delta, threads=threads)
@@ -495,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
     except SettingError as exc:
         # The message starts with the setting's name; name its flag instead.
         field, _, rule = str(exc).partition(" ")
-        if field == "threads" and args.threads is None:
+        if field == "threads" and getattr(args, "threads", None) is None:
             args.parser.error(f"{THREADS_ENV_VAR}: {rule}")
         flag = next(
             (a.option_strings[0] for a in args.parser._actions if a.dest == field),

@@ -8,6 +8,7 @@ lexicographic order, columns are documents in input order.
 from __future__ import annotations
 
 import importlib.resources
+import itertools
 import re
 from array import array
 from dataclasses import dataclass, field
@@ -53,12 +54,19 @@ class RawDocument:
     """One input document before tokenization.
 
     ``label`` is optional; classification protocols require it, everything
-    else ignores it.
+    else ignores it. A field of another type raises :class:`SettingError`
+    naming it, so a bad document fails before any work is done on it.
     """
 
     doc_id: str
     text: str
     label: str | None = None
+
+    def __post_init__(self) -> None:
+        _checked("doc_id", self.doc_id, str)
+        _checked("text", self.text, str)
+        if self.label is not None:
+            _checked("label", self.label, str)
 
 
 def default_stopwords() -> frozenset[str]:
@@ -441,7 +449,9 @@ def build_matrix(
         code_rows[kept] = np.arange(len(kept))
     else:
         index = vocabulary.index
-        code_rows = np.array([index.get(term, -1) for term in found], dtype=np.intc)
+        code_rows = np.fromiter(
+            map(index.get, found, itertools.repeat(-1)), np.intc, count=len(found)
+        )
     row = code_rows[row]
     known = row >= 0
     if not known.all():

@@ -480,16 +480,19 @@ def _fold_chunk(
     return tdm, ptd, mass > 0.0
 
 
+def _chunks(docs: Iterable[RawDocument]) -> Iterator[list[RawDocument]]:
+    """Successive lists of ``_CHUNK_DOCS`` documents, read as they are asked
+    for, so a stream of documents is never held whole."""
+    docs = iter(docs)
+    while chunk := list(itertools.islice(docs, _CHUNK_DOCS)):
+        yield chunk
+
+
 def _fold_chunks(
     model: TopicModel, docs: Iterable[RawDocument]
 ) -> Iterator[tuple[TermDocMatrix, np.ndarray, np.ndarray]]:
-    """:func:`_fold_chunk` over successive chunks of ``docs``.
-
-    ``docs`` is consumed one chunk at a time, so a stream of documents is
-    folded in without ever being held whole.
-    """
-    docs = iter(docs)
-    while chunk := list(itertools.islice(docs, _CHUNK_DOCS)):
+    """:func:`_fold_chunk` over the :func:`_chunks` of ``docs``."""
+    for chunk in _chunks(docs):
         yield _fold_chunk(model, chunk)
 
 

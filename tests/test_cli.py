@@ -22,6 +22,7 @@ from flatm import (
     load_model,
     top_words,
 )
+from flatm import cli, evaluation
 from flatm.cli import main as cli_main
 
 # Children run the same flatm package that these tests import.
@@ -553,6 +554,23 @@ def write_lines_file(path, lines) -> None:
     path.write_bytes(("\ufeff" + text.removesuffix(ending)).encode("utf-8"))
 
 
+def write_corpus(root, format, lines):
+    """``lines`` as a corpus of ``format`` under ``root``; its path."""
+    if format == "lines":
+        path = root / "docs.txt"
+        write_lines_file(path, lines)
+    elif format == "labeled-tsv":
+        path = root / "docs.tsv"
+        write_lines_file(path, [f"c{i % 2}\t{t}" for i, t in enumerate(lines)])
+    else:
+        path = root / "docs"
+        for i, line in enumerate(lines):
+            file = path / f"s{i % 3}" / f"d{i:03d}.txt"
+            file.parent.mkdir(parents=True, exist_ok=True)
+            file.write_text(line, encoding="utf-8")
+    return path
+
+
 class TestInferStream:
     """``infer`` reads, folds in and writes a chunk of documents at a time."""
 
@@ -576,15 +594,9 @@ class TestInferStream:
         self, workspace, tmp_path, format
 , run_main):
         lines = document_lines(600)
-        if format == "labeled-tsv":
-            path = tmp_path / "docs.tsv"
-            write_lines_file(path, [f"c{i % 2}\t{t}" for i, t in enumerate(lines)])
-        else:
-            path = tmp_path / "docs"
-            for i, line in enumerate(lines[:300]):
-                file = path / f"s{i % 3}" / f"d{i:03d}.txt"
-                file.parent.mkdir(parents=True, exist_ok=True)
-                file.write_text(line, encoding="utf-8")
+        path = write_corpus(
+            tmp_path, format, lines if format == "labeled-tsv" else lines[:300]
+        )
         out = tmp_path / "topics.csv"
         proc = run_main(
             "infer", "--model", workspace / "model.json", "--input", path,
@@ -597,21 +609,25 @@ class TestInferStream:
         assert out.read_text(encoding="utf-8") == reference_infer_csv(model, docs)
         assert proc.stderr == oov_warning(model, docs)
 
+    @pytest.mark.parametrize("bad_line, threads", [(300, "1"), (600, "2")])
     def test_bad_line_leaves_no_output_and_existing_output_as_it_was(
-        self, workspace, tmp_path
-, run_main):
-        lines = [f"c{i % 2}\t{text}" for i, text in enumerate(document_lines(600))]
-        lines[299] = "no tab on line 300"
+        self, workspace, tmp_path, run_main, monkeypatch, bad_line, threads
+    ):
+        # Line 600 is in the third chunk, which two workers read ahead.
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 8)
+        lines = [f"c{i % 2}\t{text}" for i, text in enumerate(document_lines(700))]
+        lines[bad_line - 1] = f"no tab on line {bad_line}"
         corpus = tmp_path / "docs.tsv"
         corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
         out = tmp_path / "topics.csv"
+        monkeypatch.setenv("FLATM_THREADS", threads)
         args = (
             "infer", "--model", workspace / "model.json", "--input", corpus,
             "--format", "labeled-tsv",
         )
         proc = run_main(*args, "--output", out)
         assert proc.returncode == 2
-        assert "line 300: expected label<TAB>text" in proc.stderr
+        assert f"line {bad_line}: expected label<TAB>text" in proc.stderr
         assert list(tmp_path.iterdir()) == [corpus]
         out.write_bytes(b"earlier,run\r\n")
         out.chmod(0o640)
@@ -626,10 +642,87 @@ class TestInferStream:
         model = load_model(workspace / "model.json")
         docs = [
             RawDocument(str(i), line.partition("\t")[2])
-            for i, line in enumerate(lines[:299], start=1)
+            for i, line in enumerate(lines[: bad_line - 1], start=1)
         ]
         assert reference_infer_csv(model, docs).startswith(proc.stdout)
         assert proc.stdout.endswith("\n")
+
+    @pytest.mark.parametrize("format", ["lines", "labeled-tsv", "dir-of-txt"])
+    def test_worker_count_never_changes_the_bytes(
+        self, workspace, tmp_path, monkeypatch, format
+    ):
+        # Three chunks, with empty and out-of-vocabulary documents. A line
+        # break of \r then one of \n read as one, so "lines" has fewer.
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 8)
+        path = write_corpus(tmp_path, format, document_lines(600))
+        model = load_model(workspace / "model.json")
+        docs = load_corpus(path, format, allow_empty=True)
+        assert len(docs) > 2 * 256
+        expected = reference_infer_csv(model, docs)
+        assert "ERROR_OOV" in expected
+        infer = ("infer", "--model", workspace / "model.json", "--input", path,
+                 "--format", format)
+        for threads in (None, "1", "2", "3"):
+            if threads is None:
+                monkeypatch.delenv("FLATM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("FLATM_THREADS", threads)
+            proc = run_in_process(*infer, check=True)
+            assert proc.stdout == expected
+            assert proc.stderr == oov_warning(model, docs)
+
+    @pytest.mark.parametrize(
+        "command, counts", [("infer", [3, 2]), ("classify", [1, 2, 1])]
+    )
+    def test_default_threads(
+        self, workspace, tmp_path, run_main, monkeypatch, command, counts
+    ):
+        # infer runs one worker per usable CPU by default, eval one;
+        # FLATM_THREADS sets both, and eval's --threads wins over it.
+        monkeypatch.delenv("FLATM_THREADS", raising=False)
+        recorded = []
+
+        def recording(fn, items, threads):
+            recorded.append(threads)
+            return run_jobs(fn, items, threads)
+
+        run_jobs = evaluation._run_jobs
+        monkeypatch.setattr(cli, "_run_jobs", recording)
+        monkeypatch.setattr(evaluation, "_run_jobs", recording)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        corpus = ["--input", workspace / "corpus.tsv", "--format", "labeled-tsv"]
+        args = {
+            "infer": ["infer", "--model", workspace / "model.json", *corpus],
+            "classify": ["eval", "classify", *corpus, *TRAIN_ARGS, "--folds", "2"],
+        }[command]
+        run_main(*args, "--output", tmp_path / "out", check=True)
+        monkeypatch.setenv("FLATM_THREADS", "2")
+        run_main(*args, "--output", tmp_path / "out", check=True)
+        if command == "classify":
+            run_main(*args, "--threads", "1", "--output", tmp_path / "out", check=True)
+        assert recorded == counts
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("0", "FLATM_THREADS: must be >= 1, got 0"),
+         ("many", "FLATM_THREADS: not an integer: 'many'")],
+    )
+    def test_bad_threads_variable_exits_1(
+        self, workspace, tmp_path, run_main, monkeypatch, value, message
+    ):
+        docs_file = tmp_path / "docs.txt"
+        docs_file.write_text("c0w0 c0w1\n", encoding="utf-8")
+        out = tmp_path / "topics.csv"
+        monkeypatch.setenv("FLATM_THREADS", value)
+        proc = run_main(
+            "infer", "--model", workspace / "model.json", "--input", docs_file,
+            "--output", out,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.endswith(f"flatm infer: error: {message}\n")
+        assert "usage: flatm infer" in proc.stderr
+        assert proc.stdout == ""
+        assert sorted(tmp_path.iterdir()) == [docs_file]
 
     def test_output_may_replace_the_input(self, workspace, tmp_path, run_main):
         texts = "\n".join(document_lines(600)) + "\n"

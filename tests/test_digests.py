@@ -5,8 +5,9 @@ Every command runs in this process through ``flatm.cli.main``: a
 ``--no-cascade``, ``--fuzzifier 1.5`` and ``--gtw gfidf``), a
 ``--min-df 2`` model of the corpus's texts with words that it drops, the
 ``infer`` CSVs of the default model on the corpus and on a ``lines`` file
-of mixed text, an ``eval classify`` JSON report and the ``--help`` text of
-every parser. A digest moves when one byte moves, so
+of mixed text (that one also from two worker processes), an ``eval
+classify`` JSON report and the ``--help`` text of every parser. A digest
+moves when one byte moves, so
 a refactor that must keep the outputs, or a numpy or scipy upgrade that
 changes a stored float by one ulp, fails here. The default model is also
 trained by ``python -m flatm`` with numpy's run-time CPU dispatch
@@ -28,6 +29,8 @@ from pathlib import Path
 import pytest
 
 import flatm
+from flatm import evaluation
+from flatm import model as model_module
 from flatm.cli import main as cli_main
 
 try:
@@ -87,6 +90,8 @@ DIGESTS = {
     "model-min-df-2.json": "74ad5b3a88df40c983458081d7e9ce94432413975b31aea3e2323bff3a6ad8d6",
     "infer-default.csv": "5635b4bb92f49003d6673bae47d8f74e8e192c5d06ca8d5726f4a39f873edbed",
     "infer-lines.csv": "f36d765615b7dfe5971257bb4e0afb106c440290745f3539d29f385245e06b95",
+    # The worker count never moves a byte: the digest of infer-lines.csv.
+    "infer-lines-threads-2.csv": "f36d765615b7dfe5971257bb4e0afb106c440290745f3539d29f385245e06b95",
     "eval-classify.json": "3642a463690cbe33454f5ae17105ac4303edc77072d466a0eb8768955c148d8a",
     "help-flatm": "a06431fb221f1661a9cbc7b816adb856f58300ee20dce986db2ff1935d0ceef5",
     "help-train": "6afc4c2f32aea9ad1204873bc29567a518dac7737891d28fd250d61df673ef67",
@@ -146,6 +151,15 @@ def outputs(tmp_path_factory):
         infer = tmp / "infer-lines.csv"
         _run("infer", "--model", tmp / "model-default.json", "--input", lines,
              "--format", "lines", "--output", infer)
+        found[infer.name] = infer.read_bytes()
+        # Chunks of one document, so two forked workers share the four.
+        with pytest.MonkeyPatch.context() as chunked:
+            chunked.setattr(model_module, "_CHUNK_DOCS", 1)
+            chunked.setattr(evaluation, "_usable_cpus", lambda: 2)
+            chunked.setenv("FLATM_THREADS", "2")
+            infer = tmp / "infer-lines-threads-2.csv"
+            _run("infer", "--model", tmp / "model-default.json", "--input", lines,
+                 "--format", "lines", "--output", infer)
         found[infer.name] = infer.read_bytes()
         found["eval-classify.json"] = _run(
             "eval", "classify", *corpus_flags, "--topics", "2", "--seed", "3",

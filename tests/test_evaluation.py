@@ -1,7 +1,11 @@
+import concurrent.futures
+import gc
 import json
 import math
 import operator
 import os
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 from flatm import (
     CascadeSchedule,
     EvalReport,
+    InputFormatError,
     RawDocument,
     SettingError,
     SplitPlan,
@@ -538,25 +543,132 @@ class TestRunJobs:
         pools = []
 
         class RecordingPool:
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
                 pools.append((max_workers, mp_context.get_start_method()))
+                initializer(*initargs)
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, item):
+                future = concurrent.futures.Future()
+                future.set_result(fn(item))
+                return future
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def shutdown(self, cancel_futures):
+                pass
 
         monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
         )
         jobs = list(range(n_jobs))
-        assert evaluation._run_jobs(operator.neg, jobs, threads) == [-j for j in jobs]
+        results = evaluation._run_jobs(operator.neg, jobs, threads)
+        assert list(results) == [-j for j in jobs]
         assert pools == ([] if workers is None else [(workers, "fork")])
+
+    def test_runs_in_this_process_without_fork(self, monkeypatch):
+        def no_pool(**kwargs):
+            raise AssertionError("made a pool")
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(
+            evaluation.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        results = evaluation._run_jobs(operator.neg, range(40), 4)
+        assert list(results) == [-j for j in range(40)]
+
+    @staticmethod
+    def counted(items, read):
+        for item in items:
+            read.append(item)
+            yield item
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_reads_at_most_two_items_per_worker_ahead(self, monkeypatch, threads):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 8)
+        read = []
+        results = evaluation._run_jobs(
+            operator.neg, self.counted(range(40), read), threads
+        )
+        assert read == []
+        for consumed, result in enumerate(results, start=1):
+            assert result == 1 - consumed
+            assert consumed <= len(read) <= consumed + 2 * threads
+        assert read == list(range(40))
+
+    def test_workers_get_the_function_by_fork_not_by_pickle(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 8)
+        lock = threading.Lock()  # a lock cannot be pickled
+
+        def where(item):
+            with lock:
+                time.sleep(0.02)
+                return item, os.getpid()
+
+        results = list(evaluation._run_jobs(where, range(8), 2))
+        assert [item for item, _ in results] == list(range(8))
+        assert os.getpid() not in {pid for _, pid in results}
+
+    def test_workers_leave_the_objects_made_before_the_fork_frozen(
+        self, monkeypatch
+    ):
+        # Frozen objects are skipped by a worker's collections, which would
+        # otherwise copy the pages it shares with this process; this process
+        # thaws them once the pool is gone.
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 8)
+        frozen = list(
+            evaluation._run_jobs(lambda item: gc.get_freeze_count(), range(4), 2)
+        )
+        assert min(frozen) > 0
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_first_failing_item_in_input_order_decides_the_error(
+        self, monkeypatch, threads
+    ):
+        # Item 3 fails last in time, item 4 at once, and reading fails
+        # after item 6: item 3's error is the one raised, after the results
+        # of items 0-2, as serially.
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 8)
+
+        def fail_some(item):
+            if item == 3:
+                time.sleep(0.1)
+            if item in (3, 4):
+                raise ValueError(f"item {item}")
+            return item
+
+        def stream():
+            yield from range(7)
+            raise InputFormatError("line 8")
+
+        results = evaluation._run_jobs(fail_some, stream(), threads)
+        assert [next(results) for _ in range(3)] == [0, 1, 2]
+        with pytest.raises(ValueError, match="^item 3$"):
+            next(results)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_failed_read_follows_the_items_before_it(self, monkeypatch, threads):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 8)
+
+        def stream():
+            yield from range(7)
+            raise InputFormatError("line 8")
+
+        results = evaluation._run_jobs(operator.neg, stream(), threads)
+        assert [next(results) for _ in range(7)] == [-i for i in range(7)]
+        with pytest.raises(InputFormatError, match="^line 8$"):
+            next(results)
+
+    def test_threads_are_checked_at_the_call(self):
+        def never_read():
+            raise AssertionError("read the stream")
+            yield
+
+        for threads in (0, -1):
+            with pytest.raises(SettingError, match="^threads must be >= 1, got "):
+                evaluation._run_jobs(operator.neg, never_read(), threads)
+        with pytest.raises(SettingError, match="^threads must be an integer"):
+            evaluation._run_jobs(operator.neg, never_read(), 2.5)
 
 
 class TestHeldoutLoglik:

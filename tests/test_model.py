@@ -248,6 +248,9 @@ _CLASSIFY = functools.partial(classify, two_class_docs(), tiny_config(), SplitPl
             (FcmConfig, {"n_clusters": 2, "max_iterations": 0}, "max_iterations"),
             (FcmConfig, {"n_clusters": 2, "seed": -1}, "seed"),
             (TokenizerConfig, {"min_token_length": 0}, "min_token_length"),
+            (RawDocument, {"doc_id": 1, "text": "a"}, "doc_id"),
+            (RawDocument, {"doc_id": "1", "text": b"a"}, "text"),
+            (RawDocument, {"doc_id": "1", "text": "a", "label": 0}, "label"),
             (CascadeSchedule, {"counts": ()}, "schedule"),
             (CascadeSchedule, {"counts": (4, 2.5)}, "schedule"),
             (CascadeSchedule, {"counts": (3, 1)}, "schedule"),
@@ -539,6 +542,13 @@ class TestTrain:
         ):
             with pytest.raises(ValueError, match="'hollow' has no term"):
                 train(docs, tiny_config(**overrides))
+
+    def test_document_of_another_id_type_raises_before_any_stage(self):
+        stages = []
+        docs = (RawDocument(i, d.text) for i, d in enumerate(two_class_docs()))
+        with pytest.raises(SettingError, match="^doc_id must be a str, got 0$"):
+            train(docs, tiny_config(), on_stage=lambda s, r: stages.append(s))
+        assert stages == []
 
     def test_stage_callback_indices(self):
         docs = two_class_docs()
