@@ -15,7 +15,8 @@ lexicographically smallest class label.
 
 Scoring runs on whole document sets: the documents are counted and folded
 in as a batch, and the mixture is formed only at each document's non-zero
-counts, O(nnz * K). Per-document totals are exact ``math.fsum`` sums.
+counts, O(nnz * K). Per-document totals are exact ``math.fsum`` sums, so a
+score has the same bits alone or inside any batch.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
+import scipy.sparse as sp
 
 from .corpus import RawDocument
 from .fcm import SettingError, _check_seed, _checked, _require
@@ -167,90 +170,92 @@ def make_folds(docs: Sequence[RawDocument], plan: SplitPlan) -> list[tuple[int, 
 def _check_scoring(delta: float, threads: int = 1) -> float:
     """``delta`` as a plain number, once it and ``threads`` pass their rules."""
     delta = _checked("delta", delta, float)
-    if not delta > 0:
-        raise SettingError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise SettingError(f"delta must be a positive finite number, got {delta!r}")
     _check_threads(threads)
     return delta
 
 
-def _score_many(
-    model: TopicModel,
-    docs: Sequence[RawDocument],
+def _score_chunk(
+    counts: sp.csc_matrix,
+    tokens: np.ndarray,
+    word_table: np.ndarray,
+    doc_table: np.ndarray,
     delta: float,
-    word_dist: np.ndarray | None = None,
 ) -> list[tuple[float, int, int]]:
-    """(loglik, oov_tokens, total_tokens) for each document, in order.
-
-    Documents are counted and folded in by the model's batch fold-in. The
-    mixture sum_k P(w|T_k) P(T_k|d), or ``word_dist[w]``, is formed only
-    at each document's non-zero counts, O(nnz * K); a length-m mixture is
-    never built. Every step is elementwise or confined to one document,
-    and each document's terms are summed exactly by ``math.fsum``, so a
-    score has the same bits alone or inside any batch.
-    """
-    delta = _check_scoring(delta)
-    if word_dist is not None and np.shape(word_dist) != (model.n_terms,):
-        raise SettingError(f"word_dist must have shape ({model.n_terms},)")
+    """(loglik, oov_tokens, total_tokens) of each document (column) of the
+    known tokens' ``counts`` (m, n), with ``tokens`` (n,) in all, under the
+    mixture sum_k word_table[k, w] doc_table[k, d] of (K, m) and (K, n)."""
     log_delta = math.log(delta)
+    rows = counts.indices
+    cols = np.repeat(np.arange(counts.shape[1]), np.diff(counts.indptr))
+    mix = np.zeros(counts.nnz)
+    for k in range(len(word_table)):
+        mix += word_table[k, rows] * doc_table[k, cols]
+    shifted = delta + mix
+    scores = []
+    for j in range(counts.shape[1]):
+        entries = slice(counts.indptr[j], counts.indptr[j + 1])
+        doc_counts = counts.data[entries].tolist()
+        terms = [
+            c * math.log(x) for c, x in zip(doc_counts, shifted[entries].tolist())
+        ]
+        total = int(tokens[j])
+        oov = total - int(sum(doc_counts))
+        if oov:
+            terms.append(oov * log_delta)
+        scores.append((math.fsum(terms), oov, total))
+    return scores
+
+
+def _score_many(
+    model: TopicModel, docs: Sequence[RawDocument], delta: float
+) -> list[tuple[float, int, int]]:
+    """(loglik, oov_tokens, total_tokens) for each document, in order:
+    :func:`_score_chunk` on each chunk the model's batch fold-in makes."""
+    delta = _check_scoring(delta)
     scores = []
     for tdm, ptd, _ in _fold_chunks(model, docs):
         counts = tdm.counts.tocsc()
-        rows = counts.indices
-        if word_dist is None:
-            cols = np.repeat(np.arange(tdm.n_docs), np.diff(counts.indptr))
-            mix = np.zeros(counts.nnz)
-            for k in range(model.n_topics):
-                mix += model.word_given_topic[k, rows] * ptd[k, cols]
-        else:
-            mix = np.asarray(word_dist, dtype=np.float64)[rows]
-        shifted = delta + mix
-        for j in range(tdm.n_docs):
-            entries = slice(counts.indptr[j], counts.indptr[j + 1])
-            doc_counts = counts.data[entries].tolist()
-            terms = [
-                c * math.log(x)
-                for c, x in zip(doc_counts, shifted[entries].tolist())
-            ]
-            total = int(tdm.tokens[j])
-            oov = total - int(sum(doc_counts))
-            if oov:
-                terms.append(oov * log_delta)
-            scores.append((math.fsum(terms), oov, total))
+        scores += _score_chunk(counts, tdm.tokens, model.word_given_topic, ptd, delta)
     return scores
 
 
 def doc_log_likelihood(
-    model: TopicModel,
-    doc: RawDocument,
-    delta: float = DEFAULT_DELTA,
-    word_dist: np.ndarray | None = None,
+    model: TopicModel, doc: RawDocument, delta: float = DEFAULT_DELTA
 ) -> tuple[float, int, int]:
     """Smoothed log-likelihood of one document under the model.
 
-    Returns (loglik, oov_tokens, total_tokens). By default each known
-    token w contributes log(delta + sum_k P(w|T_k) P(T_k|d)) with P(T|d)
-    from fold-in; pass ``word_dist`` (shape (m,)) to score against a fixed
-    word distribution instead, e.g. the unigram P(w). Unknown tokens and
-    fully out-of-vocabulary documents contribute log(delta) per token.
-    The result has the same bits as this document's score inside
-    :func:`corpus_log_likelihood`.
+    Returns (loglik, oov_tokens, total_tokens). Each known token w
+    contributes log(delta + sum_k P(w|T_k) P(T_k|d)) with P(T|d) from
+    fold-in. Unknown tokens and fully out-of-vocabulary documents
+    contribute log(delta) per token. The result has the same bits as this
+    document's score inside :func:`corpus_log_likelihood`.
     """
-    return _score_many(model, [doc], delta, word_dist)[0]
+    return _score_many(model, [doc], delta)[0]
 
 
 def corpus_log_likelihood(
-    model: TopicModel,
-    docs: Sequence[RawDocument],
-    delta: float = DEFAULT_DELTA,
-    word_dist: np.ndarray | None = None,
+    model: TopicModel, docs: Sequence[RawDocument], delta: float = DEFAULT_DELTA
 ) -> dict:
-    """Totals over a document set; order-invariant thanks to exact sums."""
-    scores = _score_many(model, docs, delta, word_dist)
+    """Totals over a document set; order-invariant thanks to exact sums.
+
+    ``unigram_loglik`` scores the corpus-wide P(w) in place of each
+    document's topic mixture, in the same pass.
+    """
+    delta = _check_scoring(delta)
+    scores, unigram = [], []
+    for tdm, ptd, _ in _fold_chunks(model, docs):
+        counts, tokens = tdm.counts.tocsc(), tdm.tokens
+        scores += _score_chunk(counts, tokens, model.word_given_topic, ptd, delta)
+        ones = np.ones((1, tdm.n_docs))
+        unigram += _score_chunk(counts, tokens, model.word_prob[None, :], ones, delta)
     return {
         "loglik": math.fsum(ll for ll, _, _ in scores),
         "oov_tokens": sum(oov for _, oov, _ in scores),
         "n_tokens": sum(total for _, _, total in scores),
         "docs_with_known_terms": sum(1 for _, oov, total in scores if oov < total),
+        "unigram_loglik": math.fsum(ll for ll, _, _ in unigram),
     }
 
 
@@ -268,24 +273,15 @@ def _train_named(
 
 
 # A job is (name, train_docs, config, test_docs, delta): train one model and
-# score the test documents with it. A job returns only numbers, so a worker
-# process sends back a few kilobytes and the caller never holds the models.
+# score the test documents with it by the protocol's ``score``. A job returns
+# only numbers, so a worker process sends back a few kilobytes and the caller
+# never holds the models.
 _Job = tuple[str, Sequence[RawDocument], TrainConfig, Sequence[RawDocument], float]
 
 
-def _classify_job(job: _Job) -> list[tuple[float, int, int]]:
+def _train_and_score(score: Callable[..., _R], job: _Job) -> _R:
     name, train_docs, config, test_docs, delta = job
-    return _score_many(_train_named(name, train_docs, config), test_docs, delta)
-
-
-def _loglik_job(job: _Job) -> tuple[dict, dict]:
-    """Topic-mixture totals and unigram-baseline totals over the test set."""
-    name, train_docs, config, test_docs, delta = job
-    model = _train_named(name, train_docs, config)
-    return (
-        corpus_log_likelihood(model, test_docs, delta),
-        corpus_log_likelihood(model, test_docs, delta, word_dist=model.word_prob),
-    )
+    return score(_train_named(name, train_docs, config), test_docs, delta)
 
 
 def _usable_cpus() -> int:
@@ -368,8 +364,11 @@ def _ordered_map(
         # left alone by the workers' garbage collections, which would
         # otherwise write to, and so copy, every page of them that a worker
         # shares with this process: with two workers, infer's summed
-        # proportional set size peaked at 72 rather than 93 MB.
-        gc.freeze()
+        # proportional set size peaked at 72 rather than 93 MB. A caller
+        # that froze objects itself keeps them frozen.
+        thaw = gc.get_freeze_count() == 0
+        if thaw:
+            gc.freeze()
         pool = ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context("fork"),
@@ -390,7 +389,8 @@ def _ordered_map(
                 yield result
         finally:
             pool.shutdown(cancel_futures=True)
-            gc.unfreeze()
+            if thaw:
+                gc.unfreeze()
     if read_error is not None:
         raise read_error
 
@@ -445,7 +445,7 @@ def classify(
                     delta,
                 )
             )
-    job_scores = list(_run_jobs(_classify_job, jobs, threads))
+    job_scores = list(_run_jobs(partial(_train_and_score, _score_many), jobs, threads))
     per_fold = []
     details = []
     for f in range(plan.folds):
@@ -529,12 +529,11 @@ def heldout_loglik(
         )
         for f, (train_idx, test_idx) in enumerate(splits)
     ]
-    results = list(_run_jobs(_loglik_job, jobs, threads))
+    score = partial(_train_and_score, corpus_log_likelihood)
+    results = list(_run_jobs(score, jobs, threads))
     per_fold = []
     details = []
-    for f, ((train_idx, test_idx), (stats, baseline)) in enumerate(
-        zip(splits, results)
-    ):
+    for f, ((train_idx, test_idx), stats) in enumerate(zip(splits, results)):
         if stats["docs_with_known_terms"] == 0:
             raise ValueError(
                 f"round {f}: every held-out document is fully out of vocabulary"
@@ -547,7 +546,7 @@ def heldout_loglik(
                 "n_test": len(test_idx),
                 "oov_tokens": stats["oov_tokens"],
                 "n_tokens": stats["n_tokens"],
-                "baseline_loglik": baseline["loglik"],
+                "baseline_loglik": stats["unigram_loglik"],
             }
         )
     return _report("loglik", "loglik", per_fold, details, config, plan, delta)

@@ -1217,6 +1217,19 @@ class TestUsage:
         assert proc.returncode == 1
         assert "COMMAND" in proc.stdout or "COMMAND" in proc.stderr
 
+    @pytest.mark.parametrize("protocol", ["classify", "loglik"])
+    @pytest.mark.parametrize("delta", ["inf", "1e400"])
+    def test_infinite_delta_exits_1(self, workspace, run_main, protocol, delta):
+        proc = run_main(
+            "eval", protocol,
+            "--input", workspace / "corpus.tsv",
+            *TRAIN_ARGS, "--folds", "2", "--delta", delta,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "argument --delta: must be a positive finite number" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_unknown_flag_exits_1(self, run_main):
         proc = run_main("train", "--frobnicate")
         assert proc.returncode == 1

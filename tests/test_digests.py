@@ -5,11 +5,11 @@ Every command runs in this process through ``flatm.cli.main``: a
 ``--no-cascade``, ``--fuzzifier 1.5`` and ``--gtw gfidf``), a
 ``--min-df 2`` model of the corpus's texts with words that it drops, the
 ``infer`` CSVs of the default model on the corpus and on a ``lines`` file
-of mixed text (that one also from two worker processes), an ``eval
-classify`` JSON report and the ``--help`` text of every parser. A digest
-moves when one byte moves, so
-a refactor that must keep the outputs, or a numpy or scipy upgrade that
-changes a stored float by one ulp, fails here. The default model is also
+of mixed text (that one also from two worker processes), the ``eval
+classify`` and ``eval loglik`` JSON reports and the ``--help`` text of
+every parser. A digest moves when one byte moves, so a refactor that
+must keep the outputs, or a numpy or scipy upgrade that changes a
+stored float by one ulp, fails here. The default model is also
 trained by ``python -m flatm`` with numpy's run-time CPU dispatch
 switched off and with OpenBLAS pinned to an old core type, and must keep
 its digest.
@@ -93,6 +93,7 @@ DIGESTS = {
     # The worker count never moves a byte: the digest of infer-lines.csv.
     "infer-lines-threads-2.csv": "f36d765615b7dfe5971257bb4e0afb106c440290745f3539d29f385245e06b95",
     "eval-classify.json": "3642a463690cbe33454f5ae17105ac4303edc77072d466a0eb8768955c148d8a",
+    "eval-loglik.json": "e8c852358373f8c59b3a2df9d45b2324102b708fcd15e65d935c926994d6fbb5",
     "help-flatm": "a06431fb221f1661a9cbc7b816adb856f58300ee20dce986db2ff1935d0ceef5",
     "help-train": "6afc4c2f32aea9ad1204873bc29567a518dac7737891d28fd250d61df673ef67",
     "help-infer": "4fa64ffba5916f21dd1f43000e0cf27368ef3eb9a9c0533b18b074aaea5f0c06",
@@ -161,10 +162,11 @@ def outputs(tmp_path_factory):
             _run("infer", "--model", tmp / "model-default.json", "--input", lines,
                  "--format", "lines", "--output", infer)
         found[infer.name] = infer.read_bytes()
-        found["eval-classify.json"] = _run(
-            "eval", "classify", *corpus_flags, "--topics", "2", "--seed", "3",
-            "--schedule", "4,2", "--folds", "2",
-        ).encode()
+        for protocol in ("classify", "loglik"):
+            found[f"eval-{protocol}.json"] = _run(
+                "eval", protocol, *corpus_flags, "--topics", "2", "--seed", "3",
+                "--schedule", "4,2", "--folds", "2",
+            ).encode()
         for words in HELP:
             found["-".join(["help", *words] if words else ["help", "flatm"])] = (
                 _run(*words, "--help").encode()

@@ -1,4 +1,6 @@
+import collections
 import concurrent.futures
+import functools
 import gc
 import json
 import math
@@ -292,36 +294,30 @@ class TestDocLogLikelihood:
         )
         assert a == b
 
-    def test_word_dist_override(self):
-        model, docs = self.make_model()
-        delta = 1e-9
-        ll, _, _ = doc_log_likelihood(
-            model, docs[0], delta, word_dist=model.word_prob
-        )
-        expected = 0.0
-        for token in tokenize(docs[0].text, model.config.tokenizer):
-            i = model.vocabulary.index[token]
-            expected += math.log(delta + model.word_prob[i])
-        assert ll == pytest.approx(expected, abs=1e-9)
-
     def test_rejects_nonpositive_delta(self):
         model, docs = self.make_model()
         with pytest.raises(ValueError, match="delta"):
             doc_log_likelihood(model, docs[0], 0.0)
 
-    def test_rejects_word_dist_of_another_shape(self):
-        model, docs = self.make_model()
-        m = model.n_terms
-        for word_dist in (np.full(3, 0.1), np.full(m + 5, 0.1), np.full((m, 1), 0.1)):
-            with pytest.raises(SettingError, match="^word_dist must have shape"):
-                doc_log_likelihood(model, docs[0], word_dist=word_dist)
-            with pytest.raises(SettingError, match="^word_dist must have shape"):
-                corpus_log_likelihood(model, docs, word_dist=word_dist)
-
 
 @pytest.fixture(scope="module")
 def small_model():
     return train(small_corpus(), fast_config())
+
+
+def unigram_scores(model, docs):
+    """The one-topic core's score of each document: its one topic is P(w),
+    with weight 1 in every document."""
+    scores = []
+    for tdm, _, _ in model_module._fold_chunks(model, docs):
+        scores += evaluation._score_chunk(
+            tdm.counts.tocsc(),
+            tdm.tokens,
+            model.word_prob[None, :],
+            np.ones((1, tdm.n_docs)),
+            DEFAULT_DELTA,
+        )
+    return scores
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -343,14 +339,19 @@ def test_doc_score_has_the_bits_of_the_batch_row(
 ):
     docs = [RawDocument(str(i), text) for i, text in enumerate(texts)]
     order.shuffle(docs)
-    word_dist = small_model.word_prob if unigram else None
+    if unigram:
+        score, key = unigram_scores, "unigram_loglik"
+    else:
+        score, key = functools.partial(_score_many, delta=DEFAULT_DELTA), "loglik"
     # Small chunks make every batch span several of them.
     with mock.patch.object(model_module, "_CHUNK_DOCS", chunk):
-        rows = _score_many(small_model, docs, DEFAULT_DELTA, word_dist)
-        stats = corpus_log_likelihood(small_model, docs, word_dist=word_dist)
-    parts = [doc_log_likelihood(small_model, d, word_dist=word_dist) for d in docs]
+        rows = score(small_model, docs)
+        stats = corpus_log_likelihood(small_model, docs)
+    parts = [score(small_model, [d])[0] for d in docs]
     assert [repr(p) for p in parts] == [repr(r) for r in rows]
-    assert stats["loglik"] == math.fsum(ll for ll, _, _ in parts)
+    if not unigram:
+        assert parts == [doc_log_likelihood(small_model, d) for d in docs]
+    assert stats[key] == math.fsum(ll for ll, _, _ in parts)
     assert stats["oov_tokens"] == sum(oov for _, oov, _ in parts)
     assert stats["n_tokens"] == sum(total for _, _, total in parts)
 
@@ -366,6 +367,29 @@ class TestCorpusLogLikelihood:
         assert stats["oov_tokens"] == 1
         assert stats["n_tokens"] == 6 * 12 + 1
         assert stats["docs_with_known_terms"] == 6
+
+    @pytest.mark.parametrize("delta", [DEFAULT_DELTA, 1e-3])
+    def test_unigram_loglik_is_the_exact_unigram_score(self, delta):
+        docs = small_corpus()
+        model = train(docs, fast_config())
+        test_docs = docs[::3] + [
+            RawDocument("oov", "zebra c0w1 yak c0w1"),
+            RawDocument("all-oov", "zebra yak"),
+            RawDocument("empty", ""),
+        ]
+        index, word_prob = model.vocabulary.index, model.word_prob
+        per_doc = []
+        for doc in test_docs:
+            counts = collections.Counter(tokenize(doc.text, model.config.tokenizer))
+            terms = [
+                c * math.log(delta + word_prob[index[w]])
+                for w, c in counts.items()
+                if w in index
+            ]
+            oov = sum(c for w, c in counts.items() if w not in index)
+            per_doc.append(math.fsum(terms + [oov * math.log(delta)]))
+        stats = corpus_log_likelihood(model, test_docs, delta)
+        assert stats["unigram_loglik"] == math.fsum(per_doc)
 
 
 class TestGenerateSynthetic:
@@ -621,6 +645,18 @@ class TestRunJobs:
         assert min(frozen) > 0
         assert gc.get_freeze_count() == 0
 
+    def test_a_freeze_made_by_the_caller_outlives_the_pool(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 8)
+        gc.freeze()
+        try:
+            before = gc.get_freeze_count()
+            assert list(evaluation._run_jobs(operator.neg, range(6), 2)) == [
+                0, -1, -2, -3, -4, -5
+            ]
+            assert gc.get_freeze_count() >= before > 0
+        finally:
+            gc.unfreeze()
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_first_failing_item_in_input_order_decides_the_error(
         self, monkeypatch, threads
@@ -696,6 +732,24 @@ class TestHeldoutLoglik:
         report = heldout_loglik(docs, fast_config(), SplitPlan(folds=2))
         assert report.per_fold[0] != report.per_fold[1]
 
+    def test_each_chunk_is_folded_in_once_per_round(self, monkeypatch):
+        # The topic scores and the unigram baseline share one fold-in.
+        calls = []
+        fold_chunk = model_module._fold_chunk
+
+        def counted(model, docs):
+            calls.append(len(docs))
+            return fold_chunk(model, docs)
+
+        monkeypatch.setattr(model_module, "_CHUNK_DOCS", 2)
+        monkeypatch.setattr(model_module, "_fold_chunk", counted)
+        report = heldout_loglik(
+            small_corpus(), fast_config(), SplitPlan(folds=3), threads=1
+        )
+        n_test = [detail["n_test"] for detail in report.details]
+        assert sum(calls) == sum(n_test)
+        assert len(calls) == sum(math.ceil(n / 2) for n in n_test)
+
     def test_topic_mixture_beats_unigram_here(self):
         # On clearly clustered data the topic mixture concentrates mass on
         # the document's own class terms, so it should outscore P(w).
@@ -711,8 +765,8 @@ def test_protocols_reject_bad_delta_before_training(monkeypatch):
 
     monkeypatch.setattr("flatm.evaluation.train", no_training)
     for protocol in (classify, heldout_loglik):
-        for delta in (0.0, -1.0, float("nan")):
-            with pytest.raises(SettingError, match="delta"):
+        for delta in (0.0, -1.0, float("nan"), math.inf, float("1e400")):
+            with pytest.raises(SettingError, match="^delta must be a positive finite"):
                 protocol(small_corpus(), fast_config(), SplitPlan(folds=2), delta=delta)
 
 
