@@ -14,7 +14,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -383,6 +383,114 @@ def _code_blocks(
         yield block, lengths, ids
 
 
+@dataclass
+class _Counts:
+    """Documents counted into first-seen token codes: the first half of
+    :func:`build_matrix`, before any code has a row.
+
+    ``terms`` lists the kept tokens in the order they were first met, and a
+    code indexes it. Column j's distinct codes, ascending, and their counts
+    (int32) are ``codes[indptr[j]:indptr[j + 1]]`` and the same slice of
+    ``counts``; ``tokens[j]`` is document j's filtered token total and
+    ``doc_ids[j]`` its id.
+    """
+
+    terms: list[str]
+    codes: np.ndarray | None
+    counts: np.ndarray | None
+    indptr: np.ndarray
+    tokens: np.ndarray
+    doc_ids: tuple[str, ...]
+
+    def columns(self, indices: Sequence[int]) -> _Counts:
+        """A copy of the columns at ``indices``, in that order. Codes keep
+        their meaning, so ``terms`` is shared."""
+        indices = np.asarray(indices, dtype=np.int64)
+        starts = self.indptr[indices]
+        lengths = self.indptr[indices + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+        return _Counts(
+            self.terms,
+            self.codes[at],
+            self.counts[at],
+            indptr,
+            self.tokens[indices],
+            tuple(map(self.doc_ids.__getitem__, indices.tolist())),
+        )
+
+    def matrix(
+        self, min_df: int = 1, vocabulary: Vocabulary | None = None
+    ) -> tuple[Vocabulary, TermDocMatrix]:
+        """Map codes to rows: the second half of :func:`build_matrix`, whose
+        docstring gives the rules. It takes the codes and counts, which
+        leaves this object spent, so each of their buffers is freed once the
+        array made from it has replaced it."""
+        if vocabulary is None and not self.doc_ids:
+            raise ValueError("corpus is empty")
+        # The counts stay int32 until the CSR is built and become float64 last;
+        # they are small integers, so no value changes.
+        row, data, indptr = self.codes, self.counts, self.indptr
+        self.codes = self.counts = None
+        # Each code's row in the vocabulary, or -1 for a term outside it.
+        found = self.terms
+        if vocabulary is None:
+            df = np.bincount(row, minlength=len(found))
+            kept = np.array(sorted(np.flatnonzero(df >= min_df), key=found.__getitem__))
+            if not kept.size:
+                raise ValueError("every document tokenized to nothing; no vocabulary")
+            vocabulary = Vocabulary(terms=tuple(map(found.__getitem__, kept)))
+            code_rows = np.full(len(found), -1, dtype=np.intc)
+            code_rows[kept] = np.arange(len(kept))
+        else:
+            index = vocabulary.index
+            code_rows = np.fromiter(
+                map(index.get, found, itertools.repeat(-1)), np.intc, count=len(found)
+            )
+        row = code_rows[row]
+        known = row >= 0
+        if not known.all():
+            row, data = row[known], data[known]
+            indptr = np.concatenate(([0], np.cumsum(known)))[indptr]
+        del known
+        # A column's rows need not ascend: tocsr writes each row's columns in
+        # order, so the CSR does not depend on which codes the tokens got.
+        shape = (len(vocabulary), len(self.doc_ids))
+        counts = sp.csc_matrix((data, row, indptr), shape=shape).tocsr()
+        del data, row
+        counts.data = counts.data.astype(np.float64)
+        return vocabulary, TermDocMatrix(
+            counts=counts, doc_ids=self.doc_ids, tokens=self.tokens
+        )
+
+
+def _count_documents(docs: Iterable[RawDocument], config: TokenizerConfig) -> _Counts:
+    """Count ``docs``, read once and in order: the first half of
+    :func:`build_matrix`."""
+    codes = _TokenCodes(config)
+    # Codes and counts, column after column; per block, each document's
+    # number of distinct terms (after indptr's leading zero) and token total.
+    ids, values = array("i"), array("i")
+    terms, tokens = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    doc_ids: list[str] = []
+    for block, lengths, block_doc_ids in _code_blocks(docs, config, codes):
+        doc_ids += block_doc_ids
+        block_ids, counts, block_terms, block_tokens = _count_block(block, lengths)
+        ids.frombytes(block_ids.tobytes())
+        values.frombytes(counts.tobytes())
+        terms.append(block_terms)
+        tokens.append(block_tokens)
+    # Each buffer lives as long as the array viewing it.
+    return _Counts(
+        codes.terms,
+        np.frombuffer(ids, dtype=np.intc),
+        np.frombuffer(values, dtype=np.intc),
+        np.cumsum(np.concatenate(terms)),
+        np.concatenate(tokens),
+        tuple(doc_ids),
+    )
+
+
 def build_matrix(
     docs: Iterable[RawDocument],
     config: TokenizerConfig | None = None,
@@ -393,11 +501,13 @@ def build_matrix(
     """Tokenize ``docs`` and build the count matrix.
 
     This is the one place text becomes counts: training, fold-in and
-    scoring all call it. ``docs`` may be any iterable, a one-shot stream
-    included; it is read once, in order. A call runs the tokenizer's
-    filter once per distinct raw token; each occurrence costs its share of
-    the tokenizer's one pass over the text and one dictionary lookup, and
-    codes, given as tokens are first met, map to rows once at the end.
+    scoring all call it, or its two halves, which first count documents
+    into token codes and then map the codes to rows. ``docs`` may be any
+    iterable, a one-shot stream included; it is read once, in order. A call
+    runs the tokenizer's filter once per distinct raw token; each
+    occurrence costs its share of the tokenizer's one pass over the text
+    and one dictionary lookup, and codes, given as tokens are first met,
+    map to rows once at the end.
     Documents are counted in blocks of about 65k tokens: only one block's
     token codes are held at a time, and only codes and counts (int32)
     and each document's id and totals outlive it, so no document's text is
@@ -415,54 +525,4 @@ def build_matrix(
         config = TokenizerConfig()
     if vocabulary is None and _checked("min_df", min_df, int) < 1:
         raise SettingError("min_df must be >= 1")
-    codes = _TokenCodes(config)
-    # Codes and counts, column after column; per block, each document's
-    # number of distinct terms (after indptr's leading zero) and token total.
-    ids, values = array("i"), array("i")
-    terms, tokens = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    doc_ids: list[str] = []
-    for block, lengths, block_doc_ids in _code_blocks(docs, config, codes):
-        doc_ids += block_doc_ids
-        block_ids, counts, block_terms, block_tokens = _count_block(block, lengths)
-        ids.frombytes(block_ids.tobytes())
-        values.frombytes(counts.tobytes())
-        terms.append(block_terms)
-        tokens.append(block_tokens)
-    if vocabulary is None and not doc_ids:
-        raise ValueError("corpus is empty")
-    indptr = np.cumsum(np.concatenate(terms))
-    tokens = np.concatenate(tokens)
-    # The counts stay int32 until the CSR is built and become float64 last;
-    # they are small integers, so no value changes. Each buffer is freed
-    # with its last view, once the array made from it has replaced it.
-    row, data = np.frombuffer(ids, dtype=np.intc), np.frombuffer(values, dtype=np.intc)
-    del ids, values
-    # Each code's row in the vocabulary, or -1 for a term outside it.
-    found = codes.terms
-    if vocabulary is None:
-        df = np.bincount(row, minlength=len(found))
-        kept = np.array(sorted(np.flatnonzero(df >= min_df), key=found.__getitem__))
-        if not kept.size:
-            raise ValueError("every document tokenized to nothing; no vocabulary")
-        vocabulary = Vocabulary(terms=tuple(map(found.__getitem__, kept)))
-        code_rows = np.full(len(found), -1, dtype=np.intc)
-        code_rows[kept] = np.arange(len(kept))
-    else:
-        index = vocabulary.index
-        code_rows = np.fromiter(
-            map(index.get, found, itertools.repeat(-1)), np.intc, count=len(found)
-        )
-    row = code_rows[row]
-    known = row >= 0
-    if not known.all():
-        row, data = row[known], data[known]
-        indptr = np.concatenate(([0], np.cumsum(known)))[indptr]
-    del known
-    # A column's rows need not ascend: tocsr writes each row's columns in order.
-    shape = (len(vocabulary), len(doc_ids))
-    counts = sp.csc_matrix((data, row, indptr), shape=shape).tocsr()
-    del data, row
-    counts.data = counts.data.astype(np.float64)
-    return vocabulary, TermDocMatrix(
-        counts=counts, doc_ids=tuple(doc_ids), tokens=tokens
-    )
+    return _count_documents(docs, config).matrix(min_df, vocabulary)

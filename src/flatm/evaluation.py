@@ -16,7 +16,9 @@ lexicographically smallest class label.
 Scoring runs on whole document sets: the documents are counted and folded
 in as a batch, and the mixture is formed only at each document's non-zero
 counts, O(nnz * K). Per-document totals are exact ``math.fsum`` sums, so a
-score has the same bits alone or inside any batch.
+score has the same bits alone or inside any batch. A protocol's jobs take
+their documents' columns from the corpus counted once per process, which
+gives the matrices counting those documents alone would.
 """
 
 from __future__ import annotations
@@ -30,21 +32,30 @@ import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import RawDocument
+from .corpus import (
+    RawDocument,
+    TermDocMatrix,
+    TokenizerConfig,
+    Vocabulary,
+    _count_documents,
+    _Counts,
+)
 from .fcm import SettingError, _check_seed, _checked, _require
 from .model import (
     TopicModel,
     TrainConfig,
+    _chunks,
     _config_to_dict,
+    _fit,
     _fold_chunks,
+    _fold_counts,
     stage_seed,
-    train,
 )
 
 __all__ = [
@@ -208,14 +219,19 @@ def _score_chunk(
     return scores
 
 
+# What fold-in gives a scoring routine per chunk: the counts over the model
+# vocabulary, P(T|D) (K, n) and the known mask.
+_Folded = Iterable[tuple[TermDocMatrix, np.ndarray, np.ndarray]]
+
+
 def _score_many(
-    model: TopicModel, docs: Sequence[RawDocument], delta: float
+    model: TopicModel, folded: _Folded, delta: float
 ) -> list[tuple[float, int, int]]:
-    """(loglik, oov_tokens, total_tokens) for each document, in order:
-    :func:`_score_chunk` on each chunk the model's batch fold-in makes."""
-    delta = _check_scoring(delta)
+    """(loglik, oov_tokens, total_tokens) for each document of the
+    folded-in chunks, in order: :func:`_score_chunk` under the topic
+    mixture."""
     scores = []
-    for tdm, ptd, _ in _fold_chunks(model, docs):
+    for tdm, ptd, _ in folded:
         counts = tdm.counts.tocsc()
         scores += _score_chunk(counts, tdm.tokens, model.word_given_topic, ptd, delta)
     return scores
@@ -232,7 +248,7 @@ def doc_log_likelihood(
     contribute log(delta) per token. The result has the same bits as this
     document's score inside :func:`corpus_log_likelihood`.
     """
-    return _score_many(model, [doc], delta)[0]
+    return _score_many(model, _fold_chunks(model, [doc]), _check_scoring(delta))[0]
 
 
 def corpus_log_likelihood(
@@ -243,9 +259,13 @@ def corpus_log_likelihood(
     ``unigram_loglik`` scores the corpus-wide P(w) in place of each
     document's topic mixture, in the same pass.
     """
-    delta = _check_scoring(delta)
+    return _loglik_totals(model, _fold_chunks(model, docs), _check_scoring(delta))
+
+
+def _loglik_totals(model: TopicModel, folded: _Folded, delta: float) -> dict:
+    """:func:`corpus_log_likelihood` of the folded-in chunks."""
     scores, unigram = [], []
-    for tdm, ptd, _ in _fold_chunks(model, docs):
+    for tdm, ptd, _ in folded:
         counts, tokens = tdm.counts.tocsc(), tdm.tokens
         scores += _score_chunk(counts, tokens, model.word_given_topic, ptd, delta)
         ones = np.ones((1, tdm.n_docs))
@@ -259,29 +279,56 @@ def corpus_log_likelihood(
     }
 
 
-def _train_named(
-    name: str, docs: Sequence[RawDocument], config: TrainConfig
-) -> TopicModel:
-    """``train``, with the job's name before any ``ValueError`` it raises.
+@dataclass
+class _Corpus:
+    """A protocol's documents, counted once per process.
 
-    The error keeps its type, so a :class:`ScheduleError` stays one.
+    The count happens on the first call of :meth:`matrix` in a process.
+    A pool's workers are forked before any job runs, so each gets the
+    documents through the fork and counts them on its own first job.
     """
+
+    docs: Sequence[RawDocument]
+    config: TokenizerConfig
+
+    @cached_property
+    def counts(self) -> _Counts:
+        return _count_documents(self.docs, self.config)
+
+    def matrix(
+        self,
+        indices: Sequence[int],
+        min_df: int = 1,
+        vocabulary: Vocabulary | None = None,
+    ) -> tuple[Vocabulary, TermDocMatrix]:
+        """``build_matrix`` of the documents at ``indices``, with the same
+        bits: the counted corpus's columns, mapped to rows."""
+        return self.counts.columns(indices).matrix(min_df, vocabulary)
+
+
+# A job is (name, train_indices, config, test_indices, delta): fit one model
+# on the training documents and score the test documents with it by the
+# protocol's ``score``, a routine of folded-in chunks. A job returns only
+# numbers, so a worker process sends back a few kilobytes and the caller
+# never holds the models.
+_Job = tuple[str, Sequence[int], TrainConfig, Sequence[int], float]
+
+
+def _run_job(corpus: _Corpus, score: Callable[..., _R], job: _Job) -> _R:
+    """Train as ``train`` would on the job's training documents, with the
+    job's name before any ``ValueError`` (which keeps its type, so a
+    :class:`ScheduleError` stays one), then score its test documents chunk
+    by chunk as fold-in would."""
+    name, train_indices, config, test_indices, delta = job
     try:
-        return train(docs, config)
+        model = _fit(*corpus.matrix(train_indices, config.min_df), config)
     except ValueError as exc:
         raise type(exc)(f"{name}: {exc}") from exc
-
-
-# A job is (name, train_docs, config, test_docs, delta): train one model and
-# score the test documents with it by the protocol's ``score``. A job returns
-# only numbers, so a worker process sends back a few kilobytes and the caller
-# never holds the models.
-_Job = tuple[str, Sequence[RawDocument], TrainConfig, Sequence[RawDocument], float]
-
-
-def _train_and_score(score: Callable[..., _R], job: _Job) -> _R:
-    name, train_docs, config, test_docs, delta = job
-    return score(_train_named(name, train_docs, config), test_docs, delta)
+    folded = (
+        _fold_counts(model, corpus.matrix(chunk, vocabulary=model.vocabulary)[1])
+        for chunk in _chunks(test_indices)
+    )
+    return score(model, folded, delta)
 
 
 def _usable_cpus() -> int:
@@ -425,13 +472,12 @@ def classify(
                 f"{plan.folds} for {plan.folds}-fold evaluation"
             )
     folds = make_folds(docs, plan)
-    fold_docs = [[docs[i] for i in fold] for fold in folds]
     jobs = []
     for f in range(plan.folds):
         test_set = set(folds[f])
         for li, label in enumerate(labels):
-            class_docs = [
-                d
+            class_indices = [
+                i
                 for i, d in enumerate(docs)
                 if i not in test_set and d.label == label
             ]
@@ -439,13 +485,14 @@ def classify(
             jobs.append(
                 (
                     f"class {label!r}",
-                    class_docs,
+                    class_indices,
                     replace(config, seed=seed),
-                    fold_docs[f],
+                    folds[f],
                     delta,
                 )
             )
-    job_scores = list(_run_jobs(partial(_train_and_score, _score_many), jobs, threads))
+    run = partial(_run_job, _Corpus(docs, config.tokenizer), _score_many)
+    job_scores = list(_run_jobs(run, jobs, threads))
     per_fold = []
     details = []
     for f in range(plan.folds):
@@ -454,7 +501,8 @@ def classify(
         )
         correct = 0
         oov_tokens = 0
-        for t, doc in enumerate(fold_docs[f]):
+        for t, i in enumerate(folds[f]):
+            doc = docs[i]
             best_label = None
             best_ll = -math.inf
             for label in labels:
@@ -522,15 +570,15 @@ def heldout_loglik(
     jobs = [
         (
             f"round {f}",
-            [docs[i] for i in train_idx],
+            train_idx,
             replace(config, seed=stage_seed(config.seed, f)),
-            [docs[i] for i in test_idx],
+            test_idx,
             delta,
         )
         for f, (train_idx, test_idx) in enumerate(splits)
     ]
-    score = partial(_train_and_score, corpus_log_likelihood)
-    results = list(_run_jobs(score, jobs, threads))
+    run = partial(_run_job, _Corpus(docs, config.tokenizer), _loglik_totals)
+    results = list(_run_jobs(run, jobs, threads))
     per_fold = []
     details = []
     for f, ((train_idx, test_idx), stats) in enumerate(zip(splits, results)):

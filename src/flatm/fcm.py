@@ -384,8 +384,10 @@ def _memberships(d2: np.ndarray, fuzzifier: float) -> np.ndarray:
         if expo != 1.0:
             w **= expo
         w /= _pairwise_sum(w)
-    singular = np.flatnonzero(dmin <= 0.0)
-    if singular.size:
+    # One count keeps the search for a point on a center off the common
+    # path; it is cheaper than np.flatnonzero and than .all() here.
+    if np.count_nonzero(dmin <= 0.0):
+        singular = np.flatnonzero(dmin <= 0.0)
         hits = d2[:, singular] == 0.0
         w[:, singular] = hits / hits.sum(axis=0)
     return w.T.copy()
@@ -409,7 +411,12 @@ def _centers(x: _Points, um: np.ndarray, rng: np.random.Generator) -> np.ndarray
         centers = np.ascontiguousarray((x.T @ um).T)
     else:
         centers = np.einsum("nc,nd->cd", um, x)
-    centers /= np.where(wsum > 0.0, wsum, 1.0)[:, None]
+    # One test keeps the search for a massless cluster off the common path.
+    positive = wsum > 0.0
+    if positive.all():
+        centers /= wsum[:, None]
+        return centers
+    centers /= np.where(positive, wsum, 1.0)[:, None]
     for k in np.flatnonzero(wsum == 0.0):
         j = int(rng.integers(x.shape[0]))
         centers[k] = x[j].toarray()[0] if sp.issparse(x) else x[j]

@@ -408,6 +408,17 @@ def train(
     ``ValueError`` naming it, before any clustering.
     """
     vocab, tdm = build_matrix(docs, config.tokenizer, min_df=config.min_df)
+    return _fit(vocab, tdm, config, on_stage)
+
+
+def _fit(
+    vocab: Vocabulary,
+    tdm: TermDocMatrix,
+    config: TrainConfig,
+    on_stage: Callable[[int, FcmResult], None] | None = None,
+) -> TopicModel:
+    """:func:`train` once its documents are counted: weight, cluster and
+    assemble. It owns ``tdm``, whose counts it weighs in place."""
     m = len(vocab)
     if config.n_topics >= m:
         raise ValueError(
@@ -417,12 +428,11 @@ def train(
     weights = compute_global_weights(
         tdm, config.gtw, epsilon=config.epsilon, idf_variant=config.idf_variant
     )
-    # train owns the counts: they are weighted in place, and after the
-    # clustering normalized in place into P(W|D), so that one matrix as long
-    # as the non-zeros is held at a time. Only the ids outlive the counts.
+    # The counts are weighted in place, and after the clustering normalized
+    # in place into P(W|D), so that one matrix as long as the non-zeros is
+    # held at a time.
     weighted = _weigh(tdm.counts, weights.clamped)
     doc_ids = tdm.doc_ids
-    del tdm
     # Every weight and every count is positive, so a document has mass
     # exactly when it has a counted term.
     mass = _doc_mass(weighted)
@@ -463,15 +473,22 @@ _CHUNK_DOCS = 256
 def _fold_chunk(
     model: TopicModel, docs: Sequence[RawDocument]
 ) -> tuple[TermDocMatrix, np.ndarray, np.ndarray]:
+    """:func:`_fold_counts` of ``docs`` counted over the model vocabulary."""
+    _, tdm = build_matrix(
+        docs, model.config.tokenizer, vocabulary=model.vocabulary
+    )
+    return _fold_counts(model, tdm)
+
+
+def _fold_counts(
+    model: TopicModel, tdm: TermDocMatrix
+) -> tuple[TermDocMatrix, np.ndarray, np.ndarray]:
     """Counts over the model vocabulary, P(T|D) (K, n) and known mask.
 
     Columns of documents without a known term are all zero in P(T|D). A
     function of its own, so a chunk's intermediates are freed before the
     next chunk is counted.
     """
-    _, tdm = build_matrix(
-        docs, model.config.tokenizer, vocabulary=model.vocabulary
-    )
     # The callers read the counts, so they are weighted on a copy; as in
     # train, a document is known exactly when its column has mass.
     weighted = apply_gtw(tdm, model.global_weights)

@@ -1069,6 +1069,26 @@ class TestEval:
         )
         assert pooled.stderr == serial.stderr
 
+    def test_class_that_filters_to_nothing_names_the_job(self, tmp_path, run_main):
+        corpus = tmp_path / "hollow-class.tsv"
+        corpus.write_text(
+            "a\tthe and of\na\t42 is 7\na\tx y was\n"
+            "b\tfever kidney stone\nb\tkidney fever cyst\nb\tstone cyst urea\n"
+        )
+        serial, pooled = (
+            run_main(
+                "eval", "classify", "--input", corpus, *TRAIN_ARGS,
+                "--folds", "2", "--threads", threads,
+            )
+            for threads in ("1", "2")
+        )
+        assert serial.returncode == pooled.returncode == 3
+        assert (
+            "class 'a': every document tokenized to nothing; no vocabulary"
+            in serial.stderr
+        )
+        assert pooled.stderr == serial.stderr
+
 
 class TestConfigFile:
     def test_config_file_supplies_flags(self, workspace, tmp_path, run_main):

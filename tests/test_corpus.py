@@ -591,6 +591,49 @@ def test_vocabulary_counts_equal_counter_of_tokens(
         assert tokenize(text, config) == oracles.reference_tokens(text, config)
 
 
+# Terms of _WORDS as the default tokenizer gives them, for a given vocabulary.
+_SOME_TERMS = Vocabulary(
+    terms=tuple(
+        sorted({"c3po", "ct", "fever", "kidney", "naïve", "straße", "édema", "δσ"})
+    )
+)
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(
+    texts=st.lists(_TEXTS, min_size=1, max_size=8),
+    picks=st.lists(st.integers(0, 7), max_size=10),
+    min_df=st.integers(1, 2),
+    own_vocabulary=st.booleans(),
+)
+def test_selected_columns_map_to_rows_as_build_matrix(
+    texts, picks, min_df, own_vocabulary
+):
+    # The corpus is counted once; any selection of its columns, in any
+    # order and with repeats, maps to the bits build_matrix gives those
+    # documents, and leaves the counted corpus as it was.
+    docs = _docs(*texts)
+    config = TokenizerConfig()
+    vocabulary = _SOME_TERMS if own_vocabulary else None
+    counted = corpus._count_documents(docs, config)
+    for indices in (picks, picks[::-1]):
+        indices = [i % len(docs) for i in indices]
+        selection = counted.columns(indices)
+        try:
+            want = build_matrix(
+                [docs[i] for i in indices], config, min_df, vocabulary=vocabulary
+            )
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                selection.matrix(min_df, vocabulary)
+            assert str(raised.value) == str(exc)
+            continue
+        got = selection.matrix(min_df, vocabulary)
+        if own_vocabulary:
+            assert got[0] is vocabulary
+        _same_result(got, want)
+
+
 @pytest.mark.parametrize("lowercase", [True, False])
 def test_ascii_and_other_documents_counted_in_one_block(lowercase):
     # ASCII documents are split by translate, the others by the regex; here
