@@ -63,8 +63,8 @@ from .model import (
     TopicModel,
     TrainConfig,
     _chunks,
-    _fold_chunk,
     _replacing,
+    fold_in_many,
     load_model,
     save_model,
     top_words,
@@ -353,11 +353,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _csv_rows(model: TopicModel, chunk: list[RawDocument]) -> tuple[str, int]:
     """The CSV rows of a chunk of documents folded in, and how many of them
     had no in-vocabulary term."""
-    tdm, ptd, known = _fold_chunk(model, chunk)
+    ptd, known = fold_in_many(model, chunk)
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerows(
-        [doc_id, *map(repr, column)] if ok else [doc_id, "ERROR_OOV"]
-        for doc_id, column, ok in zip(tdm.doc_ids, ptd.T.tolist(), known.tolist())
+        [doc.doc_id, *map(repr, column)] if ok else [doc.doc_id, "ERROR_OOV"]
+        for doc, column, ok in zip(chunk, ptd.T.tolist(), known.tolist())
     )
     return text.getvalue(), int((~known).sum())
 

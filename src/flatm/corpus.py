@@ -7,6 +7,7 @@ lexicographic order, columns are documents in input order.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import itertools
 import re
@@ -69,8 +70,9 @@ class RawDocument:
             _checked("label", self.label, str)
 
 
+@functools.cache
 def default_stopwords() -> frozenset[str]:
-    """Return the bundled English stop-word list."""
+    """Return the bundled English stop-word list, read once per process."""
     data = importlib.resources.files("flatm").joinpath("stopwords.txt")
     return _parse_stopwords(data.read_text(encoding="utf-8").splitlines())
 
@@ -437,8 +439,12 @@ class _Counts:
         if vocabulary is None:
             df = np.bincount(row, minlength=len(found))
             kept = np.array(sorted(np.flatnonzero(df >= min_df), key=found.__getitem__))
-            if not kept.size:
+            if not row.size:
                 raise ValueError("every document tokenized to nothing; no vocabulary")
+            if not kept.size:
+                raise ValueError(
+                    f"no term is in at least {min_df} documents; no vocabulary"
+                )
             vocabulary = Vocabulary(terms=tuple(map(found.__getitem__, kept)))
             code_rows = np.full(len(found), -1, dtype=np.intc)
             code_rows[kept] = np.arange(len(kept))
@@ -491,6 +497,11 @@ def _count_documents(docs: Iterable[RawDocument], config: TokenizerConfig) -> _C
     )
 
 
+def _check_min_df(min_df: int) -> None:
+    if min_df < 1:
+        raise SettingError("min_df must be >= 1")
+
+
 def build_matrix(
     docs: Iterable[RawDocument],
     config: TokenizerConfig | None = None,
@@ -523,6 +534,6 @@ def build_matrix(
     """
     if config is None:
         config = TokenizerConfig()
-    if vocabulary is None and _checked("min_df", min_df, int) < 1:
-        raise SettingError("min_df must be >= 1")
+    if vocabulary is None:
+        _check_min_df(_checked("min_df", min_df, int))
     return _count_documents(docs, config).matrix(min_df, vocabulary)

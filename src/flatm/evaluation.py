@@ -64,7 +64,6 @@ __all__ = [
     "DEFAULT_DELTA",
     "make_folds",
     "doc_log_likelihood",
-    "corpus_log_likelihood",
     "classify",
     "heldout_loglik",
     "generate_synthetic",
@@ -246,35 +245,30 @@ def doc_log_likelihood(
     contributes log(delta + sum_k P(w|T_k) P(T_k|d)) with P(T|d) from
     fold-in. Unknown tokens and fully out-of-vocabulary documents
     contribute log(delta) per token. The result has the same bits as this
-    document's score inside :func:`corpus_log_likelihood`.
+    document's score inside any batch.
     """
     return _score_many(model, _fold_chunks(model, [doc]), _check_scoring(delta))[0]
 
 
-def corpus_log_likelihood(
-    model: TopicModel, docs: Sequence[RawDocument], delta: float = DEFAULT_DELTA
-) -> dict:
-    """Totals over a document set; order-invariant thanks to exact sums.
+def _loglik_totals(model: TopicModel, folded: _Folded, delta: float) -> dict:
+    """Totals over the documents of the folded-in chunks; order-invariant
+    thanks to exact sums.
 
     ``unigram_loglik`` scores the corpus-wide P(w) in place of each
     document's topic mixture, in the same pass.
     """
-    return _loglik_totals(model, _fold_chunks(model, docs), _check_scoring(delta))
-
-
-def _loglik_totals(model: TopicModel, folded: _Folded, delta: float) -> dict:
-    """:func:`corpus_log_likelihood` of the folded-in chunks."""
-    scores, unigram = [], []
-    for tdm, ptd, _ in folded:
+    scores, unigram, known_docs = [], [], 0
+    for tdm, ptd, known in folded:
         counts, tokens = tdm.counts.tocsc(), tdm.tokens
         scores += _score_chunk(counts, tokens, model.word_given_topic, ptd, delta)
         ones = np.ones((1, tdm.n_docs))
         unigram += _score_chunk(counts, tokens, model.word_prob[None, :], ones, delta)
+        known_docs += int(known.sum())
     return {
         "loglik": math.fsum(ll for ll, _, _ in scores),
         "oov_tokens": sum(oov for _, oov, _ in scores),
         "n_tokens": sum(total for _, _, total in scores),
-        "docs_with_known_terms": sum(1 for _, oov, total in scores if oov < total),
+        "docs_with_known_terms": known_docs,
         "unigram_loglik": math.fsum(ll for ll, _, _ in unigram),
     }
 
@@ -306,12 +300,12 @@ class _Corpus:
         return self.counts.columns(indices).matrix(min_df, vocabulary)
 
 
-# A job is (name, train_indices, config, test_indices, delta): fit one model
-# on the training documents and score the test documents with it by the
-# protocol's ``score``, a routine of folded-in chunks. A job returns only
-# numbers, so a worker process sends back a few kilobytes and the caller
-# never holds the models.
-_Job = tuple[str, Sequence[int], TrainConfig, Sequence[int], float]
+# A job is (name, train_indices, config, test_indices): fit one model on the
+# training documents and score the test documents with it by the protocol's
+# ``score``, a routine of the model and its folded-in chunks. A job returns
+# only numbers, so a worker process sends back a few kilobytes and the
+# caller never holds the models.
+_Job = tuple[str, Sequence[int], TrainConfig, Sequence[int]]
 
 
 def _run_job(corpus: _Corpus, score: Callable[..., _R], job: _Job) -> _R:
@@ -319,7 +313,7 @@ def _run_job(corpus: _Corpus, score: Callable[..., _R], job: _Job) -> _R:
     job's name before any ``ValueError`` (which keeps its type, so a
     :class:`ScheduleError` stays one), then score its test documents chunk
     by chunk as fold-in would."""
-    name, train_indices, config, test_indices, delta = job
+    name, train_indices, config, test_indices = job
     try:
         model = _fit(*corpus.matrix(train_indices, config.min_df), config)
     except ValueError as exc:
@@ -328,7 +322,7 @@ def _run_job(corpus: _Corpus, score: Callable[..., _R], job: _Job) -> _R:
         _fold_counts(model, corpus.matrix(chunk, vocabulary=model.vocabulary)[1])
         for chunk in _chunks(test_indices)
     )
-    return score(model, folded, delta)
+    return score(model, folded)
 
 
 def _usable_cpus() -> int:
@@ -481,45 +475,28 @@ def classify(
                 for i, d in enumerate(docs)
                 if i not in test_set and d.label == label
             ]
-            seed = stage_seed(config.seed, f, li)
-            jobs.append(
-                (
-                    f"class {label!r}",
-                    class_indices,
-                    replace(config, seed=seed),
-                    folds[f],
-                    delta,
-                )
-            )
-    run = partial(_run_job, _Corpus(docs, config.tokenizer), _score_many)
+            job_config = replace(config, seed=stage_seed(config.seed, f, li))
+            jobs.append((f"class {label!r}", class_indices, job_config, folds[f]))
+    score = partial(_score_many, delta=delta)
+    run = partial(_run_job, _Corpus(docs, config.tokenizer), score)
     job_scores = list(_run_jobs(run, jobs, threads))
+    class_of = {label: li for li, label in enumerate(labels)}
     per_fold = []
     details = []
-    for f in range(plan.folds):
-        scores = dict(
-            zip(labels, job_scores[f * len(labels) : (f + 1) * len(labels)])
-        )
-        correct = 0
-        oov_tokens = 0
-        for t, i in enumerate(folds[f]):
-            doc = docs[i]
-            best_label = None
-            best_ll = -math.inf
-            for label in labels:
-                ll, oov, _ = scores[label][t]
-                if ll > best_ll:
-                    best_ll, best_label = ll, label
-                if label == doc.label:
-                    oov_tokens += oov
-            if best_label == doc.label:
-                correct += 1
-        accuracy = correct / len(folds[f])
-        per_fold.append(accuracy)
+    for f, fold in enumerate(folds):
+        # (classes, documents): each class model's scores of the fold.
+        scores = job_scores[f * len(labels) : (f + 1) * len(labels)]
+        ll = np.array([[s for s, _, _ in class_scores] for class_scores in scores])
+        own = [class_of[docs[i].label] for i in fold]
+        # argmax takes the first of equal maxima: the smallest label.
+        correct = int(np.count_nonzero(ll.argmax(axis=0) == own))
+        oov_tokens = sum(scores[c][t][1] for t, c in enumerate(own))
+        per_fold.append(correct / len(fold))
         details.append(
             {
                 "fold": f,
                 "correct": correct,
-                "total": len(folds[f]),
+                "total": len(fold),
                 "oov_tokens_own_class": oov_tokens,
             }
         )
@@ -573,11 +550,11 @@ def heldout_loglik(
             train_idx,
             replace(config, seed=stage_seed(config.seed, f)),
             test_idx,
-            delta,
         )
         for f, (train_idx, test_idx) in enumerate(splits)
     ]
-    run = partial(_run_job, _Corpus(docs, config.tokenizer), _loglik_totals)
+    score = partial(_loglik_totals, delta=delta)
+    run = partial(_run_job, _Corpus(docs, config.tokenizer), score)
     results = list(_run_jobs(run, jobs, threads))
     per_fold = []
     details = []

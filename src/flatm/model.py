@@ -54,6 +54,7 @@ from .corpus import (
     TermDocMatrix,
     TokenizerConfig,
     Vocabulary,
+    _check_min_df,
     build_matrix,
 )
 from .fcm import (
@@ -69,6 +70,7 @@ from .weighting import (
     DEFAULT_EPSILON,
     GlobalWeightVector,
     GtwMethod,
+    _check_epsilon,
     _check_gtw,
     _check_idf_variant,
     _weigh,
@@ -178,11 +180,9 @@ class TrainConfig:
         if self.n_topics < 2:
             raise SettingError("n_topics must be >= 2")
         self.fcm_config()
-        if not self.epsilon > 0.0:
-            raise SettingError("epsilon must be positive")
+        _check_epsilon(self.epsilon)
         _check_idf_variant(self.idf_variant)
-        if self.min_df < 1:
-            raise SettingError("min_df must be >= 1")
+        _check_min_df(self.min_df)
 
     def fcm_config(self) -> FcmConfig:
         """The topic run's clustering settings, seeded with the master seed;
@@ -470,16 +470,6 @@ def _fit(
 _CHUNK_DOCS = 256
 
 
-def _fold_chunk(
-    model: TopicModel, docs: Sequence[RawDocument]
-) -> tuple[TermDocMatrix, np.ndarray, np.ndarray]:
-    """:func:`_fold_counts` of ``docs`` counted over the model vocabulary."""
-    _, tdm = build_matrix(
-        docs, model.config.tokenizer, vocabulary=model.vocabulary
-    )
-    return _fold_counts(model, tdm)
-
-
 def _fold_counts(
     model: TopicModel, tdm: TermDocMatrix
 ) -> tuple[TermDocMatrix, np.ndarray, np.ndarray]:
@@ -508,9 +498,12 @@ def _chunks(docs: Iterable[RawDocument]) -> Iterator[list[RawDocument]]:
 def _fold_chunks(
     model: TopicModel, docs: Iterable[RawDocument]
 ) -> Iterator[tuple[TermDocMatrix, np.ndarray, np.ndarray]]:
-    """:func:`_fold_chunk` over the :func:`_chunks` of ``docs``."""
+    """:func:`_fold_counts` of each of the :func:`_chunks` of ``docs``,
+    counted over the model vocabulary."""
+    tokenizer, vocabulary = model.config.tokenizer, model.vocabulary
     for chunk in _chunks(docs):
-        yield _fold_chunk(model, chunk)
+        _, tdm = build_matrix(chunk, tokenizer, vocabulary=vocabulary)
+        yield _fold_counts(model, tdm)
 
 
 def fold_in_many(

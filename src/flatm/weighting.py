@@ -45,6 +45,11 @@ def _check_idf_variant(idf_variant: str) -> None:
         )
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not epsilon > 0:
+        raise SettingError("epsilon must be positive")
+
+
 def _check_gtw(name: str, method) -> GtwMethod:
     """``method`` as a :class:`GtwMethod`, or :class:`SettingError` naming ``name``."""
     try:
@@ -84,8 +89,7 @@ class GlobalWeightVector:
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", _check_gtw("method", self.method))
         _require(self, float, "epsilon")
-        if not self.epsilon > 0:
-            raise SettingError("epsilon must be positive")
+        _check_epsilon(self.epsilon)
         raw = np.asarray(self.raw, dtype=np.float64)
         if raw.ndim != 1:
             raise ValueError("global weights must be a 1-d vector")

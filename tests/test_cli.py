@@ -343,6 +343,19 @@ class TestTrain:
         assert proc.returncode == 3
         assert "n_topics" in proc.stderr
 
+    def test_min_df_that_prunes_every_term_exits_3(self, workspace, tmp_path, run_main):
+        proc = run_main(
+            "train",
+            "--input", workspace / "corpus.tsv",
+            "--format", "labeled-tsv",
+            *TRAIN_ARGS,
+            "--min-df", "1000",
+            "--output", tmp_path / "m.json",
+        )
+        assert proc.returncode == 3
+        assert "no term is in at least 1000 documents; no vocabulary" in proc.stderr
+        assert not (tmp_path / "m.json").exists()
+
     def test_document_without_counted_term_exits_3(self, tmp_path, run_main):
         corpus = tmp_path / "docs"
         corpus.mkdir()

@@ -129,6 +129,19 @@ class TestStopwordFiles:
         assert {"the", "has", "a", "of"} <= words
         assert "patient" not in words
 
+    def test_default_configs_read_the_bundled_file_once(self, monkeypatch):
+        parse, calls = corpus._parse_stopwords, []
+
+        def counting(lines):
+            calls.append(None)
+            return parse(lines)
+
+        monkeypatch.setattr(corpus, "_parse_stopwords", counting)
+        default_stopwords.cache_clear()
+        first, second = TokenizerConfig(), TokenizerConfig()
+        assert len(calls) == 1
+        assert first.stopwords is second.stopwords
+
     def test_load_file_with_comments(self, tmp_path):
         path = tmp_path / "stops.txt"
         path.write_text("# comment\nfoo\n\nbar\n", encoding="utf-8")
@@ -405,6 +418,12 @@ class TestBuildMatrix:
     def test_min_df_validation(self):
         with pytest.raises(ValueError):
             build_matrix(_docs("cat dog"), min_df=0)
+
+    def test_min_df_that_prunes_every_term_is_named(self):
+        with pytest.raises(
+            ValueError, match="^no term is in at least 3 documents; no vocabulary$"
+        ):
+            build_matrix(_docs("cat dog", "cat fox"), min_df=3)
 
     def test_column_sums_match_token_counts(self):
         rng = np.random.default_rng(42)

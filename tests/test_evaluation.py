@@ -7,6 +7,7 @@ import operator
 import os
 import threading
 import time
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,6 @@ from flatm import (
     TokenizerConfig,
     TrainConfig,
     classify,
-    corpus_log_likelihood,
     doc_log_likelihood,
     fold_in,
     generate_synthetic,
@@ -309,6 +309,12 @@ def topic_scores(model, docs, delta=DEFAULT_DELTA):
     return _score_many(model, model_module._fold_chunks(model, docs), delta)
 
 
+def corpus_log_likelihood(model, docs, delta=DEFAULT_DELTA):
+    """The document path of held-out likelihood: the documents' totals."""
+    folded = model_module._fold_chunks(model, docs)
+    return evaluation._loglik_totals(model, folded, delta)
+
+
 def unigram_scores(model, docs):
     """The one-topic core's score of each document: its one topic is P(w),
     with weight 1 in every document."""
@@ -485,6 +491,23 @@ class TestClassify:
             SplitPlan(folds=2),
         )
         assert report.mean == 1.0
+
+    def test_ties_go_to_the_smallest_label(self):
+        # A document whose words are in no other document is fully out of
+        # vocabulary under both class models when it is tested: they tie.
+        lone = [("class0", 0), ("class1", 1), ("class1", 2), ("class1", 3)]
+        docs = small_corpus() + [
+            RawDocument(f"lone{i}", f"lone{i}x lone{i}y lone{i}z", label)
+            for label, i in lone
+        ]
+        plan = SplitPlan(folds=2)
+        report = classify(docs, fast_config(), plan)
+        # Only class1's lone documents are wrong: their ties go to class0.
+        lost = {f"lone{i}" for label, i in lone if label == "class1"}
+        folds = make_folds(docs, plan)
+        wrong = [sum(docs[i].doc_id in lost for i in fold) for fold in folds]
+        assert [d["total"] - d["correct"] for d in report.details] == wrong
+        assert sum(wrong) == 3
 
     def test_requires_labels(self):
         docs = small_corpus()
@@ -788,10 +811,10 @@ def mixed_config():
     return fast_config(min_df=2, tokenizer=TokenizerConfig())
 
 
-def document_path(job, docs, score):
+def document_path(job, docs, score, delta):
     """What a job computes, from its documents: ``train`` and then
     ``score``, which counts and folds in the test documents."""
-    _, train_indices, config, test_indices, delta = job
+    _, train_indices, config, test_indices = job
     model = train([docs[i] for i in train_indices], config)
     return score(model, [docs[i] for i in test_indices], delta)
 
@@ -817,7 +840,7 @@ def test_every_job_has_the_bits_of_the_document_path(monkeypatch, protocol, scor
     protocol(docs, mixed_config(), SplitPlan(folds=3), delta=1e-4, threads=2)
     assert len(recorded) == (9 if protocol is classify else 3)
     for job, result in recorded:
-        assert repr(result) == repr(document_path(job, docs, score))
+        assert repr(result) == repr(document_path(job, docs, score, 1e-4))
     if protocol is classify:
         assert any(oov for _, result in recorded for _, oov, _ in result)
     else:
@@ -838,11 +861,11 @@ def test_a_job_scores_empty_and_unknown_documents_as_fold_in(
         RawDocument("hollow", "the and of 42 x"),
         RawDocument("unknown", "Zebra yak zebra"),
     ]
-    job = ("job", range(0, 24, 2), mixed_config(), [25, *range(1, 24, 2), 24], 1e-6)
+    job = ("job", range(0, 24, 2), mixed_config(), [25, *range(1, 24, 2), 24])
     monkeypatch.setattr(model_module, "_CHUNK_DOCS", 4)
     corpus = evaluation._Corpus(docs, mixed_config().tokenizer)
-    got = evaluation._run_job(corpus, job_score, job)
-    assert repr(got) == repr(document_path(job, docs, score))
+    got = evaluation._run_job(corpus, partial(job_score, delta=1e-6), job)
+    assert repr(got) == repr(document_path(job, docs, score, 1e-6))
 
 
 @pytest.mark.parametrize("protocol", [classify, heldout_loglik])

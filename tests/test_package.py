@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +34,34 @@ def test_package_exports_each_library_name_once():
         for attr in module.__all__:
             assert getattr(flatm, attr) is getattr(module, attr), (name, attr)
     assert set(flatm.__all__) == exported
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Public names that only tests call, each kept for its reason.
+ONLY_TESTS_CALL = {
+    "tokenize": "the documented tokenizer; the reference for build_matrix's "
+    "token totals",
+    "update_memberships": "one FCM membership update, checked by acceptance "
+    "test_02 (c)",
+    "model_to_json": "the model file as text, checked by acceptance test_10",
+}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    sources = sorted((ROOT / "src" / "flatm").glob("*.py"))
+    sources = [p for p in sources if p.name != "__init__.py"]
+    sources += sorted((ROOT / "pipebench").glob("*.py"))
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    allowed = set(ONLY_TESTS_CALL)
+    assert sorted(set(flatm.__all__) - used - allowed) == []
+    # A name that gains a caller leaves the list.
+    assert sorted(allowed & used) == []
