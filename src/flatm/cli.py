@@ -34,15 +34,20 @@ import inspect
 import io
 import json
 import os
+import re
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import (
     CORPUS_FORMATS,
     InputFormatError,
-    RawDocument,
     TokenizerConfig,
+    _Block,
+    _parse_block,
+    _read_blocks,
     default_stopwords,
     iter_corpus,
     load_corpus,
@@ -62,7 +67,6 @@ from .model import (
     ScheduleError,
     TopicModel,
     TrainConfig,
-    _chunks,
     _replacing,
     fold_in_many,
     load_model,
@@ -350,28 +354,51 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _csv_rows(model: TopicModel, chunk: list[RawDocument]) -> tuple[str, int]:
-    """The CSV rows of a chunk of documents folded in, and how many of them
-    had no in-vocabulary term."""
-    ptd, known = fold_in_many(model, chunk)
-    text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows(
-        [doc.doc_id, *map(repr, column)] if ok else [doc.doc_id, "ERROR_OOV"]
-        for doc, column, ok in zip(chunk, ptd.T.tolist(), known.tolist())
+# A character for which csv.writer may quote a field: the delimiter, the
+# quote character and the line breaks.
+_MAY_QUOTE = re.compile(r'[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a field of a row of several."""
+    if _MAY_QUOTE.search(text) is None:
+        return text
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([text, ""])
+    return out.getvalue()[:-2]
+
+
+def _csv_lines(doc_ids: list[str], ptd: np.ndarray, known: np.ndarray) -> str:
+    """The CSV rows of documents folded in, as ``csv.writer`` writes
+    ``[doc_id, *map(repr, column)]``, or ``[doc_id, "ERROR_OOV"]`` for a
+    document without a known term. Each float's text is its ``repr``, taken
+    by one ``repr`` of the whole table, which writes "], [" between rows and
+    ", " between floats and nowhere else."""
+    table = repr(ptd.T.tolist()).replace(", ", ",")[2:-2].split("],[")
+    return "".join(
+        f"{_csv_field(doc_id)},{row if ok else 'ERROR_OOV'}\n"
+        for doc_id, row, ok in zip(doc_ids, table, known.tolist())
     )
-    return text.getvalue(), int((~known).sum())
+
+
+def _csv_rows(model: TopicModel, block: _Block) -> tuple[str, int]:
+    """The CSV rows of a block of documents parsed and folded in, and how
+    many of them had no in-vocabulary term."""
+    docs = list(_parse_block(block))
+    ptd, known = fold_in_many(model, docs)
+    rows = _csv_lines([doc.doc_id for doc in docs], ptd, known)
+    return rows, int((~known).sum())
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    docs = iter_corpus(args.input, args.format, allow_empty=True)
-    # Workers, one per usable CPU by default, fold in and format whole
-    # chunks; their rows go out a chunk at a time, in input order, so memory
-    # stays flat in the input size.
+    blocks = _read_blocks(args.input, args.format, allow_empty=True)
+    # This process only reads blocks of raw lines (or file paths) and writes
+    # rows. Workers, one per usable CPU by default, parse, fold in and format
+    # whole blocks; their rows go out a block at a time, in input order, so
+    # memory stays flat in the input size.
     chunks = _run_jobs(
-        functools.partial(_csv_rows, model),
-        _chunks(docs),
-        _threads(args, _usable_cpus()),
+        functools.partial(_csv_rows, model), blocks, _threads(args, _usable_cpus())
     )
     oov = 0
     stdout = contextlib.nullcontext(sys.stdout)

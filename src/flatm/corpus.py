@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 CORPUS_FORMATS = ("dir-of-txt", "labeled-tsv", "lines")
+
+_T = TypeVar("_T")
 
 # Runs of word characters, underscore excluded. Unicode-aware.
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -248,17 +250,9 @@ def iter_corpus(
     read. Only one document's text, and for ``dir-of-txt`` the file list
     and the ids seen so far, are held at a time.
     """
-    if format not in CORPUS_FORMATS:
-        raise ValueError(f"unknown corpus format: {format!r}")
-    path = Path(path)
-    if format == "dir-of-txt":
-        if not path.is_dir():
-            raise InputFormatError(f"not a directory: {path}")
-        files = sorted(path.rglob("*.txt"), key=lambda p: p.as_posix())
-        return _iter_dir_of_txt(files, allow_empty)
-    if not path.is_file():
-        raise InputFormatError(f"not a file: {path}")
-    return _iter_lines(path, format == "labeled-tsv", allow_empty)
+    # One block of the whole input, its lines or paths read as it is parsed.
+    path, items = _open_corpus(path, format)
+    return _parse_block(_Block(format, path, allow_empty, 1, items))
 
 
 def load_corpus(
@@ -270,29 +264,95 @@ def load_corpus(
     return list(iter_corpus(path, format, allow_empty))
 
 
-def _iter_lines(path: Path, labeled: bool, allow_empty: bool) -> Iterator[RawDocument]:
+# Documents read, counted and folded in per chunk; a chunk's intermediates
+# take a few KB per document. `flatm infer` holds one chunk at a time, so its
+# peak RSS (VmHWM) does not grow with the input: on 20000 unseen documents
+# against a 3060-term model, 2 vCPUs, it was 59.0 MB with chunks of 128,
+# 59.9-60.0 MB with 256, 62.3 MB with 512, 65.2-65.5 MB with 1024 and
+# 71.9-72.1 MB with 2048, against 58.7-59.1 MB for the imports and
+# `load_model` alone. Wall time was 2.2-2.5 s at every size from 128 to 2048
+# (noise between runs was up to 0.3 s) and 2.6-2.7 s at 64.
+_CHUNK_DOCS = 256
+
+
+def _chunks(items: Iterable[_T]) -> Iterator[list[_T]]:
+    """Successive lists of ``_CHUNK_DOCS`` items, read as they are asked
+    for, so a stream is never held whole. An error in reading the stream
+    comes after a list of the items read before it."""
+    items = iter(items)
+    while True:
+        chunk: list[_T] = []
+        try:
+            # list.extend keeps the items it took before the error.
+            chunk.extend(itertools.islice(items, _CHUNK_DOCS))
+        except Exception:
+            if chunk:
+                yield chunk
+            raise
+        if not chunk:
+            return
+        yield chunk
+
+
+class _Block(NamedTuple):
+    """Consecutive documents of a corpus, read but not parsed.
+
+    ``items`` are the raw lines of a ``lines`` or ``labeled-tsv`` file
+    ``path``, each with its line break (``\\n``; the file's last line may
+    have none), the first of them line ``first``; or the paths of
+    ``dir-of-txt`` files under ``path``. :func:`_read_blocks` gives them as
+    lists, which pickle as their text, so a worker process can parse them
+    (:func:`_parse_block`).
+    """
+
+    format: str
+    path: Path
+    allow_empty: bool
+    first: int
+    items: Iterable
+
+
+def _open_corpus(path: str | Path, format: str) -> tuple[Path, Iterator]:
+    """``path`` and its raw lines or file paths, read as they are asked for,
+    after :func:`iter_corpus`'s checks at the call. The reader itself checks
+    only that ``dir-of-txt`` ids are unique."""
+    if format not in CORPUS_FORMATS:
+        raise ValueError(f"unknown corpus format: {format!r}")
+    path = Path(path)
+    if format == "dir-of-txt":
+        if not path.is_dir():
+            raise InputFormatError(f"not a directory: {path}")
+        files = sorted(path.rglob("*.txt"), key=lambda p: p.as_posix())
+        return path, _unique_stems(files)
+    if not path.is_file():
+        raise InputFormatError(f"not a file: {path}")
+    return path, _file_lines(path)
+
+
+def _read_blocks(
+    path: str | Path, format: str, allow_empty: bool
+) -> Iterator[_Block]:
+    """:func:`iter_corpus`'s input as blocks of ``_CHUNK_DOCS`` documents,
+    with the same checks at the call. An error in reading comes after a
+    block of the documents before it, so parsing the blocks in order meets
+    the faults in input order."""
+    path, items = _open_corpus(path, format)
+    # Only the last block can hold fewer than _CHUNK_DOCS lines.
+    return (
+        _Block(format, path, allow_empty, 1 + k * _CHUNK_DOCS, chunk)
+        for k, chunk in enumerate(_chunks(items))
+    )
+
+
+def _file_lines(path: Path) -> Iterator[str]:
     # Universal-newline reading turns \r\n and \r into \n; only \n then
     # separates documents. str.splitlines would also split at form feeds,
     # vertical tabs, \x1c-\x1e, \x85, U+2028 and U+2029 inside a line.
     with open(path, encoding="utf-8-sig") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.removesuffix("\n")
-            if labeled:
-                label, sep, body = line.partition("\t")
-                if not sep:
-                    raise InputFormatError(
-                        f"{path}: line {lineno}: expected label<TAB>text"
-                    )
-                if not label:
-                    raise InputFormatError(f"{path}: line {lineno}: empty label")
-            else:
-                label, body = None, line
-            if not allow_empty and (not body or body.isspace()):
-                raise InputFormatError(f"{path}: line {lineno}: empty document")
-            yield RawDocument(doc_id=str(lineno), text=body, label=label)
+        yield from f
 
 
-def _iter_dir_of_txt(files: list[Path], allow_empty: bool) -> Iterator[RawDocument]:
+def _unique_stems(files: list[Path]) -> Iterator[Path]:
     seen: dict[str, Path] = {}
     for file in files:
         doc_id = file.stem
@@ -301,10 +361,36 @@ def _iter_dir_of_txt(files: list[Path], allow_empty: bool) -> Iterator[RawDocume
                 f"duplicate document id {doc_id!r}: {seen[doc_id]} and {file}"
             )
         seen[doc_id] = file
-        text = file.read_text(encoding="utf-8-sig")
-        if not allow_empty and (not text or text.isspace()):
-            raise InputFormatError(f"{file}: empty document")
-        yield RawDocument(doc_id=doc_id, text=text)
+        yield file
+
+
+def _parse_block(block: _Block) -> Iterator[RawDocument]:
+    """The documents of a block, one at a time, by :func:`iter_corpus`'s
+    rules and with its messages."""
+    allow_empty = block.allow_empty
+    if block.format == "dir-of-txt":
+        for file in block.items:
+            text = file.read_text(encoding="utf-8-sig")
+            if not allow_empty and (not text or text.isspace()):
+                raise InputFormatError(f"{file}: empty document")
+            yield RawDocument(doc_id=file.stem, text=text)
+        return
+    labeled, path = block.format == "labeled-tsv", block.path
+    for lineno, line in enumerate(block.items, start=block.first):
+        line = line.removesuffix("\n")
+        if labeled:
+            label, sep, body = line.partition("\t")
+            if not sep:
+                raise InputFormatError(
+                    f"{path}: line {lineno}: expected label<TAB>text"
+                )
+            if not label:
+                raise InputFormatError(f"{path}: line {lineno}: empty label")
+        else:
+            label, body = None, line
+        if not allow_empty and (not body or body.isspace()):
+            raise InputFormatError(f"{path}: line {lineno}: empty document")
+        yield RawDocument(doc_id=str(lineno), text=body, label=label)
 
 
 # Code of a raw token the filter removes; kept ones index _TokenCodes.terms.
@@ -337,7 +423,7 @@ class _TokenCodes(dict):
         return map(self.__getitem__, raw)
 
     def __missing__(self, token: str) -> int:
-        new = set(self.document).difference(self)
+        new = [raw for raw in dict.fromkeys(self.document) if raw not in self]
         kept = _kept_tokens(new, self.config)
         self.update(dict.fromkeys(new, _DROPPED))
         self.update(zip(kept, range(len(self.terms), len(self.terms) + len(kept))))

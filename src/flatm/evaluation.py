@@ -43,6 +43,7 @@ from .corpus import (
     TermDocMatrix,
     TokenizerConfig,
     Vocabulary,
+    _chunks,
     _count_documents,
     _Counts,
 )
@@ -50,7 +51,6 @@ from .fcm import SettingError, _check_seed, _checked, _require
 from .model import (
     TopicModel,
     TrainConfig,
-    _chunks,
     _config_to_dict,
     _fit,
     _fold_chunks,

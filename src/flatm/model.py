@@ -55,6 +55,7 @@ from .corpus import (
     TokenizerConfig,
     Vocabulary,
     _check_min_df,
+    _chunks,
     build_matrix,
 )
 from .fcm import (
@@ -459,17 +460,6 @@ def _fit(
     )
 
 
-# Documents counted and folded in per chunk; a chunk's intermediates take a
-# few KB per document. `flatm infer` holds one chunk at a time, so its peak
-# RSS (VmHWM) does not grow with the input: on 20000 unseen documents
-# against a 3060-term model, 2 vCPUs, it was 59.0 MB with chunks of 128,
-# 59.9-60.0 MB with 256, 62.3 MB with 512, 65.2-65.5 MB with 1024 and
-# 71.9-72.1 MB with 2048, against 58.7-59.1 MB for the imports and
-# `load_model` alone. Wall time was 2.2-2.5 s at every size from 128 to 2048
-# (noise between runs was up to 0.3 s) and 2.6-2.7 s at 64.
-_CHUNK_DOCS = 256
-
-
 def _fold_counts(
     model: TopicModel, tdm: TermDocMatrix
 ) -> tuple[TermDocMatrix, np.ndarray, np.ndarray]:
@@ -485,14 +475,6 @@ def _fold_counts(
     mass = _doc_mass(weighted)
     ptd = topic_given_doc(model.topic_given_word, _normalize_columns(weighted, mass))
     return tdm, ptd, mass > 0.0
-
-
-def _chunks(docs: Iterable[RawDocument]) -> Iterator[list[RawDocument]]:
-    """Successive lists of ``_CHUNK_DOCS`` documents, read as they are asked
-    for, so a stream of documents is never held whole."""
-    docs = iter(docs)
-    while chunk := list(itertools.islice(docs, _CHUNK_DOCS)):
-        yield chunk
 
 
 def _fold_chunks(

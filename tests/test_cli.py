@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -11,10 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flatm
 import oracles
 from flatm import (
+    InputFormatError,
     RawDocument,
     fold_in,
     fold_in_many,
@@ -23,6 +27,7 @@ from flatm import (
     top_words,
 )
 from flatm import cli, evaluation
+from flatm import corpus as corpus_module
 from flatm.cli import main as cli_main
 
 # Children run the same flatm package that these tests import.
@@ -684,6 +689,29 @@ class TestInferStream:
             assert proc.stdout == expected
             assert proc.stderr == oov_warning(model, docs)
 
+    @pytest.mark.parametrize("bad_line", [5, 8])
+    def test_bad_line_at_a_block_edge_reads_the_same_at_any_worker_count(
+        self, workspace, tmp_path, monkeypatch, bad_line
+    ):
+        # Blocks of four lines: line 5 opens the second block, line 8 ends it.
+        monkeypatch.setattr(corpus_module, "_CHUNK_DOCS", 4)
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 8)
+        lines = [f"c{i % 2}\t{text}" for i, text in enumerate(document_lines(20))]
+        lines[bad_line - 1] = "no tab"
+        corpus = tmp_path / "docs.tsv"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(InputFormatError) as serial:
+            load_corpus(corpus, "labeled-tsv", allow_empty=True)
+        assert f"line {bad_line}: expected label<TAB>text" in str(serial.value)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("FLATM_THREADS", threads)
+            proc = run_in_process(
+                "infer", "--model", workspace / "model.json", "--input", corpus,
+                "--format", "labeled-tsv",
+            )
+            assert proc.returncode == 2
+            assert proc.stderr == f"flatm: error: {serial.value}\n"
+
     @pytest.mark.parametrize(
         "command, counts", [("infer", [3, 2]), ("classify", [1, 2, 1])]
     )
@@ -885,6 +913,45 @@ class TestInferStream:
         peak(one)  # the first run also pays for lazy imports and caches
         one_peak, five_peak = peak(one), peak(five)
         assert five_peak <= 1.1 * one_peak, (one_peak, five_peak)
+
+
+# Floats whose repr takes each form: zero, one, the smallest subnormal, an
+# exponent, and their neighbours one unit in the last place away.
+_CSV_FLOATS = [
+    x
+    for base in (0.0, 1.0, 5e-324, 1e-05)
+    for x in (base, math.nextafter(base, -1.0), math.nextafter(base, 2.0))
+]
+# Characters for which csv.writer quotes a field, or might, and others.
+_ID_CHARS = [",", '"', "\r", "\n", " ", "\t", "\u00e9", "\u533b", "7", "a"]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    docs=st.lists(
+        st.tuples(st.text(st.sampled_from(_ID_CHARS), max_size=5), st.booleans()),
+        max_size=6,
+    ),
+    n_topics=st.integers(1, 4),
+    data=st.data(),
+)
+def test_csv_lines_are_the_csv_writer_rows(docs, n_topics, data):
+    values = data.draw(
+        st.lists(
+            st.sampled_from(_CSV_FLOATS),
+            min_size=n_topics * len(docs),
+            max_size=n_topics * len(docs),
+        )
+    )
+    ptd = np.array(values, dtype=np.float64).reshape(n_topics, len(docs))
+    doc_ids = [doc_id for doc_id, _ in docs]
+    known = np.array([ok for _, ok in docs], dtype=bool)
+    want = io.StringIO()
+    csv.writer(want, lineterminator="\n").writerows(
+        [doc_id, *map(repr, column)] if ok else [doc_id, "ERROR_OOV"]
+        for doc_id, column, ok in zip(doc_ids, ptd.T.tolist(), known)
+    )
+    assert cli._csv_lines(doc_ids, ptd, known) == want.getvalue()
 
 
 class TestTopWords:

@@ -1,10 +1,18 @@
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flatm
 import oracles
 from flatm import (
     InputFormatError,
@@ -361,6 +369,71 @@ def test_streamed_lines_match_whole_file_reader(tmp_path_factory, pieces, bom):
         ]
 
 
+def _parsed_blocks(path, format, allow_empty):
+    """The documents of :func:`corpus._read_blocks`'s blocks, parsed in
+    order, and the error that ended them, if any."""
+    docs = []
+    try:
+        for block in corpus._read_blocks(path, format, allow_empty):
+            docs += corpus._parse_block(block)
+    except InputFormatError as exc:
+        return docs, str(exc)
+    return docs, None
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    pieces=st.lists(
+        st.sampled_from(_LINE_PIECES + ["", "na\u00efve", "\u533b\u9662"]), max_size=30
+    ),
+    bom=st.booleans(),
+    size=st.integers(1, 5),
+)
+def test_blocks_parse_to_the_whole_file_reader(tmp_path_factory, pieces, bom, size):
+    path = tmp_path_factory.getbasetemp() / "blocks.txt"
+    path.write_bytes(b"\xef\xbb\xbf" * bom + "".join(pieces).encode("utf-8"))
+    lines = oracles.reference_lines(path)
+    with mock.patch.object(corpus, "_CHUNK_DOCS", size):
+        blocks = list(corpus._read_blocks(path, "lines", True))
+        assert [len(b.items) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+        docs, error = _parsed_blocks(path, "lines", True)
+        assert error is None
+        assert [(d.doc_id, d.text, d.label) for d in docs] == [
+            (str(i), line, None) for i, line in enumerate(lines, start=1)
+        ]
+        docs, error = _parsed_blocks(path, "labeled-tsv", True)
+    # Up to the first line without a tab after a non-empty label.
+    good = list(itertools.takewhile(lambda line: all(line.partition("\t")[:2]), lines))
+    assert [(d.doc_id, d.label, d.text) for d in docs] == [
+        (str(i), *line.split("\t", 1)) for i, line in enumerate(good, start=1)
+    ]
+    if len(good) < len(lines):
+        with pytest.raises(InputFormatError) as serial:
+            load_corpus(path, "labeled-tsv", allow_empty=True)
+        assert error == str(serial.value)
+        assert f"line {len(good) + 1}: " in error
+    else:
+        assert error is None
+
+
+def test_empty_file_ahead_of_a_duplicate_id_in_one_block(tmp_path):
+    for name, text in (("d/a.txt", "renal"), ("d/b.txt", " \n"), ("e/a.txt", "colic")):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    with pytest.raises(InputFormatError) as serial:
+        load_corpus(tmp_path, "dir-of-txt")
+    assert str(serial.value).endswith("b.txt: empty document")
+    with mock.patch.object(corpus, "_CHUNK_DOCS", 4):
+        docs, error = _parsed_blocks(tmp_path, "dir-of-txt", False)
+    assert docs == [RawDocument("a", "renal")]
+    assert error == str(serial.value)
+    # Empty documents allowed, the duplicate is the first fault.
+    with mock.patch.object(corpus, "_CHUNK_DOCS", 4):
+        docs, error = _parsed_blocks(tmp_path, "dir-of-txt", True)
+    assert [d.doc_id for d in docs] == ["a", "b"]
+    assert error.startswith("duplicate document id 'a'")
+
+
 class TestVocabulary:
     def test_requires_sorted_unique(self):
         with pytest.raises(ValueError):
@@ -688,10 +761,44 @@ def test_filter_sees_each_distinct_token_once_per_call(monkeypatch):
 
     monkeypatch.setattr(corpus, "_kept_tokens", recording)
     texts = ["Fever the fever FEVER 42 x", "kidney fever the", "", "kidney stone"]
-    raw = {t for text in texts for t in text.lower().split()}
+    # Each distinct raw token once, in the order it was first met.
+    raw = list(dict.fromkeys(t for text in texts for t in text.lower().split()))
     vocab, _ = build_matrix(_docs(*texts))
-    assert sorted(seen) == sorted(raw)
+    assert seen == raw
     assert vocab.terms == ("fever", "kidney", "stone")
     seen.clear()
     build_matrix(_docs(*texts), vocabulary=vocab)
-    assert sorted(seen) == sorted(raw)
+    assert seen == raw
+
+
+# Enough distinct tokens in one document that a set of them is all but sure
+# to iterate in another order than they were met.
+_FIRST_MET_TEXTS = [
+    "renal colic kidney stone fever ache biopsy nephron urea scan ultrasound",
+    "fever lithotripsy kidney stent creatinine renal dialysis",
+]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_terms_are_in_first_met_order_at_any_hash_seed(hash_seed):
+    # String hashes change with PYTHONHASHSEED, so the order of a set of
+    # tokens does; the codes, and so the term list, must not.
+    script = (
+        "import sys\n"
+        "from flatm import RawDocument, TokenizerConfig\n"
+        "from flatm.corpus import _count_documents\n"
+        "docs = [RawDocument(str(i), t) for i, t in enumerate(sys.argv[1:])]\n"
+        "print(' '.join(_count_documents(docs, TokenizerConfig()).terms))\n"
+    )
+    path = [str(Path(flatm.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, path)),
+        PYTHONHASHSEED=hash_seed,
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *_FIRST_MET_TEXTS],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    first_met = dict.fromkeys(t for text in _FIRST_MET_TEXTS for t in tokenize(text))
+    assert proc.stdout.split() == list(first_met)

@@ -29,8 +29,8 @@ from pathlib import Path
 import pytest
 
 import flatm
+from flatm import corpus as corpus_module
 from flatm import evaluation
-from flatm import model as model_module
 from flatm.cli import main as cli_main
 
 try:
@@ -155,7 +155,7 @@ def outputs(tmp_path_factory):
         found[infer.name] = infer.read_bytes()
         # Chunks of one document, so two forked workers share the four.
         with pytest.MonkeyPatch.context() as chunked:
-            chunked.setattr(model_module, "_CHUNK_DOCS", 1)
+            chunked.setattr(corpus_module, "_CHUNK_DOCS", 1)
             chunked.setattr(evaluation, "_usable_cpus", lambda: 2)
             chunked.setenv("FLATM_THREADS", "2")
             infer = tmp / "infer-lines-threads-2.csv"

@@ -33,6 +33,7 @@ from flatm import (
     tokenize,
     train,
 )
+from flatm import corpus as corpus_module
 from flatm import evaluation
 from flatm import model as model_module
 from flatm.evaluation import DEFAULT_DELTA, _score_many
@@ -354,7 +355,7 @@ def test_doc_score_has_the_bits_of_the_batch_row(
     else:
         score, key = topic_scores, "loglik"
     # Small chunks make every batch span several of them.
-    with mock.patch.object(model_module, "_CHUNK_DOCS", chunk):
+    with mock.patch.object(corpus_module, "_CHUNK_DOCS", chunk):
         rows = score(small_model, docs)
         stats = corpus_log_likelihood(small_model, docs)
     parts = [score(small_model, [d])[0] for d in docs]
@@ -768,7 +769,7 @@ class TestHeldoutLoglik:
             calls.append(tdm.n_docs)
             return fold_counts(model, tdm)
 
-        monkeypatch.setattr(model_module, "_CHUNK_DOCS", 2)
+        monkeypatch.setattr(corpus_module, "_CHUNK_DOCS", 2)
         monkeypatch.setattr(evaluation, "_fold_counts", counted)
         report = heldout_loglik(
             small_corpus(), fast_config(), SplitPlan(folds=3), threads=1
@@ -836,7 +837,7 @@ def test_every_job_has_the_bits_of_the_document_path(monkeypatch, protocol, scor
 
     monkeypatch.setattr(evaluation, "_run_jobs", recording)
     # Small chunks make every test set span several of them.
-    monkeypatch.setattr(model_module, "_CHUNK_DOCS", 3)
+    monkeypatch.setattr(corpus_module, "_CHUNK_DOCS", 3)
     protocol(docs, mixed_config(), SplitPlan(folds=3), delta=1e-4, threads=2)
     assert len(recorded) == (9 if protocol is classify else 3)
     for job, result in recorded:
@@ -862,7 +863,7 @@ def test_a_job_scores_empty_and_unknown_documents_as_fold_in(
         RawDocument("unknown", "Zebra yak zebra"),
     ]
     job = ("job", range(0, 24, 2), mixed_config(), [25, *range(1, 24, 2), 24])
-    monkeypatch.setattr(model_module, "_CHUNK_DOCS", 4)
+    monkeypatch.setattr(corpus_module, "_CHUNK_DOCS", 4)
     corpus = evaluation._Corpus(docs, mixed_config().tokenizer)
     got = evaluation._run_job(corpus, partial(job_score, delta=1e-6), job)
     assert repr(got) == repr(document_path(job, docs, score, 1e-6))

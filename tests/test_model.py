@@ -45,6 +45,7 @@ from flatm import (
     word_given_topic,
     word_probabilities,
 )
+from flatm import corpus as corpus_module
 from flatm import model as model_module
 
 from oracles import mixed_topic_given_doc
@@ -709,7 +710,7 @@ def test_fold_in_has_the_bits_of_the_batch_row(
     docs = [RawDocument(str(i), text) for i, text in enumerate(texts)]
     order.shuffle(docs)
     # Small chunks make every batch span several of them.
-    with mock.patch.object(model_module, "_CHUNK_DOCS", chunk):
+    with mock.patch.object(corpus_module, "_CHUNK_DOCS", chunk):
         ptd, known = fold_in_many(model, docs)
     for j, doc in enumerate(docs):
         if known[j]:
