@@ -28,10 +28,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import inspect
-import io
 import json
 import os
 import re
@@ -283,8 +281,9 @@ def _add_plan_flags(p) -> None:
     p.add_argument(
         "--threads", type=int,
         help="worker processes that train and score the evaluation jobs, "
-        f"forked from this one (default: ${THREADS_ENV_VAR} or 1; at most one "
-        "per usable CPU); never changes results",
+        f"forked from this one (default: ${THREADS_ENV_VAR} or "
+        f"{_defaults(classify)['threads']}; at most one per usable CPU); "
+        "never changes results",
     )
 
 
@@ -354,26 +353,26 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# A character for which csv.writer may quote a field: the delimiter, the
-# quote character and the line breaks.
-_MAY_QUOTE = re.compile(r'[,"\r\n]')
+# A character that makes a CSV field quoted: the delimiter, the quote
+# character and the line breaks.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes a field of a row of several."""
-    if _MAY_QUOTE.search(text) is None:
+    """``text`` as a field of a row of several: quoted, with its quotes
+    doubled, when it holds a character that would end the field or the row,
+    so ``csv.reader`` reads it back whole."""
+    if _NEEDS_QUOTES.search(text) is None:
         return text
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow([text, ""])
-    return out.getvalue()[:-2]
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _csv_lines(doc_ids: list[str], ptd: np.ndarray, known: np.ndarray) -> str:
-    """The CSV rows of documents folded in, as ``csv.writer`` writes
-    ``[doc_id, *map(repr, column)]``, or ``[doc_id, "ERROR_OOV"]`` for a
-    document without a known term. Each float's text is its ``repr``, taken
-    by one ``repr`` of the whole table, which writes "], [" between rows and
-    ", " between floats and nowhere else."""
+    """The CSV rows of documents folded in, ``[doc_id, *map(repr, column)]``,
+    or ``[doc_id, "ERROR_OOV"]`` for a document without a known term, each
+    ended by a line feed. Each float's text is its ``repr``, taken by one
+    ``repr`` of the whole table, which writes "], [" between rows and ", "
+    between floats and nowhere else."""
     table = repr(ptd.T.tolist()).replace(", ", ",")[2:-2].split("],[")
     return "".join(
         f"{_csv_field(doc_id)},{row if ok else 'ERROR_OOV'}\n"
@@ -403,8 +402,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
     oov = 0
     stdout = contextlib.nullcontext(sys.stdout)
     with _replacing(args.output) if args.output else stdout as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["doc_id"] + [f"topic_{k}" for k in range(model.n_topics)])
+        header = ["doc_id", *(f"topic_{k}" for k in range(model.n_topics))]
+        out.write(",".join(header) + "\n")
         for rows, chunk_oov in chunks:
             out.write(rows)
             oov += chunk_oov
@@ -432,7 +431,7 @@ def cmd_top_words(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _train_config(args)
     plan = SplitPlan(**_settings(SplitPlan, args))
-    threads = _threads(args, 1)
+    threads = _threads(args, _defaults(classify)["threads"])
     docs = load_corpus(args.input, args.format)
     run = classify if args.protocol == "classify" else heldout_loglik
     report = run(docs, config, plan, delta=args.delta, threads=threads)

@@ -219,10 +219,6 @@ class TermDocMatrix:
             raise ValueError("token totals do not match doc_ids")
 
     @property
-    def n_terms(self) -> int:
-        return self.counts.shape[0]
-
-    @property
     def n_docs(self) -> int:
         return self.counts.shape[1]
 

@@ -32,7 +32,7 @@ import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property, partial
+from functools import cache, partial
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -41,8 +41,6 @@ import scipy.sparse as sp
 from .corpus import (
     RawDocument,
     TermDocMatrix,
-    TokenizerConfig,
-    Vocabulary,
     _chunks,
     _count_documents,
     _Counts,
@@ -177,12 +175,11 @@ def make_folds(docs: Sequence[RawDocument], plan: SplitPlan) -> list[tuple[int, 
     return [tuple(sorted(fold)) for fold in folds]
 
 
-def _check_scoring(delta: float, threads: int = 1) -> float:
-    """``delta`` as a plain number, once it and ``threads`` pass their rules."""
+def _check_delta(delta: float) -> float:
+    """``delta`` as a plain number, once it passes its rule."""
     delta = _checked("delta", delta, float)
     if not 0 < delta < math.inf:
         raise SettingError(f"delta must be a positive finite number, got {delta!r}")
-    _check_threads(threads)
     return delta
 
 
@@ -247,7 +244,7 @@ def doc_log_likelihood(
     contribute log(delta) per token. The result has the same bits as this
     document's score inside any batch.
     """
-    return _score_many(model, _fold_chunks(model, [doc]), _check_scoring(delta))[0]
+    return _score_many(model, _fold_chunks(model, [doc]), _check_delta(delta))[0]
 
 
 def _loglik_totals(model: TopicModel, folded: _Folded, delta: float) -> dict:
@@ -273,33 +270,6 @@ def _loglik_totals(model: TopicModel, folded: _Folded, delta: float) -> dict:
     }
 
 
-@dataclass
-class _Corpus:
-    """A protocol's documents, counted once per process.
-
-    The count happens on the first call of :meth:`matrix` in a process.
-    A pool's workers are forked before any job runs, so each gets the
-    documents through the fork and counts them on its own first job.
-    """
-
-    docs: Sequence[RawDocument]
-    config: TokenizerConfig
-
-    @cached_property
-    def counts(self) -> _Counts:
-        return _count_documents(self.docs, self.config)
-
-    def matrix(
-        self,
-        indices: Sequence[int],
-        min_df: int = 1,
-        vocabulary: Vocabulary | None = None,
-    ) -> tuple[Vocabulary, TermDocMatrix]:
-        """``build_matrix`` of the documents at ``indices``, with the same
-        bits: the counted corpus's columns, mapped to rows."""
-        return self.counts.columns(indices).matrix(min_df, vocabulary)
-
-
 # A job is (name, train_indices, config, test_indices): fit one model on the
 # training documents and score the test documents with it by the protocol's
 # ``score``, a routine of the model and its folded-in chunks. A job returns
@@ -308,18 +278,28 @@ class _Corpus:
 _Job = tuple[str, Sequence[int], TrainConfig, Sequence[int]]
 
 
-def _run_job(corpus: _Corpus, score: Callable[..., _R], job: _Job) -> _R:
+def _run_job(
+    counts: Callable[[], _Counts], score: Callable[..., _R], job: _Job
+) -> _R:
     """Train as ``train`` would on the job's training documents, with the
     job's name before any ``ValueError`` (which keeps its type, so a
     :class:`ScheduleError` stays one), then score its test documents chunk
-    by chunk as fold-in would."""
+    by chunk as fold-in would.
+
+    ``counts`` is a cached call that counts the protocol's documents on its
+    first call in each process; a pool's workers are forked before any job
+    runs, so each gets the documents through the fork. The job's matrices
+    are selected columns of those counts, which give the bits of counting
+    its documents alone.
+    """
     name, train_indices, config, test_indices = job
     try:
-        model = _fit(*corpus.matrix(train_indices, config.min_df), config)
+        model = _fit(*counts().columns(train_indices).matrix(config.min_df), config)
     except ValueError as exc:
         raise type(exc)(f"{name}: {exc}") from exc
+    vocabulary = model.vocabulary
     folded = (
-        _fold_counts(model, corpus.matrix(chunk, vocabulary=model.vocabulary)[1])
+        _fold_counts(model, counts().columns(chunk).matrix(vocabulary=vocabulary)[1])
         for chunk in _chunks(test_indices)
     )
     return score(model, folded)
@@ -451,7 +431,7 @@ def classify(
     the jobs. Per-model seeds derive from ``config.seed`` and the
     (fold, class) pair, so the worker count never changes results.
     """
-    delta = _check_scoring(delta, threads)
+    delta = _check_delta(delta)
     if plan.folds < 2:
         raise SettingError("folds must be >= 2 for classification")
     unlabeled = [d.doc_id for d in docs if d.label is None]
@@ -478,7 +458,8 @@ def classify(
             job_config = replace(config, seed=stage_seed(config.seed, f, li))
             jobs.append((f"class {label!r}", class_indices, job_config, folds[f]))
     score = partial(_score_many, delta=delta)
-    run = partial(_run_job, _Corpus(docs, config.tokenizer), score)
+    counts = cache(partial(_count_documents, docs, config.tokenizer))
+    run = partial(_run_job, counts, score)
     job_scores = list(_run_jobs(run, jobs, threads))
     class_of = {label: li for li, label in enumerate(labels)}
     per_fold = []
@@ -539,7 +520,7 @@ def heldout_loglik(
     forked worker processes train and score the rounds; per-round seeds
     derive from ``config.seed``, so the worker count never changes results.
     """
-    delta = _check_scoring(delta, threads)
+    delta = _check_delta(delta)
     splits = [
         _split_indices(docs, plan, stage_seed(plan.seed, f))
         for f in range(plan.folds)
@@ -554,7 +535,8 @@ def heldout_loglik(
         for f, (train_idx, test_idx) in enumerate(splits)
     ]
     score = partial(_loglik_totals, delta=delta)
-    run = partial(_run_job, _Corpus(docs, config.tokenizer), score)
+    counts = cache(partial(_count_documents, docs, config.tokenizer))
+    run = partial(_run_job, counts, score)
     results = list(_run_jobs(run, jobs, threads))
     per_fold = []
     details = []

@@ -69,6 +69,7 @@ from .fcm import (
 )
 from .weighting import (
     DEFAULT_EPSILON,
+    IDF_VARIANTS,
     GlobalWeightVector,
     GtwMethod,
     _check_epsilon,
@@ -161,12 +162,12 @@ class TrainConfig:
     n_topics: int
     schedule: CascadeSchedule = CascadeSchedule()
     cascade: bool = True
-    fuzzifier: float = 2.0
-    threshold: float = 1e-5
-    max_iterations: int = 100
-    seed: int = 0
+    fuzzifier: float = FcmConfig.fuzzifier
+    threshold: float = FcmConfig.threshold
+    max_iterations: int = FcmConfig.max_iterations
+    seed: int = FcmConfig.seed
     epsilon: float = DEFAULT_EPSILON
-    idf_variant: str = "total-frequency"
+    idf_variant: str = IDF_VARIANTS[0]
     min_df: int = 1
     tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
 
@@ -303,10 +304,10 @@ def cascade_reduce(
     values: sp.spmatrix | np.ndarray,
     schedule: CascadeSchedule,
     *,
-    fuzzifier: float = 2.0,
-    threshold: float = 1e-5,
-    max_iterations: int = 100,
-    seed: int = 0,
+    fuzzifier: float = FcmConfig.fuzzifier,
+    threshold: float = FcmConfig.threshold,
+    max_iterations: int = FcmConfig.max_iterations,
+    seed: int = FcmConfig.seed,
     on_stage: Callable[[int, FcmResult], None] | None = None,
 ) -> np.ndarray:
     """Shrink the document dimension by clustering term rows repeatedly.

@@ -148,7 +148,7 @@ def compute_global_weights(
     matrix: TermDocMatrix | sp.spmatrix,
     method: GtwMethod,
     epsilon: float = DEFAULT_EPSILON,
-    idf_variant: str = "total-frequency",
+    idf_variant: str = IDF_VARIANTS[0],
 ) -> GlobalWeightVector:
     """One weight per term row of the counts, by the scheme ``method``.
 

@@ -487,6 +487,24 @@ class TestInfer:
         assert lines[2].endswith("ERROR_OOV")
         assert "no in-vocabulary terms" in proc.stderr
 
+    def test_ids_with_line_breaks_and_commas_read_back(
+        self, workspace, tmp_path, run_main
+    ):
+        root = tmp_path / "docs"
+        root.mkdir()
+        ids = ["a\rb", "c,d", 'e"f']
+        for doc_id in ids:
+            (root / f"{doc_id}.txt").write_text("c0w0 c1w4", encoding="utf-8")
+        out = tmp_path / "topics.csv"
+        run_main(
+            "infer", "--model", workspace / "model.json",
+            "--input", root, "--format", "dir-of-txt", "--output", out,
+            check=True,
+        )
+        with open(out, encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+        assert [row[0] for row in rows[1:]] == ids
+
     def test_one_row_per_input_line(self, workspace, tmp_path, run_main):
         # A form feed inside a line does not start a new document.
         docs_file = tmp_path / "docs.txt"
@@ -922,7 +940,7 @@ _CSV_FLOATS = [
     for base in (0.0, 1.0, 5e-324, 1e-05)
     for x in (base, math.nextafter(base, -1.0), math.nextafter(base, 2.0))
 ]
-# Characters for which csv.writer quotes a field, or might, and others.
+# Characters for which a CSV field is quoted, and others.
 _ID_CHARS = [",", '"', "\r", "\n", " ", "\t", "\u00e9", "\u533b", "7", "a"]
 
 
@@ -946,12 +964,20 @@ def test_csv_lines_are_the_csv_writer_rows(docs, n_topics, data):
     ptd = np.array(values, dtype=np.float64).reshape(n_topics, len(docs))
     doc_ids = [doc_id for doc_id, _ in docs]
     known = np.array([ok for _, ok in docs], dtype=bool)
-    want = io.StringIO()
-    csv.writer(want, lineterminator="\n").writerows(
+    rows = [
         [doc_id, *map(repr, column)] if ok else [doc_id, "ERROR_OOV"]
         for doc_id, column, ok in zip(doc_ids, ptd.T.tolist(), known)
-    )
-    assert cli._csv_lines(doc_ids, ptd, known) == want.getvalue()
+    ]
+    # With "\r\n" ending its rows, csv.writer quotes a field holding "\r" or
+    # "\n"; infer ends its rows with "\n" alone.
+    want = []
+    for row in rows:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(row)
+        want.append(out.getvalue().removesuffix("\r\n") + "\n")
+    got = cli._csv_lines(doc_ids, ptd, known)
+    assert got == "".join(want)
+    assert list(csv.reader(io.StringIO(got, newline=""))) == rows
 
 
 class TestTopWords:

@@ -7,7 +7,7 @@ import operator
 import os
 import threading
 import time
-from functools import partial
+from functools import cache, partial
 from unittest import mock
 
 import numpy as np
@@ -864,8 +864,8 @@ def test_a_job_scores_empty_and_unknown_documents_as_fold_in(
     ]
     job = ("job", range(0, 24, 2), mixed_config(), [25, *range(1, 24, 2), 24])
     monkeypatch.setattr(corpus_module, "_CHUNK_DOCS", 4)
-    corpus = evaluation._Corpus(docs, mixed_config().tokenizer)
-    got = evaluation._run_job(corpus, partial(job_score, delta=1e-6), job)
+    counts = cache(partial(evaluation._count_documents, docs, mixed_config().tokenizer))
+    got = evaluation._run_job(counts, partial(job_score, delta=1e-6), job)
     assert repr(got) == repr(document_path(job, docs, score, 1e-6))
 
 
@@ -900,15 +900,20 @@ def test_protocols_reject_bad_delta_before_training(monkeypatch):
                 protocol(small_corpus(), fast_config(), SplitPlan(folds=2), delta=delta)
 
 
-def test_protocols_reject_fewer_than_one_thread_before_training(monkeypatch):
+def test_protocols_reject_bad_threads_before_counting_or_training(monkeypatch):
     def no_work(*args):
         raise AssertionError("counted or trained before checking threads")
 
     monkeypatch.setattr(evaluation, "_count_documents", no_work)
     monkeypatch.setattr(evaluation, "_fit", no_work)
     for protocol in (classify, heldout_loglik):
-        for threads in (0, -3):
-            with pytest.raises(SettingError, match="^threads must be >= 1, got "):
+        for threads, rule in [
+            (0, "must be >= 1, got 0"),
+            (-1, "must be >= 1, got -1"),
+            (2.5, "must be an integer, got 2.5"),
+            (True, "must be an integer, got True"),
+        ]:
+            with pytest.raises(SettingError, match=f"^threads {rule}$"):
                 protocol(
                     small_corpus(), fast_config(), SplitPlan(folds=2), threads=threads
                 )
