@@ -260,14 +260,12 @@ def load_corpus(
     return list(iter_corpus(path, format, allow_empty))
 
 
-# Documents read, counted and folded in per chunk; a chunk's intermediates
-# take a few KB per document. `flatm infer` holds one chunk at a time, so its
-# peak RSS (VmHWM) does not grow with the input: on 20000 unseen documents
-# against a 3060-term model, 2 vCPUs, it was 59.0 MB with chunks of 128,
-# 59.9-60.0 MB with 256, 62.3 MB with 512, 65.2-65.5 MB with 1024 and
-# 71.9-72.1 MB with 2048, against 58.7-59.1 MB for the imports and
-# `load_model` alone. Wall time was 2.2-2.5 s at every size from 128 to 2048
-# (noise between runs was up to 0.3 s) and 2.6-2.7 s at 64.
+# Documents per block that `_read_blocks` reads and per chunk of columns that
+# `model._fold_in` maps onto a model vocabulary and folds in. A chunk's
+# matrices (its counts, their weighted copy and P(W|D)) take a few KB per
+# document and are held one chunk at a time, so fold-in's memory beyond the
+# counts does not grow with its input; `flatm infer` reads at most two blocks
+# of raw text ahead per worker.
 _CHUNK_DOCS = 256
 
 
@@ -593,10 +591,13 @@ def build_matrix(
 ) -> tuple[Vocabulary, TermDocMatrix]:
     """Tokenize ``docs`` and build the count matrix.
 
-    This is the one place text becomes counts: training, fold-in and
-    scoring all call it, or its two halves, which first count documents
-    into token codes and then map the codes to rows. ``docs`` may be any
-    iterable, a one-shot stream included; it is read once, in order. A call
+    This is the one place text becomes counts, in two halves:
+    ``_count_documents`` counts documents into token codes and
+    ``_Counts.matrix`` maps the codes to rows. ``train`` calls this
+    function. Fold-in (``fold_in_many``, ``doc_log_likelihood``) and the
+    ``eval`` jobs call the halves: they count once, then map the columns
+    of a chunk or a job at a time. ``docs`` may be any iterable, a
+    one-shot stream included; it is read once, in order. A call
     runs the tokenizer's filter once per distinct raw token; each
     occurrence costs its share of the tokenizer's one pass over the text
     and one dictionary lookup, and codes, given as tokens are first met,

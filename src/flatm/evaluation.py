@@ -38,21 +38,14 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import (
-    RawDocument,
-    TermDocMatrix,
-    _chunks,
-    _count_documents,
-    _Counts,
-)
+from .corpus import RawDocument, TermDocMatrix, _count_documents, _Counts
 from .fcm import SettingError, _check_seed, _checked, _require
 from .model import (
     TopicModel,
     TrainConfig,
     _config_to_dict,
     _fit,
-    _fold_chunks,
-    _fold_counts,
+    _fold_in,
     stage_seed,
 )
 
@@ -244,7 +237,9 @@ def doc_log_likelihood(
     contribute log(delta) per token. The result has the same bits as this
     document's score inside any batch.
     """
-    return _score_many(model, _fold_chunks(model, [doc]), _check_delta(delta))[0]
+    delta = _check_delta(delta)
+    counts = _count_documents([doc], model.config.tokenizer)
+    return _score_many(model, _fold_in(model, counts), delta)[0]
 
 
 def _loglik_totals(model: TopicModel, folded: _Folded, delta: float) -> dict:
@@ -283,8 +278,8 @@ def _run_job(
 ) -> _R:
     """Train as ``train`` would on the job's training documents, with the
     job's name before any ``ValueError`` (which keeps its type, so a
-    :class:`ScheduleError` stays one), then score its test documents chunk
-    by chunk as fold-in would.
+    :class:`ScheduleError` stays one), then score its test documents as
+    ``fold_in_many``'s routine folds them in, chunk by chunk.
 
     ``counts`` is a cached call that counts the protocol's documents on its
     first call in each process; a pool's workers are forked before any job
@@ -297,12 +292,7 @@ def _run_job(
         model = _fit(*counts().columns(train_indices).matrix(config.min_df), config)
     except ValueError as exc:
         raise type(exc)(f"{name}: {exc}") from exc
-    vocabulary = model.vocabulary
-    folded = (
-        _fold_counts(model, counts().columns(chunk).matrix(vocabulary=vocabulary)[1])
-        for chunk in _chunks(test_indices)
-    )
-    return score(model, folded)
+    return score(model, _fold_in(model, counts().columns(test_indices)))
 
 
 def _usable_cpus() -> int:

@@ -26,10 +26,11 @@ time, so it holds one matrix as long as the non-zeros; the public
 ``apply_gtw`` and ``word_given_doc`` run the same kernels on a copy.
 
 Fold-in is the same assembly applied to new columns: unseen documents are
-counted over the model vocabulary by ``build_matrix``, weighted with the
-stored global weights, column-normalized and mixed through the stored
-P(T|W) by the functions training uses, in O(nnz * K). A document with no
-known term has an empty column, which stays zero in P(W|D) and P(T|D).
+counted as training counts them, mapped onto the model vocabulary a chunk
+of columns at a time, weighted with the stored global weights,
+column-normalized and mixed through the stored P(T|W) by the functions
+training uses, in O(nnz * K). A document with no known term has an empty
+column, which stays zero in P(W|D) and P(T|D).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import secrets
 import shutil
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,6 +57,8 @@ from .corpus import (
     Vocabulary,
     _check_min_df,
     _chunks,
+    _count_documents,
+    _Counts,
     build_matrix,
 )
 from .fcm import (
@@ -461,54 +464,48 @@ def _fit(
     )
 
 
-def _fold_counts(
-    model: TopicModel, tdm: TermDocMatrix
-) -> tuple[TermDocMatrix, np.ndarray, np.ndarray]:
-    """Counts over the model vocabulary, P(T|D) (K, n) and known mask.
-
-    Columns of documents without a known term are all zero in P(T|D). A
-    function of its own, so a chunk's intermediates are freed before the
-    next chunk is counted.
-    """
-    # The callers read the counts, so they are weighted on a copy; as in
-    # train, a document is known exactly when its column has mass.
-    weighted = apply_gtw(tdm, model.global_weights)
-    mass = _doc_mass(weighted)
-    ptd = topic_given_doc(model.topic_given_word, _normalize_columns(weighted, mass))
-    return tdm, ptd, mass > 0.0
-
-
-def _fold_chunks(
-    model: TopicModel, docs: Iterable[RawDocument]
+def _fold_in(
+    model: TopicModel, counts: _Counts
 ) -> Iterator[tuple[TermDocMatrix, np.ndarray, np.ndarray]]:
-    """:func:`_fold_counts` of each of the :func:`_chunks` of ``docs``,
-    counted over the model vocabulary."""
-    tokenizer, vocabulary = model.config.tokenizer, model.vocabulary
-    for chunk in _chunks(docs):
-        _, tdm = build_matrix(chunk, tokenizer, vocabulary=vocabulary)
-        yield _fold_counts(model, tdm)
+    """Fold ``counts``' documents in, one :func:`_chunks` of columns at a
+    time: per chunk, its counts over the model vocabulary, P(T|D) (K, n)
+    and the known mask. Columns of documents without a known term are all
+    zero in P(T|D). Only one chunk's matrices are held at a time."""
+    for chunk in _chunks(range(len(counts.doc_ids))):
+        _, tdm = counts.columns(chunk).matrix(vocabulary=model.vocabulary)
+        # The callers read the counts, so they are weighted on a copy; as in
+        # train, a document is known exactly when its column has mass.
+        weighted = apply_gtw(tdm, model.global_weights)
+        mass = _doc_mass(weighted)
+        pwd = _normalize_columns(weighted, mass)
+        yield tdm, topic_given_doc(model.topic_given_word, pwd), mass > 0.0
 
 
 def fold_in_many(
-    model: TopicModel, docs: Sequence[RawDocument]
+    model: TopicModel, docs: Iterable[RawDocument]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Infer P(T|D) for unseen documents without retraining.
 
     Returns P(T|D) of shape (K, n) and a boolean mask of shape (n,) that
     is False for documents with no in-vocabulary term; their columns are
-    zero. Fold-in is the training assembly applied to new columns: the
-    documents are counted over the model vocabulary by ``build_matrix``,
-    weighted by ``apply_gtw`` with the stored global weights, normalized
-    by ``_normalize_columns`` (as in ``word_given_doc``) and mixed through
-    the stored P(T|W) by ``topic_given_doc``, in O(nnz * K). A column's
+    zero. ``docs`` may be any iterable, a one-shot stream included. Fold-in
+    is the training assembly applied to new columns: the documents are
+    counted once, by ``build_matrix``'s first half, and then a chunk of
+    columns at a time mapped onto the model vocabulary, weighted by
+    ``apply_gtw`` with the stored global weights, normalized by
+    ``_normalize_columns`` (as in ``word_given_doc``) and mixed through the
+    stored P(T|W) by ``topic_given_doc``, in O(nnz * K). The whole call's
+    token codes and counts (8 bytes per non-zero) are held until it
+    returns; the larger matrices only a chunk at a time. A column's
     arithmetic depends only on that document, so a training document gets
     back its stored P(T|D) column bit for bit, and a document gets the
     same bits alone or inside any batch.
     """
-    ptd = np.zeros((model.n_topics, len(docs)))
-    known = np.zeros(len(docs), dtype=bool)
+    counts = _count_documents(docs, model.config.tokenizer)
+    ptd = np.zeros((model.n_topics, len(counts.doc_ids)))
+    known = np.zeros(len(counts.doc_ids), dtype=bool)
     start = 0
-    for tdm, chunk_ptd, chunk_known in _fold_chunks(model, docs):
+    for tdm, chunk_ptd, chunk_known in _fold_in(model, counts):
         stop = start + tdm.n_docs
         ptd[:, start:stop] = chunk_ptd
         known[start:stop] = chunk_known

@@ -305,22 +305,27 @@ def small_model():
     return train(small_corpus(), fast_config())
 
 
+def folded_in(model, docs):
+    """``docs`` counted on their own and folded into ``model``."""
+    counts = evaluation._count_documents(docs, model.config.tokenizer)
+    return model_module._fold_in(model, counts)
+
+
 def topic_scores(model, docs, delta=DEFAULT_DELTA):
     """The document path of classification: each document's score."""
-    return _score_many(model, model_module._fold_chunks(model, docs), delta)
+    return _score_many(model, folded_in(model, docs), delta)
 
 
 def corpus_log_likelihood(model, docs, delta=DEFAULT_DELTA):
     """The document path of held-out likelihood: the documents' totals."""
-    folded = model_module._fold_chunks(model, docs)
-    return evaluation._loglik_totals(model, folded, delta)
+    return evaluation._loglik_totals(model, folded_in(model, docs), delta)
 
 
 def unigram_scores(model, docs):
     """The one-topic core's score of each document: its one topic is P(w),
     with weight 1 in every document."""
     scores = []
-    for tdm, _, _ in model_module._fold_chunks(model, docs):
+    for tdm, _, _ in folded_in(model, docs):
         scores += evaluation._score_chunk(
             tdm.counts.tocsc(),
             tdm.tokens,
@@ -763,14 +768,15 @@ class TestHeldoutLoglik:
     def test_each_chunk_is_folded_in_once_per_round(self, monkeypatch):
         # The topic scores and the unigram baseline share one fold-in.
         calls = []
-        fold_counts = evaluation._fold_counts
+        original = evaluation._fold_in
 
-        def counted(model, tdm):
-            calls.append(tdm.n_docs)
-            return fold_counts(model, tdm)
+        def counted(model, counts):
+            for chunk in original(model, counts):
+                calls.append(chunk[0].n_docs)
+                yield chunk
 
         monkeypatch.setattr(corpus_module, "_CHUNK_DOCS", 2)
-        monkeypatch.setattr(evaluation, "_fold_counts", counted)
+        monkeypatch.setattr(evaluation, "_fold_in", counted)
         report = heldout_loglik(
             small_corpus(), fast_config(), SplitPlan(folds=3), threads=1
         )

@@ -677,8 +677,13 @@ class TestFoldIn:
         np.testing.assert_array_equal(ptd[:, ~known], 0.0)
         np.testing.assert_array_equal(ptd[:, 0], fold_in(model, docs[0]))
         np.testing.assert_array_equal(ptd[:, 3], fold_in(model, docs[3]))
-        empty, none_known = fold_in_many(model, [])
-        assert empty.shape == (2, 0) and none_known.shape == (0,)
+        # A one-shot stream gives the list's bytes.
+        streamed, streamed_known = fold_in_many(model, iter(docs))
+        assert streamed.tobytes() == ptd.tobytes()
+        assert streamed_known.tobytes() == known.tobytes()
+        for none in ([], iter([])):
+            empty, none_known = fold_in_many(model, none)
+            assert empty.shape == (2, 0) and none_known.shape == (0,)
 
 
 @pytest.fixture(scope="module")
@@ -700,18 +705,35 @@ _FOLD_WORDS = [
         min_size=1,
         max_size=12,
     ),
+    others=st.lists(
+        st.lists(st.sampled_from(_FOLD_WORDS), max_size=12).map(" ".join),
+        min_size=2,
+        max_size=6,
+    ),
     chunk=st.integers(min_value=1, max_value=5),
     order=st.randoms(use_true_random=False),
 )
 def test_fold_in_has_the_bits_of_the_batch_row(
-    two_class_model, texts, chunk, order
+    two_class_model, texts, others, chunk, order
 ):
     model = two_class_model
     docs = [RawDocument(str(i), text) for i, text in enumerate(texts)]
     order.shuffle(docs)
+    # A superset counted once, with other documents before and between the
+    # batch's, as an eval job takes its documents' columns of the corpus.
+    extra = [RawDocument(f"other{i}", text) for i, text in enumerate(others)]
+    rest = docs + extra[1:]
+    order.shuffle(rest)
+    superset = [extra[0], *rest]
+    position = {doc.doc_id: i for i, doc in enumerate(superset)}
+    counts = corpus_module._count_documents(superset, model.config.tokenizer)
+    columns = counts.columns([position[doc.doc_id] for doc in docs])
     # Small chunks make every batch span several of them.
     with mock.patch.object(corpus_module, "_CHUNK_DOCS", chunk):
         ptd, known = fold_in_many(model, docs)
+        folded = list(model_module._fold_in(model, columns))
+    assert np.hstack([p for _, p, _ in folded]).tobytes() == ptd.tobytes()
+    assert np.concatenate([k for _, _, k in folded]).tobytes() == known.tobytes()
     for j, doc in enumerate(docs):
         if known[j]:
             assert fold_in(model, doc).tobytes() == ptd[:, j].tobytes()
