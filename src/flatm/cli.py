@@ -124,7 +124,7 @@ class _Parser(argparse.ArgumentParser):
 
     def _config_tokens(self, path: str) -> list[str]:
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except OSError as exc:
             self.error(f"--config: {exc}")
         except ValueError as exc:

@@ -260,12 +260,12 @@ def load_corpus(
     return list(iter_corpus(path, format, allow_empty))
 
 
-# Documents per block that `_read_blocks` reads and per chunk of columns that
-# `model._fold_in` maps onto a model vocabulary and folds in. A chunk's
-# matrices (its counts, their weighted copy and P(W|D)) take a few KB per
-# document and are held one chunk at a time, so fold-in's memory beyond the
-# counts does not grow with its input; `flatm infer` reads at most two blocks
-# of raw text ahead per worker.
+# Documents per block that `_read_blocks` reads, per chunk that
+# `model.fold_in_many` counts and folds in, and per chunk of test columns
+# that an eval job selects and folds in. A chunk's counts and matrices (its
+# counts, their weighted copy and P(W|D)) take a few KB per document and are
+# held one chunk at a time, so fold-in's memory does not grow with its
+# input; `flatm infer` reads at most two blocks of raw text ahead per worker.
 _CHUNK_DOCS = 256
 
 
@@ -396,7 +396,7 @@ _BLOCK_TOKENS = 1 << 16
 
 
 class _TokenCodes(dict):
-    """Raw token -> code, for one :func:`build_matrix` call: ``_DROPPED``
+    """Raw token -> code, for one :func:`_count_documents` call: ``_DROPPED``
     for a token the filter removes, else the token's index in ``terms``,
     which lists the kept tokens in the order they were first met.
 
@@ -504,10 +504,14 @@ class _Counts:
     def matrix(
         self, min_df: int = 1, vocabulary: Vocabulary | None = None
     ) -> tuple[Vocabulary, TermDocMatrix]:
-        """Map codes to rows: the second half of :func:`build_matrix`, whose
-        docstring gives the rules. It takes the codes and counts, which
-        leaves this object spent, so each of their buffers is freed once the
-        array made from it has replaced it."""
+        """Map codes to rows: the second half of :func:`build_matrix`, by
+        its rules when ``vocabulary`` is None. With ``vocabulary`` (fold-in's
+        one path onto a model's rows) only its terms are counted, ``min_df``
+        is ignored and the vocabulary is returned as given; empty and fully
+        out-of-vocabulary documents give empty columns, and no documents
+        zero columns. It takes the codes and counts, which leaves this
+        object spent, so each of their buffers is freed once the array made
+        from it has replaced it."""
         if vocabulary is None and not self.doc_ids:
             raise ValueError("corpus is empty")
         # The counts stay int32 until the CSR is built and become float64 last;
@@ -586,8 +590,6 @@ def build_matrix(
     docs: Iterable[RawDocument],
     config: TokenizerConfig | None = None,
     min_df: int = 1,
-    *,
-    vocabulary: Vocabulary | None = None,
 ) -> tuple[Vocabulary, TermDocMatrix]:
     """Tokenize ``docs`` and build the count matrix.
 
@@ -595,9 +597,10 @@ def build_matrix(
     ``_count_documents`` counts documents into token codes and
     ``_Counts.matrix`` maps the codes to rows. ``train`` calls this
     function. Fold-in (``fold_in_many``, ``doc_log_likelihood``) and the
-    ``eval`` jobs call the halves: they count once, then map the columns
-    of a chunk or a job at a time. ``docs`` may be any iterable, a
-    one-shot stream included; it is read once, in order. A call
+    ``eval`` jobs call the halves: ``fold_in_many`` counts a chunk of
+    documents at a time, and a job selects its documents' columns of the
+    corpus counted once. ``docs`` may be any iterable, a one-shot stream
+    included; it is read once, in order. A call
     runs the tokenizer's filter once per distinct raw token; each
     occurrence costs its share of the tokenizer's one pass over the text
     and one dictionary lookup, and codes, given as tokens are first met,
@@ -608,15 +611,11 @@ def build_matrix(
     kept. The result's ``tokens`` holds every document's filtered token
     total, as ``len(tokenize(doc.text))``.
 
-    Without ``vocabulary``, the vocabulary is every term found in at least
-    ``min_df`` documents, sorted; raises ``ValueError`` if no documents
-    were given or no term survives. With ``vocabulary``, only its terms are
-    counted, ``min_df`` is ignored and the vocabulary is returned as given;
-    empty and fully out-of-vocabulary documents give empty columns, and
-    an empty ``docs`` gives zero columns.
+    The vocabulary is every term found in at least ``min_df`` documents,
+    sorted; raises ``ValueError`` if no documents were given or no term
+    survives.
     """
     if config is None:
         config = TokenizerConfig()
-    if vocabulary is None:
-        _check_min_df(_checked("min_df", min_df, int))
-    return _count_documents(docs, config).matrix(min_df, vocabulary)
+    _check_min_df(_checked("min_df", min_df, int))
+    return _count_documents(docs, config).matrix(min_df)

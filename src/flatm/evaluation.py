@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import RawDocument, TermDocMatrix, _count_documents, _Counts
+from .corpus import RawDocument, TermDocMatrix, _chunks, _count_documents, _Counts
 from .fcm import SettingError, _check_seed, _checked, _require
 from .model import (
     TopicModel,
@@ -239,7 +239,7 @@ def doc_log_likelihood(
     """
     delta = _check_delta(delta)
     counts = _count_documents([doc], model.config.tokenizer)
-    return _score_many(model, _fold_in(model, counts), delta)[0]
+    return _score_many(model, [_fold_in(model, counts)], delta)[0]
 
 
 def _loglik_totals(model: TopicModel, folded: _Folded, delta: float) -> dict:
@@ -278,8 +278,8 @@ def _run_job(
 ) -> _R:
     """Train as ``train`` would on the job's training documents, with the
     job's name before any ``ValueError`` (which keeps its type, so a
-    :class:`ScheduleError` stays one), then score its test documents as
-    ``fold_in_many``'s routine folds them in, chunk by chunk.
+    :class:`ScheduleError` stays one), then score its test documents, each
+    chunk of their columns folded in by ``fold_in_many``'s routine.
 
     ``counts`` is a cached call that counts the protocol's documents on its
     first call in each process; a pool's workers are forked before any job
@@ -292,7 +292,8 @@ def _run_job(
         model = _fit(*counts().columns(train_indices).matrix(config.min_df), config)
     except ValueError as exc:
         raise type(exc)(f"{name}: {exc}") from exc
-    return score(model, _fold_in(model, counts().columns(test_indices)))
+    folded = (_fold_in(model, counts().columns(c)) for c in _chunks(test_indices))
+    return score(model, folded)
 
 
 def _usable_cpus() -> int:

@@ -26,8 +26,8 @@ time, so it holds one matrix as long as the non-zeros; the public
 ``apply_gtw`` and ``word_given_doc`` run the same kernels on a copy.
 
 Fold-in is the same assembly applied to new columns: unseen documents are
-counted as training counts them, mapped onto the model vocabulary a chunk
-of columns at a time, weighted with the stored global weights,
+counted as training counts them, a chunk of documents at a time, mapped
+onto the model vocabulary, weighted with the stored global weights,
 column-normalized and mixed through the stored P(T|W) by the functions
 training uses, in O(nnz * K). A document with no known term has an empty
 column, which stays zero in P(W|D) and P(T|D).
@@ -466,19 +466,18 @@ def _fit(
 
 def _fold_in(
     model: TopicModel, counts: _Counts
-) -> Iterator[tuple[TermDocMatrix, np.ndarray, np.ndarray]]:
-    """Fold ``counts``' documents in, one :func:`_chunks` of columns at a
-    time: per chunk, its counts over the model vocabulary, P(T|D) (K, n)
-    and the known mask. Columns of documents without a known term are all
-    zero in P(T|D). Only one chunk's matrices are held at a time."""
-    for chunk in _chunks(range(len(counts.doc_ids))):
-        _, tdm = counts.columns(chunk).matrix(vocabulary=model.vocabulary)
-        # The callers read the counts, so they are weighted on a copy; as in
-        # train, a document is known exactly when its column has mass.
-        weighted = apply_gtw(tdm, model.global_weights)
-        mass = _doc_mass(weighted)
-        pwd = _normalize_columns(weighted, mass)
-        yield tdm, topic_given_doc(model.topic_given_word, pwd), mass > 0.0
+) -> tuple[TermDocMatrix, np.ndarray, np.ndarray]:
+    """Fold one batch of counted columns in: its counts over the model
+    vocabulary, P(T|D) (K, n) and the known mask. Columns of documents
+    without a known term are all zero in P(T|D). Like ``_Counts.matrix``,
+    it leaves ``counts`` spent."""
+    _, tdm = counts.matrix(vocabulary=model.vocabulary)
+    # The callers read the counts, so they are weighted on a copy; as in
+    # train, a document is known exactly when its column has mass.
+    weighted = apply_gtw(tdm, model.global_weights)
+    mass = _doc_mass(weighted)
+    pwd = _normalize_columns(weighted, mass)
+    return tdm, topic_given_doc(model.topic_given_word, pwd), mass > 0.0
 
 
 def fold_in_many(
@@ -490,27 +489,23 @@ def fold_in_many(
     is False for documents with no in-vocabulary term; their columns are
     zero. ``docs`` may be any iterable, a one-shot stream included. Fold-in
     is the training assembly applied to new columns: the documents are
-    counted once, by ``build_matrix``'s first half, and then a chunk of
-    columns at a time mapped onto the model vocabulary, weighted by
-    ``apply_gtw`` with the stored global weights, normalized by
-    ``_normalize_columns`` (as in ``word_given_doc``) and mixed through the
-    stored P(T|W) by ``topic_given_doc``, in O(nnz * K). The whole call's
-    token codes and counts (8 bytes per non-zero) are held until it
-    returns; the larger matrices only a chunk at a time. A column's
+    read a chunk at a time, counted by ``build_matrix``'s first half,
+    mapped onto the model vocabulary, weighted by ``apply_gtw`` with the
+    stored global weights, normalized by ``_normalize_columns`` (as in
+    ``word_given_doc``) and mixed through the stored P(T|W) by
+    ``topic_given_doc``, in O(nnz * K). Only one chunk's counts and
+    matrices are held at a time, besides the (K, n) result. A column's
     arithmetic depends only on that document, so a training document gets
     back its stored P(T|D) column bit for bit, and a document gets the
     same bits alone or inside any batch.
     """
-    counts = _count_documents(docs, model.config.tokenizer)
-    ptd = np.zeros((model.n_topics, len(counts.doc_ids)))
-    known = np.zeros(len(counts.doc_ids), dtype=bool)
-    start = 0
-    for tdm, chunk_ptd, chunk_known in _fold_in(model, counts):
-        stop = start + tdm.n_docs
-        ptd[:, start:stop] = chunk_ptd
-        known[start:stop] = chunk_known
-        start = stop
-    return ptd, known
+    ptd, known = [np.zeros((model.n_topics, 0))], [np.zeros(0, dtype=bool)]
+    for chunk in _chunks(docs):
+        counts = _count_documents(chunk, model.config.tokenizer)
+        _, chunk_ptd, chunk_known = _fold_in(model, counts)
+        ptd.append(chunk_ptd)
+        known.append(chunk_known)
+    return np.hstack(ptd), np.concatenate(known)
 
 
 def fold_in(model: TopicModel, doc: RawDocument) -> np.ndarray:

@@ -1324,6 +1324,22 @@ class TestConfigFile:
         assert plain.returncode == 0, plain.stderr
         assert configured.stdout == plain.stdout
 
+    def test_config_may_start_with_a_byte_order_mark(
+        self, workspace, tmp_path, run_main
+    ):
+        # As corpora and stop-word lists may.
+        config = tmp_path / "run.json"
+        config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"topics": 3}).encode())
+        train = [
+            "train", "--input", workspace / "corpus.tsv", "--format", "labeled-tsv",
+            "--schedule", "5,4", "--seed", "3",
+        ]
+        via_config = run_main(*train, "--config", config, "--output", tmp_path / "a")
+        via_flag = run_main(*train, "--topics", "3", "--output", tmp_path / "b")
+        assert via_config.returncode == 0, via_config.stderr
+        assert via_flag.returncode == 0, via_flag.stderr
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
     def test_malformed_config_exits_1(self, workspace, tmp_path, run_main):
         config = tmp_path / "run.json"
         config.write_text("{ nope")

@@ -458,6 +458,15 @@ def _docs(*texts: str) -> list[RawDocument]:
     return [RawDocument(doc_id=str(i + 1), text=t) for i, t in enumerate(texts)]
 
 
+def _matrix(docs, vocabulary, config=None, min_df=1):
+    """``build_matrix``'s result or, given a ``vocabulary``, the documents
+    counted and mapped onto it as fold-in maps them."""
+    if vocabulary is None:
+        return build_matrix(docs, config, min_df)
+    config = config or TokenizerConfig()
+    return corpus._count_documents(docs, config).matrix(min_df, vocabulary)
+
+
 class TestBuildMatrix:
     def test_counts_exact(self):
         vocab, tdm = build_matrix(_docs("cat dog", "dog dog"))
@@ -530,7 +539,7 @@ class TestBuildMatrix:
     def test_vocabulary_counts_only_its_terms(self):
         vocab = Vocabulary(terms=("cat", "dog", "yak"))
         docs = _docs("dog cat fox dog", "", "fox owl", "yak")
-        got_vocab, tdm = build_matrix(docs, vocabulary=vocab)
+        got_vocab, tdm = _matrix(docs, vocab)
         assert got_vocab is vocab
         np.testing.assert_array_equal(
             tdm.counts.toarray(),
@@ -541,9 +550,9 @@ class TestBuildMatrix:
 
     def test_vocabulary_ignores_min_df_and_allows_no_documents(self):
         vocab = Vocabulary(terms=("cat",))
-        _, tdm = build_matrix(_docs("cat"), min_df=5, vocabulary=vocab)
+        _, tdm = _matrix(_docs("cat"), vocab, min_df=5)
         assert tdm.counts.toarray().tolist() == [[1.0]]
-        _, empty = build_matrix([], vocabulary=vocab)
+        _, empty = _matrix([], vocab)
         assert empty.counts.shape == (1, 0)
         assert empty.tokens.shape == (0,)
 
@@ -557,7 +566,7 @@ class TestBuildMatrix:
     def test_own_vocabulary_reproduces_the_matrix(self):
         docs = _docs("cat dog", "dog dog fox", "fox cat yak", "the of")
         vocab, tdm = build_matrix(docs)
-        _, again = build_matrix(docs, vocabulary=vocab)
+        _, again = _matrix(docs, vocab)
         assert (tdm.counts != again.counts).nnz == 0
         np.testing.assert_array_equal(tdm.tokens, again.tokens)
 
@@ -595,18 +604,18 @@ class TestBuildMatrixStream:
             assert raw > corpus._BLOCK_TOKENS
         # A vocabulary of half the documents leaves terms of the rest out.
         vocabulary = build_matrix(docs[::2])[0] if own_vocabulary else None
-        want = build_matrix(docs, min_df=2, vocabulary=vocabulary)
-        got = build_matrix((doc for doc in docs), min_df=2, vocabulary=vocabulary)
+        want = _matrix(docs, vocabulary, min_df=2)
+        got = _matrix((doc for doc in docs), vocabulary, min_df=2)
         _same_result(got, want)
 
     def test_empty_stream(self):
         with pytest.raises(ValueError, match="corpus is empty"):
             build_matrix(iter([]))
         vocab = Vocabulary(terms=("cat", "dog"))
-        got = build_matrix(iter([]), vocabulary=vocab)
+        got = _matrix(iter([]), vocab)
         assert got[0] is vocab
         assert got[1].counts.shape == (2, 0)
-        _same_result(got, build_matrix([], vocabulary=vocab))
+        _same_result(got, _matrix([], vocab))
 
 
 # Words that exercise the tokenizer: stop-words, digits, mixed case,
@@ -670,7 +679,7 @@ def test_vocabulary_counts_equal_counter_of_tokens(
     never = {"the", "x", "42"}
     terms = {t for text in vocab_texts for t in oracles.reference_tokens(text, config)}
     vocab = Vocabulary(terms=tuple(sorted(terms | never | {"fever"})))
-    got_vocab, tdm = build_matrix(docs, config, min_df=min_df, vocabulary=vocab)
+    got_vocab, tdm = _matrix(docs, vocab, config, min_df)
     assert got_vocab is vocab
     _same_as_oracle(
         vocab, tdm, oracles.reference_count_matrix(texts, config, terms=vocab.terms)
@@ -712,9 +721,7 @@ def test_selected_columns_map_to_rows_as_build_matrix(
         indices = [i % len(docs) for i in indices]
         selection = counted.columns(indices)
         try:
-            want = build_matrix(
-                [docs[i] for i in indices], config, min_df, vocabulary=vocabulary
-            )
+            want = _matrix([docs[i] for i in indices], vocabulary, config, min_df)
         except ValueError as exc:
             with pytest.raises(ValueError) as raised:
                 selection.matrix(min_df, vocabulary)
@@ -745,7 +752,7 @@ def test_ascii_and_other_documents_counted_in_one_block(lowercase):
     _same_as_oracle(vocab, tdm, reference)
     _same_as_oracle(
         vocab,
-        build_matrix(_docs(*texts), config, vocabulary=vocab)[1],
+        _matrix(_docs(*texts), vocab, config)[1],
         oracles.reference_count_matrix(texts, config, terms=vocab.terms),
     )
 
@@ -767,7 +774,7 @@ def test_filter_sees_each_distinct_token_once_per_call(monkeypatch):
     assert seen == raw
     assert vocab.terms == ("fever", "kidney", "stone")
     seen.clear()
-    build_matrix(_docs(*texts), vocabulary=vocab)
+    _matrix(_docs(*texts), vocab)
     assert seen == raw
 
 

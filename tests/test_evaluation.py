@@ -306,9 +306,14 @@ def small_model():
 
 
 def folded_in(model, docs):
-    """``docs`` counted on their own and folded into ``model``."""
-    counts = evaluation._count_documents(docs, model.config.tokenizer)
-    return model_module._fold_in(model, counts)
+    """``docs`` folded into ``model`` a chunk at a time, each chunk counted
+    on its own, as ``fold_in_many`` folds them in."""
+    return [
+        model_module._fold_in(
+            model, evaluation._count_documents(chunk, model.config.tokenizer)
+        )
+        for chunk in corpus_module._chunks(docs)
+    ]
 
 
 def topic_scores(model, docs, delta=DEFAULT_DELTA):
@@ -771,9 +776,9 @@ class TestHeldoutLoglik:
         original = evaluation._fold_in
 
         def counted(model, counts):
-            for chunk in original(model, counts):
-                calls.append(chunk[0].n_docs)
-                yield chunk
+            folded = original(model, counts)
+            calls.append(folded[0].n_docs)
+            return folded
 
         monkeypatch.setattr(corpus_module, "_CHUNK_DOCS", 2)
         monkeypatch.setattr(evaluation, "_fold_in", counted)
@@ -869,9 +874,23 @@ def test_a_job_scores_empty_and_unknown_documents_as_fold_in(
         RawDocument("unknown", "Zebra yak zebra"),
     ]
     job = ("job", range(0, 24, 2), mixed_config(), [25, *range(1, 24, 2), 24])
+    selected = []
+    columns = corpus_module._Counts.columns
+
+    def recording(self, indices):
+        selected.append(list(indices))
+        return columns(self, indices)
+
     monkeypatch.setattr(corpus_module, "_CHUNK_DOCS", 4)
+    monkeypatch.setattr(corpus_module._Counts, "columns", recording)
     counts = cache(partial(evaluation._count_documents, docs, mixed_config().tokenizer))
     got = evaluation._run_job(counts, partial(job_score, delta=1e-6), job)
+    # The training columns are selected first; the test columns are
+    # selected and scored a chunk at a time.
+    train_columns, *scored = selected
+    assert train_columns == list(job[1])
+    assert max(map(len, scored)) <= 4
+    assert [i for indices in scored for i in indices] == job[3]
     assert repr(got) == repr(document_path(job, docs, score, 1e-6))
 
 

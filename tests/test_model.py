@@ -691,6 +691,26 @@ def two_class_model():
     return train(two_class_docs(), tiny_config())
 
 
+def test_fold_in_many_counts_a_chunk_at_a_time(two_class_model, monkeypatch):
+    model = two_class_model
+    docs = two_class_docs() + [RawDocument("none", "zzz"), RawDocument("void", "")]
+    want = fold_in_many(model, docs)
+    counted = []
+    count = model_module._count_documents
+
+    def recording(chunk, config):
+        chunk = list(chunk)
+        counted.append(len(chunk))
+        return count(chunk, config)
+
+    monkeypatch.setattr(corpus_module, "_CHUNK_DOCS", 4)
+    monkeypatch.setattr(model_module, "_count_documents", recording)
+    got = fold_in_many(model, iter(docs))
+    assert max(counted) <= 4
+    assert sum(counted) == len(docs)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 _FOLD_WORDS = [
     "apple", "pear", "plum", "grape", "melon",
     "bolt", "nut", "screw", "washer", "rivet",
@@ -727,11 +747,13 @@ def test_fold_in_has_the_bits_of_the_batch_row(
     superset = [extra[0], *rest]
     position = {doc.doc_id: i for i, doc in enumerate(superset)}
     counts = corpus_module._count_documents(superset, model.config.tokenizer)
-    columns = counts.columns([position[doc.doc_id] for doc in docs])
     # Small chunks make every batch span several of them.
     with mock.patch.object(corpus_module, "_CHUNK_DOCS", chunk):
         ptd, known = fold_in_many(model, docs)
-        folded = list(model_module._fold_in(model, columns))
+        folded = [
+            model_module._fold_in(model, counts.columns(indices))
+            for indices in corpus_module._chunks(position[d.doc_id] for d in docs)
+        ]
     assert np.hstack([p for _, p, _ in folded]).tobytes() == ptd.tobytes()
     assert np.concatenate([k for _, _, k in folded]).tobytes() == known.tobytes()
     for j, doc in enumerate(docs):
