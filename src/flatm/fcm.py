@@ -27,18 +27,23 @@ Distances and the membership update work cluster-major, on (c, n)
 arrays, so that each per-point reduction over the clusters (the minimum
 and the normalising sum) runs over contiguous rows instead of along
 short strided ones. The arithmetic is that of the point-major (n, c)
-form element for element. Dense distances read a (dims, n) transpose of
-the points, made once per run, and go one dimension at a time over
-whole (c, n) arrays: the differences are the same, their squares are
-the same products, and :func:`_einsum_sum` adds a point's products in
-the order ``einsum("nd,nd->n")`` adds its C-order ``x_j - v_k`` row, so
-each distance keeps the einsum's bits. The minimum is exact in any
-order; the ratio, the power and the quotient are elementwise; and
-:func:`_pairwise_sum` adds each point's c values in the order numpy's
-``sum(axis=1)`` adds a C-order row. One transpose then gives the
-C-order (n, c) memberships that the center update, the objective and
-the next cascade stage read. So results are bit for bit those of the
-point-major loop.
+form element for element. A dense run prepares its points once
+(:class:`_DensePoints`): a (dims, n) transpose whose dimensions are
+stored in the order in which ``einsum("nd,nd->n")`` adds a C-order row
+(:func:`_lane_order`), and the points with a column of ones. A small run
+(c·dims·n within ``_ONE_PASS_ENTRIES``) also tiles the transpose once
+per cluster and computes all its squared differences in one pass, then
+adds each lane's slab with one ``add.reduce`` over its outer axis; a
+large run goes one dimension at a time over whole (c, n) arrays. Both
+add a point's squares in the einsum's order, so each distance keeps the
+einsum's bits. The center einsum over [x | 1] also yields each
+cluster's mass, which has the bits of the separate column sum. The
+minimum is exact in any order; the ratio, the power and the quotient
+are elementwise; and :func:`_pairwise_sum` adds each point's c values
+in the order numpy's ``sum(axis=1)`` adds a C-order row. One transpose
+then gives the C-order (n, c) memberships that the center update, the
+objective and the next cascade stage read. So results are bit for bit
+those of the point-major loop.
 """
 
 from __future__ import annotations
@@ -185,14 +190,44 @@ def _check_data(data, n_clusters: int) -> _Points:
     x = _as_points(data)
     if x.ndim != 2:
         raise ValueError("data must be a 2-d array")
-    if not np.all(np.isfinite(x.data if sp.issparse(x) else x)):
-        raise ValueError("data must be finite")
+    _check_scale(x, "data", _scale_limit(x.shape))
     if x.shape[0] <= n_clusters:
         raise ValueError(
             f"need more points than clusters: {x.shape[0]} points, "
             f"{n_clusters} clusters"
         )
     return x
+
+
+def _scale_limit(shape: tuple[int, int]) -> float:
+    """The largest |value| that points of ``shape`` (n, d), and centers
+    among them, may hold.
+
+    Centers are convex combinations of the points, so no coordinate of a
+    difference exceeds twice the limit L, no squared distance 4·d·L², and
+    the objective, which weighs each point's distances by memberships
+    summing to at most 1, no n·4·d·L². L² = max float / (8·d·n) leaves
+    those sums finite with a factor 2 to spare for rounding.
+    """
+    n, d = shape
+    return float(np.sqrt(np.finfo(np.float64).max / (8.0 * max(n, 1) * max(d, 1))))
+
+
+def _check_scale(x: _Points, name: str, limit: float) -> None:
+    """Reject an ``x`` with a value that is not finite or beyond ``limit``;
+    the message starts with ``name``."""
+    values = x.data if sp.issparse(x) else x
+    # NaN fails both comparisons, so one test covers every bad value.
+    lo, hi = values.min(initial=0.0), values.max(initial=0.0)
+    if -limit <= lo and hi <= limit:
+        return
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    raise ValueError(
+        f"{name} too large: a value of magnitude {max(-lo, hi):.3g} would "
+        f"overflow squared distances; the limit for shape {x.shape} is "
+        f"{limit:.3g}"
+    )
 
 
 def _initial_membership(
@@ -257,52 +292,76 @@ def _row_norms(x: sp.csr_matrix) -> np.ndarray:
     return sq
 
 
-def _prepared(x: _Points) -> np.ndarray:
-    """What every distance call of a run reads besides ``x``, made once per
-    run: :func:`_row_norms` of a sparse ``x``, and the C-order (dims, n)
-    transpose of a dense one, whose dimensions are contiguous rows."""
-    return _row_norms(x) if sp.issparse(x) else np.ascontiguousarray(x.T)
+# Dense runs whose (d, c, n) squared differences have at most this many
+# entries compute their distances in one pass over a tiled copy of the
+# points: five numpy calls in place of about 3·d. Larger runs go one
+# dimension at a time over (c, n) rows, which costs less per entry, and
+# past the budget that wins. Per iteration of cascade-shaped runs (2
+# vCPUs), the pass stopped paying at about 20k entries for c=3 on 4 dims,
+# 50k for c=5 on 6 and 75k for c=9 on 10. On 2 or 3 dims it never paid:
+# even at n=360, and up to 15% slower below the budget.
+_ONE_PASS_ENTRIES = 1 << 15
 
 
-def _sq_dists(
-    x: _Points,
-    centers: np.ndarray,
-    out: np.ndarray | None = None,
-    prepared: np.ndarray | None = None,
-) -> np.ndarray:
-    """Squared Euclidean distances, cluster-major: shape (n_clusters, n_points).
+class _DensePoints:
+    """What every iteration of a dense run for ``n_clusters`` clusters reads
+    besides its memberships, made once per run.
 
-    ``out`` receives the distances and ``prepared`` is :func:`_prepared` of
-    ``x``; each is made when not given. Dense distances go one dimension
-    i at a time over all clusters and points: the (c, n) differences
-    ``x_ji - v_ki`` are squared and added by :func:`_einsum_sum`, so each
-    element has the bits of ``einsum("nd,nd->n")`` over its C-order
-    difference row.
+    ``rows`` is the C-order (d, n) transpose of the points, its dimensions
+    in :func:`_lane_order`: the first ``lane0`` rows are lane 0's
+    dimensions, the rest lane 1's. ``ones`` is the points with a column of
+    ones, [x | 1]. When c·d·n is at most ``_ONE_PASS_ENTRIES``, ``tiled``
+    holds ``rows`` repeated for each cluster, shape (d, c, n), and ``work``
+    is a buffer of that shape; otherwise both are None.
     """
-    n, c = x.shape[0], centers.shape[0]
-    if out is None:
-        out = np.empty((c, n))
-    if prepared is None:
-        prepared = _prepared(x)
-    if sp.issparse(x):
-        np.subtract(prepared, (2.0 * (x @ centers.T)).T, out=out)
-        out += np.einsum("cd,cd->c", centers, centers)[:, None]
-        return np.maximum(out, 0.0, out=out)
 
-    def square_diff(i: int, buf: np.ndarray) -> None:
-        np.subtract(prepared[i], centers[:, i, None], out=buf)
-        buf *= buf
+    def __init__(self, x: np.ndarray, n_clusters: int) -> None:
+        n, d = x.shape
+        self.order = np.array(_lane_order(d), dtype=np.intp)
+        self.lane0 = (d + 1) // 2
+        self.rows = np.ascontiguousarray(x.T[self.order])
+        self.ones = np.hstack((x, np.ones((n, 1))))
+        self.tiled = self.work = None
+        if n_clusters * d * n <= _ONE_PASS_ENTRIES:
+            self.tiled = np.repeat(self.rows[:, None, :], n_clusters, axis=1)
+            self.work = np.empty_like(self.tiled)
 
-    return _einsum_sum(x.shape[1], square_diff, out)
+    def sq_dists(self, centers: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Cluster-major squared distances to ``centers`` into ``out``.
+
+        Each lane's squared differences are added in lane order, one after
+        another with the first stored, and the sum is lane 0 + lane 1: the
+        order in which ``einsum("nd,nd->n")`` adds a C-order difference
+        row, so each distance has its bits. In one pass, ``add.reduce``
+        over the outer axis of a lane's (dims, c, n) slab adds in that
+        sequence.
+        """
+        d, k = len(self.order), self.lane0
+        ct = centers.T[self.order]
+        if self.tiled is not None:
+            sq = np.subtract(self.tiled, ct[:, :, None], out=self.work)
+            sq *= sq
+            np.add.reduce(sq[:k], axis=0, out=out)
+            if k < d:
+                out += np.add.reduce(sq[k:], axis=0)
+            return out
+        buf, lane1 = np.empty_like(out), np.empty_like(out)
+        for lane, dims in ((out, range(k)), (lane1, range(k, d))):
+            for i in dims:
+                term = lane if i == dims.start else buf
+                np.subtract(self.rows[i], ct[i, :, None], out=term)
+                term *= term
+                if term is buf:
+                    lane += buf
+        if k < d:
+            out += lane1
+        return out
 
 
-def _einsum_sum(
-    d: int, term: Callable[[int, np.ndarray], None], out: np.ndarray
-) -> np.ndarray:
-    """Sum of d terms into ``out``, added in the order numpy's baseline
-    float64 kernel for ``einsum("nd,nd->n")`` adds the d products of a
-    contiguous row. ``term(i, buf)`` writes term i into ``buf``, an array
-    shaped like ``out``.
+def _lane_order(d: int) -> list[int]:
+    """The d dimensions in the order numpy's baseline float64 kernel for
+    ``einsum("nd,nd->n")`` adds the d products of a contiguous row: lane
+    0's, then lane 1's.
 
     The kernel keeps two lanes, lane 0 for the even indices and lane 1 for
     the odd ones. Each full block of eight is added back to front, 6, 4,
@@ -313,28 +372,46 @@ def _einsum_sum(
 
     That is the unfused two-lane kernel checked on x86-64 with numpy
     2.4.6. A build whose kernel fuses the multiply-add or uses wider
-    vectors adds in another order; there these sums still have the same
+    vectors adds in another order; there distances still have the same
     bits on every run, but not the einsum's, and
-    ``test_einsum_sum_is_einsum_row_order`` fails first.
+    ``test_dense_distances_are_einsum_row_order`` fails first.
     """
-    if d == 0:
-        out.fill(0.0)
-        return out
     full = d - d % 8
     even = [b + k for b in range(0, full, 8) for k in (6, 4, 2, 0)]
     even += range(full, d, 2)
-    odd = [i + 1 for i in even if i + 1 < d]
-    buf, lane1 = np.empty_like(out), np.empty_like(out)
-    for lane, order in ((out, even), (lane1, odd)):
-        for k, i in enumerate(order):
-            if k == 0:
-                term(i, lane)
-            else:
-                term(i, buf)
-                lane += buf
-    if odd:
-        out += lane1
-    return out
+    return even + [i + 1 for i in even if i + 1 < d]
+
+
+def _prepared(x: _Points, n_clusters: int) -> np.ndarray | _DensePoints:
+    """What every distance call of a run for ``n_clusters`` clusters reads
+    besides ``x``, made once per run: :func:`_row_norms` of a sparse
+    ``x``, :class:`_DensePoints` of a dense one."""
+    return _row_norms(x) if sp.issparse(x) else _DensePoints(x, n_clusters)
+
+
+def _sq_dists(
+    x: _Points,
+    centers: np.ndarray,
+    out: np.ndarray | None = None,
+    prepared: np.ndarray | _DensePoints | None = None,
+) -> np.ndarray:
+    """Squared Euclidean distances, cluster-major: shape (n_clusters, n_points).
+
+    ``out`` receives the distances and ``prepared`` is :func:`_prepared` of
+    ``x``; each is made when not given. Dense distances have the bits of
+    ``einsum("nd,nd->n")`` over each C-order difference row
+    (:meth:`_DensePoints.sq_dists`).
+    """
+    n, c = x.shape[0], centers.shape[0]
+    if out is None:
+        out = np.empty((c, n))
+    if prepared is None:
+        prepared = _prepared(x, c)
+    if sp.issparse(x):
+        np.subtract(prepared, (2.0 * (x @ centers.T)).T, out=out)
+        out += np.einsum("cd,cd->c", centers, centers)[:, None]
+        return np.maximum(out, 0.0, out=out)
+    return prepared.sq_dists(centers, out)
 
 
 def _pairwise_sum(w: np.ndarray) -> np.ndarray:
@@ -345,10 +422,8 @@ def _pairwise_sum(w: np.ndarray) -> np.ndarray:
     """
     c = w.shape[0]
     if c < 8:
-        total = w[0].copy()
-        for row in w[1:]:
-            total += row
-        return total
+        # A reduction over the outer axis also adds one by one.
+        return np.add.reduce(w, axis=0)
     if c <= 128:
         full = c - c % 8
         r = w[:8]
@@ -378,19 +453,26 @@ def _memberships(d2: np.ndarray, fuzzifier: float) -> np.ndarray:
     """
     expo = 1.0 / (fuzzifier - 1.0)
     dmin = d2.min(axis=0)
+    # One test keeps the search for a point on a center, and the error
+    # state for its 0/0, off the common path; ``initial`` serves no points.
+    if dmin.min(initial=np.inf) > 0.0:
+        return _ratio_weights(d2, dmin, expo).T.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = dmin / d2
-        # x ** 1.0 is x exactly; q = 2 needs no power.
-        if expo != 1.0:
-            w **= expo
-        w /= _pairwise_sum(w)
-    # One count keeps the search for a point on a center off the common
-    # path; it is cheaper than np.flatnonzero and than .all() here.
-    if np.count_nonzero(dmin <= 0.0):
-        singular = np.flatnonzero(dmin <= 0.0)
-        hits = d2[:, singular] == 0.0
-        w[:, singular] = hits / hits.sum(axis=0)
+        w = _ratio_weights(d2, dmin, expo)
+    singular = np.flatnonzero(dmin <= 0.0)
+    hits = d2[:, singular] == 0.0
+    w[:, singular] = hits / hits.sum(axis=0)
     return w.T.copy()
+
+
+def _ratio_weights(d2: np.ndarray, dmin: np.ndarray, expo: float) -> np.ndarray:
+    """(dmin_j / d2_kj)^expo, each column normalised to sum to 1."""
+    w = dmin / d2
+    # x ** 1.0 is x exactly; q = 2 needs no power.
+    if expo != 1.0:
+        w **= expo
+    w /= _pairwise_sum(w)
+    return w
 
 
 def _objective(d2: np.ndarray, um: np.ndarray) -> float:
@@ -399,24 +481,32 @@ def _objective(d2: np.ndarray, um: np.ndarray) -> float:
     return float(np.multiply(um, d2.T, out=np.empty_like(um)).sum())
 
 
-def _centers(x: _Points, um: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Centers from the powered memberships ``um`` = u^q.
+def _centers(
+    x: _Points,
+    um: np.ndarray,
+    rng: np.random.Generator,
+    prepared: np.ndarray | _DensePoints,
+) -> np.ndarray:
+    """C-order centers from the powered memberships ``um`` = u^q;
+    ``prepared`` is :func:`_prepared` of ``x``.
 
-    center_k = sum_j u_jk^q x_j / sum_j u_jk^q. A cluster with zero total
-    membership mass has no defined center; it restarts at a data point
-    drawn from ``rng`` rather than dividing by zero.
+    center_k = sum_j u_jk^q x_j / sum_j u_jk^q. For dense points one
+    einsum over [x | 1] gives both sums: its last column adds u_jk^q over
+    the points in sequence, as ``um.sum(axis=0)`` does, and so has its
+    bits. A cluster with zero total membership mass has no defined center;
+    it restarts at a data point drawn from ``rng`` rather than dividing by
+    zero.
     """
-    wsum = um.sum(axis=0)
     if sp.issparse(x):
-        centers = np.ascontiguousarray((x.T @ um).T)
+        wsum, sums = um.sum(axis=0), (x.T @ um).T
     else:
-        centers = np.einsum("nc,nd->cd", um, x)
+        sums = np.einsum("nc,nd->cd", um, prepared.ones)
+        wsum, sums = sums[:, -1], sums[:, :-1]
+    centers = np.empty(sums.shape)
     # One test keeps the search for a massless cluster off the common path.
-    positive = wsum > 0.0
-    if positive.all():
-        centers /= wsum[:, None]
-        return centers
-    centers /= np.where(positive, wsum, 1.0)[:, None]
+    if wsum.min() > 0.0:
+        return np.divide(sums, wsum[:, None], out=centers)
+    np.divide(sums, np.where(wsum > 0.0, wsum, 1.0)[:, None], out=centers)
     for k in np.flatnonzero(wsum == 0.0):
         j = int(rng.integers(x.shape[0]))
         centers[k] = x[j].toarray()[0] if sp.issparse(x) else x[j]
@@ -435,6 +525,9 @@ def update_memberships(
     centers = np.ascontiguousarray(centers, dtype=np.float64)
     if x.ndim != 2 or centers.ndim != 2 or centers.shape[1] != x.shape[1]:
         raise ValueError("centers must have shape (c, d) for data of shape (n, d)")
+    limit = _scale_limit(x.shape)
+    _check_scale(x, "data", limit)
+    _check_scale(centers, "centers", limit)
     return _memberships(_sq_dists(x, centers), fuzzifier)
 
 
@@ -456,13 +549,13 @@ def fcm_run(
     u = _initial_membership(x.shape[0], config.n_clusters, rng)
     um = u**q
     d2 = np.empty((config.n_clusters, x.shape[0]))
-    prepared = _prepared(x)
+    prepared = _prepared(x, config.n_clusters)
     trace: list[float] = []
     centers = np.zeros((config.n_clusters, x.shape[1]))
     converged = False
     iterations = 0
     for iteration in range(1, config.max_iterations + 1):
-        centers = _centers(x, um, rng)
+        centers = _centers(x, um, rng, prepared)
         _sq_dists(x, centers, d2, prepared)
         u_new = _memberships(d2, q)
         max_delta = float(np.abs(u_new - u).max())

@@ -11,7 +11,8 @@ every parser. A digest moves when one byte moves, so a refactor that
 must keep the outputs, or a numpy or scipy upgrade that changes a
 stored float by one ulp, fails here. The default model is also
 trained by ``python -m flatm`` with numpy's run-time CPU dispatch
-switched off and with OpenBLAS pinned to an old core type, and must keep
+switched off, with OpenBLAS pinned to an old core type and with every
+dense clustering run on the per-dimension distance path, and must keep
 its digest.
 
 A change meant to move these bytes updates the digests below and says
@@ -30,7 +31,7 @@ import pytest
 
 import flatm
 from flatm import corpus as corpus_module
-from flatm import evaluation
+from flatm import evaluation, fcm
 from flatm.cli import main as cli_main
 
 try:
@@ -209,5 +210,19 @@ def test_default_model_digest_under_cpu_switches(outputs, tmp_path, switch):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(model.read_bytes()).hexdigest()
+    assert digest == DIGESTS["model-default.json"]
+
+
+def test_default_model_digest_on_the_per_dimension_path(outputs, tmp_path, monkeypatch):
+    # This corpus is small enough that every dense run computes its
+    # distances in one pass; a budget of 0 sends them one dimension at a
+    # time, as a large corpus's runs go.
+    monkeypatch.setattr(fcm, "_ONE_PASS_ENTRIES", 0)
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_bytes(outputs["corpus.tsv"])
+    model = tmp_path / "model.json"
+    _run("train", "--input", corpus, "--format", "labeled-tsv", *TRAIN_ARGS,
+         "--output", model)
     digest = hashlib.sha256(model.read_bytes()).hexdigest()
     assert digest == DIGESTS["model-default.json"]

@@ -22,6 +22,11 @@ from flatm import (
 )
 
 
+def centers_of(x, um, rng):
+    """``fcm._centers`` through the run's prepared object, as ``fcm_run`` calls it."""
+    return fcm._centers(x, um, rng, fcm._prepared(x, um.shape[1]))
+
+
 def blob_pair(rng, n_per=30, dims=3, separation=10.0):
     """Two unit-variance Gaussian blobs with means separation apart."""
     a = rng.normal(0.0, 1.0, size=(n_per, dims))
@@ -94,6 +99,32 @@ class TestDataValidation:
         for kind in (np.asarray, sp.csr_matrix):
             with pytest.raises(ValueError, match="finite"):
                 fcm_run(kind(data), FcmConfig(n_clusters=2))
+
+    @pytest.mark.parametrize("kind", [np.asarray, sp.csr_matrix])
+    def test_values_whose_squared_distances_overflow_rejected(self, kind):
+        # Finite points whose squared distances overflow used to give NaN
+        # memberships, with numpy's overflow warning as the only sign.
+        data = np.array([[1e200], [2e200], [3e200], [4e200]])
+        with pytest.raises(ValueError, match="^data too large"):
+            fcm_run(kind(data), FcmConfig(n_clusters=2, max_iterations=3))
+        with pytest.raises(ValueError, match="^data too large"):
+            update_memberships(kind(data), np.zeros((2, 1)), 2.0)
+        with pytest.raises(ValueError, match="^centers too large"):
+            update_memberships(kind(data / 1e100), np.full((2, 1), 1e200), 2.0)
+
+    @pytest.mark.parametrize("kind", [np.asarray, sp.csr_matrix])
+    def test_values_at_the_limit_give_finite_results(self, kind):
+        shape = (40, 3)
+        limit = fcm._scale_limit(shape)
+        signs = np.random.default_rng(7).choice([-1.0, 1.0], size=shape)
+        data = signs * limit
+        result = fcm_run(kind(data), FcmConfig(n_clusters=3, max_iterations=5))
+        assert np.all(np.isfinite(result.membership))
+        assert np.all(np.isfinite(result.objective_trace))
+        u = update_memberships(kind(data), -data[:3], 2.0)
+        assert np.all(np.isfinite(u))
+        with pytest.raises(ValueError, match="too large"):
+            fcm_run(kind(data * 1.0001), FcmConfig(n_clusters=3))
 
     def test_one_dimensional_rejected(self):
         with pytest.raises(ValueError, match="2-d"):
@@ -168,7 +199,7 @@ class TestCenterUpdate:
     def test_hard_memberships_give_cluster_means(self):
         data = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 4.0], [12.0, 4.0]])
         u = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        centers = fcm._centers(data, u**2.0, np.random.default_rng(0))
+        centers = centers_of(data, u**2.0, np.random.default_rng(0))
         np.testing.assert_allclose(
             centers, [[1.0, 0.0], [11.0, 4.0]], atol=1e-12
         )
@@ -177,7 +208,7 @@ class TestCenterUpdate:
         rng = np.random.default_rng(3)
         data = rng.normal(size=(12, 3))
         u = np.full((12, 2), 0.5)
-        centers = fcm._centers(data, u**2.0, np.random.default_rng(0))
+        centers = centers_of(data, u**2.0, np.random.default_rng(0))
         mean = data.mean(axis=0)
         np.testing.assert_allclose(centers, [mean, mean], atol=1e-12)
 
@@ -188,7 +219,7 @@ class TestCenterUpdate:
             u = rng.random((15, 4))
             u /= u.sum(axis=1, keepdims=True)
             q = float(rng.uniform(1.2, 3.0))
-            got = fcm._centers(x, u**q, np.random.default_rng(0))
+            got = centers_of(x, u**q, np.random.default_rng(0))
             np.testing.assert_allclose(
                 got, oracles.fuzzy_centers(x, u, q), atol=1e-12
             )
@@ -200,7 +231,7 @@ class TestCenterUpdate:
             rng = np.random.default_rng(123)
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="flatm.fcm"):
-                centers = fcm._centers(kind(data), u**2.0, rng)
+                centers = centers_of(kind(data), u**2.0, rng)
             assert "lost all membership mass" in caplog.text
             np.testing.assert_allclose(centers[0], data.mean(axis=0), atol=1e-12)
             assert any((centers[1] == row).all() for row in data)
@@ -400,9 +431,21 @@ def _cascade_rows(rng, n, dims):
     return rows / rows.sum(axis=1, keepdims=True)
 
 
+@pytest.fixture(params=["one pass", "per dimension"])
+def distance_path(request, monkeypatch):
+    """Dense distances on one path: an entry budget above every test input
+    sends each run through the one pass, a budget of 0 each run with d > 0
+    through the per-dimension loop."""
+    budget = 2**62 if request.param == "one pass" else 0
+    monkeypatch.setattr(fcm, "_ONE_PASS_ENTRIES", budget)
+    return request.param
+
+
+@pytest.mark.usefixtures("distance_path")
 class TestDenseMatchesPointMajorLoop:
     """Dense ``fcm_run`` works cluster-major, yet returns the bits of the
-    point-major loop in ``oracles.reference_fcm_dense``."""
+    point-major loop in ``oracles.reference_fcm_dense``, on both distance
+    paths."""
 
     @staticmethod
     def assert_same_bits(x, config, on_iteration=None):
@@ -474,26 +517,61 @@ def test_pairwise_sum_is_numpy_row_sum_order():
         assert got.tobytes() == want.tobytes(), c
 
 
-def test_einsum_sum_is_einsum_row_order():
-    # Dense distances add a point's squared differences dimension by
-    # dimension, so they must add in the order einsum adds a C-order row.
+def test_dense_distances_are_einsum_row_order(distance_path):
+    # Dense distances add a point's squared differences in lane order, so
+    # each must have the bits of einsum over its C-order difference row.
     # d = 1..32 takes the pairs, the blocks of eight and both mixed; an
     # odd d starts every other row of the (n, d) array unaligned; d = 0
-    # is the empty sum.
+    # is the empty sum, which always takes the one pass.
     rng = np.random.default_rng(32)
     for d in range(0, 33):
         for _ in range(20):
             scale = 10.0 ** rng.uniform(-8.0, 2.0, size=(37, 1))
             x = rng.normal(size=(37, d)) * scale
-            y = rng.normal(size=(37, d)) * scale
-            want = np.einsum("nd,nd->n", x, y)
-            xt, yt = x.T.copy(), y.T.copy()
+            centers = rng.normal(size=(3, d)) * scale[:3]
+            prepared = fcm._prepared(x, 3)
+            per_dimension = distance_path == "per dimension" and d > 0
+            assert (prepared.tiled is None) == per_dimension
+            got = fcm._sq_dists(x, centers, np.full((3, 37), np.nan), prepared)
+            for k in range(3):
+                diff = x - centers[k]
+                want = np.einsum("nd,nd->n", diff, diff)
+                assert got[k].tobytes() == want.tobytes(), (d, k)
 
-            def product(i, buf):
-                np.multiply(xt[i], yt[i], out=buf)
 
-            got = fcm._einsum_sum(d, product, np.full(37, np.nan))
-            assert got.tobytes() == want.tobytes(), d
+def test_both_distance_paths_give_the_same_run(monkeypatch):
+    x = _cascade_rows(np.random.default_rng(99), 500, 10)
+    config = FcmConfig(n_clusters=9, seed=5, max_iterations=30)
+    entries = 9 * 10 * 500
+    runs = []
+    for budget in (entries, entries - 1):
+        monkeypatch.setattr(fcm, "_ONE_PASS_ENTRIES", budget)
+        runs.append(fcm_run(x, config))
+        assert (fcm._prepared(x, 9).tiled is None) == (budget < entries)
+    one_pass, per_dimension = runs
+    assert per_dimension.membership.tobytes() == one_pass.membership.tobytes()
+    assert per_dimension.centers.tobytes() == one_pass.centers.tobytes()
+    assert per_dimension.objective_trace == one_pass.objective_trace
+    assert per_dimension.iterations == one_pass.iterations
+
+
+@pytest.mark.parametrize("c", range(2, 13))
+def test_center_einsum_mass_column_is_the_row_sum(c):
+    # The centers' einsum over [x | 1] also gives the cluster masses: its
+    # last column has the bits of um.sum(axis=0), and the rest those of
+    # the einsum over x alone. n = 13, 361 and 1001 are not multiples of 8.
+    rng = np.random.default_rng(c)
+    for n in (13, 361, 1001):
+        x = _cascade_rows(rng, n, 10)
+        um = rng.random((n, c)) ** 2
+        prepared = fcm._prepared(x, c)
+        sums = np.einsum("nc,nd->cd", um, prepared.ones)
+        mass, weighted = um.sum(axis=0), np.einsum("nc,nd->cd", um, x)
+        assert sums[:, -1].tobytes() == mass.tobytes()
+        assert np.ascontiguousarray(sums[:, :-1]).tobytes() == weighted.tobytes()
+        centers = fcm._centers(x, um, rng, prepared)
+        assert centers.flags.c_contiguous
+        assert centers.tobytes() == (weighted / mass[:, None]).tobytes()
 
 
 class TestRowNorms:
@@ -587,9 +665,9 @@ class TestSparseInput:
         csr = sp.csr_matrix(dense)
         u = rng.random((80, 3))
         u /= u.sum(axis=1, keepdims=True)
-        centers = fcm._centers(dense, u**2.0, np.random.default_rng(0))
+        centers = centers_of(dense, u**2.0, np.random.default_rng(0))
         np.testing.assert_allclose(
-            fcm._centers(csr, u**2.0, np.random.default_rng(0)),
+            centers_of(csr, u**2.0, np.random.default_rng(0)),
             centers,
             atol=1e-12,
             rtol=0,
