@@ -23,27 +23,29 @@ cancellation would cost about 1e-4 relative. So dense input keeps the
 direct difference, d2_jk = sum_i (x_ji - v_ki)^2, and centers as an
 einsum over memberships.
 
-Distances and the membership update work cluster-major, on (c, n)
-arrays, so that each per-point reduction over the clusters (the minimum
+A run keeps its memberships, powered memberships and distances
+cluster-major, as C-order (c, n) arrays, from the first iteration to the
+last, so that each per-point reduction over the clusters (the minimum
 and the normalising sum) runs over contiguous rows instead of along
-short strided ones. The arithmetic is that of the point-major (n, c)
-form element for element. A dense run prepares its points once
-(:class:`_DensePoints`): a (dims, n) transpose whose dimensions are
-stored in the order in which ``einsum("nd,nd->n")`` adds a C-order row
-(:func:`_lane_order`), and the points with a column of ones. A small run
-(c·dims·n within ``_ONE_PASS_ENTRIES``) also tiles the transpose once
-per cluster and computes all its squared differences in one pass, then
-adds each lane's slab with one ``add.reduce`` over its outer axis; a
-large run goes one dimension at a time over whole (c, n) arrays. Both
-add a point's squares in the einsum's order, so each distance keeps the
-einsum's bits. The center einsum over [x | 1] also yields each
-cluster's mass, which has the bits of the separate column sum. The
-minimum is exact in any order; the ratio, the power and the quotient
-are elementwise; and :func:`_pairwise_sum` adds each point's c values
-in the order numpy's ``sum(axis=1)`` adds a C-order row. One transpose
-then gives the C-order (n, c) memberships that the center update, the
-objective and the next cascade stage read. So results are bit for bit
-those of the point-major loop.
+short strided ones. Only the memberships handed out, by
+``FcmResult.membership``, :func:`update_memberships` and
+``on_iteration``, are transposed to C-order (n, c). A dense run prepares
+its points once (:class:`_DensePoints`): the C-order transpose with a
+row of ones under it, [x | 1]ᵀ. A small run (c·dims·n within
+``_ONE_PASS_ENTRIES``) also tiles the transpose once per cluster and
+computes all its squared differences in one pass, added with one
+``add.reduce`` over the dimension axis; a large run goes one dimension
+at a time over whole (c, n) arrays.
+
+Every sum has one fixed order, so a run gives the same bits at any
+thread count and on either distance path: a point's squared
+differences are added over dimensions 0 to d - 1 in order, its c
+membership weights in cluster order, and the objective's products
+pairwise over the cluster-major array. The one sum whose order depends
+on the numpy build is the center einsum's contiguous reduction over the
+points, which yields each cluster's weighted sum and, from the row of
+ones, its mass. It runs the same way under numpy's run-time CPU
+switches, but another build may add in another order.
 """
 
 from __future__ import annotations
@@ -233,9 +235,10 @@ def _check_scale(x: _Points, name: str, limit: float) -> None:
 def _initial_membership(
     n_points: int, n_clusters: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Random row-stochastic membership matrix."""
+    """Random memberships, cluster-major: the transpose of (n_points,
+    n_clusters) draws whose rows are normalised by ``sum(axis=1)``."""
     u = rng.random((n_points, n_clusters))
-    return u / u.sum(axis=1, keepdims=True)
+    return (u / u.sum(axis=1, keepdims=True)).T.copy()
 
 
 # Entries per block of the passes that go over a CSR matrix's entries by
@@ -294,12 +297,13 @@ def _row_norms(x: sp.csr_matrix) -> np.ndarray:
 
 # Dense runs whose (d, c, n) squared differences have at most this many
 # entries compute their distances in one pass over a tiled copy of the
-# points: five numpy calls in place of about 3·d. Larger runs go one
+# points: three numpy calls in place of about 3·d. Larger runs go one
 # dimension at a time over (c, n) rows, which costs less per entry, and
 # past the budget that wins. Per iteration of cascade-shaped runs (2
-# vCPUs), the pass stopped paying at about 20k entries for c=3 on 4 dims,
-# 50k for c=5 on 6 and 75k for c=9 on 10. On 2 or 3 dims it never paid:
-# even at n=360, and up to 15% slower below the budget.
+# vCPUs), the pass stopped paying at about 28k entries for c=3 on 4 dims,
+# 50k for c=5 on 6 and 150k for c=9 on 10, so the budget follows the
+# smallest. On 2 or 3 dims the pass pays only at a few hundred points
+# (0.9 of the loop at n=360) and is up to 17% slower by n=4000.
 _ONE_PASS_ENTRIES = 1 << 15
 
 
@@ -307,20 +311,19 @@ class _DensePoints:
     """What every iteration of a dense run for ``n_clusters`` clusters reads
     besides its memberships, made once per run.
 
-    ``rows`` is the C-order (d, n) transpose of the points, its dimensions
-    in :func:`_lane_order`: the first ``lane0`` rows are lane 0's
-    dimensions, the rest lane 1's. ``ones`` is the points with a column of
-    ones, [x | 1]. When c·d·n is at most ``_ONE_PASS_ENTRIES``, ``tiled``
-    holds ``rows`` repeated for each cluster, shape (d, c, n), and ``work``
-    is a buffer of that shape; otherwise both are None.
+    ``ones`` is the C-order (d + 1, n) transpose of the points with a row
+    of ones under it, [x | 1]ᵀ, and ``rows`` its first d rows, the points'
+    transpose. When c·d·n is at most ``_ONE_PASS_ENTRIES``, ``tiled``
+    holds ``rows`` repeated for each cluster, shape (d, c, n), and
+    ``work`` is a buffer of that shape; otherwise both are None.
     """
 
     def __init__(self, x: np.ndarray, n_clusters: int) -> None:
         n, d = x.shape
-        self.order = np.array(_lane_order(d), dtype=np.intp)
-        self.lane0 = (d + 1) // 2
-        self.rows = np.ascontiguousarray(x.T[self.order])
-        self.ones = np.hstack((x, np.ones((n, 1))))
+        self.ones = np.empty((d + 1, n))
+        self.ones[:d] = x.T
+        self.ones[d] = 1.0
+        self.rows = self.ones[:d]
         self.tiled = self.work = None
         if n_clusters * d * n <= _ONE_PASS_ENTRIES:
             self.tiled = np.repeat(self.rows[:, None, :], n_clusters, axis=1)
@@ -329,57 +332,23 @@ class _DensePoints:
     def sq_dists(self, centers: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Cluster-major squared distances to ``centers`` into ``out``.
 
-        Each lane's squared differences are added in lane order, one after
-        another with the first stored, and the sum is lane 0 + lane 1: the
-        order in which ``einsum("nd,nd->n")`` adds a C-order difference
-        row, so each distance has its bits. In one pass, ``add.reduce``
-        over the outer axis of a lane's (dims, c, n) slab adds in that
-        sequence.
+        Each point's squared differences are added over dimensions 0 to
+        d - 1 in order, the first stored. In one pass, ``add.reduce`` over
+        the outer axis of the (d, c, n) squares adds in that sequence.
         """
-        d, k = len(self.order), self.lane0
-        ct = centers.T[self.order]
+        ct = centers.T
         if self.tiled is not None:
             sq = np.subtract(self.tiled, ct[:, :, None], out=self.work)
             sq *= sq
-            np.add.reduce(sq[:k], axis=0, out=out)
-            if k < d:
-                out += np.add.reduce(sq[k:], axis=0)
-            return out
-        buf, lane1 = np.empty_like(out), np.empty_like(out)
-        for lane, dims in ((out, range(k)), (lane1, range(k, d))):
-            for i in dims:
-                term = lane if i == dims.start else buf
-                np.subtract(self.rows[i], ct[i, :, None], out=term)
-                term *= term
-                if term is buf:
-                    lane += buf
-        if k < d:
-            out += lane1
+            return np.add.reduce(sq, axis=0, out=out)
+        buf = np.empty_like(out)
+        for i, row in enumerate(self.rows):
+            term = buf if i else out
+            np.subtract(row, ct[i, :, None], out=term)
+            term *= term
+            if i:
+                out += buf
         return out
-
-
-def _lane_order(d: int) -> list[int]:
-    """The d dimensions in the order numpy's baseline float64 kernel for
-    ``einsum("nd,nd->n")`` adds the d products of a contiguous row: lane
-    0's, then lane 1's.
-
-    The kernel keeps two lanes, lane 0 for the even indices and lane 1 for
-    the odd ones. Each full block of eight is added back to front, 6, 4,
-    2, 0 into lane 0 and 7, 5, 3, 1 into lane 1; the remaining indices
-    are added in pairs, front to back; the sum is lane 0 + lane 1. A
-    lane's first term is stored, not added to zero, which gives the same
-    bits for every term but -0.0. No terms sum to zero.
-
-    That is the unfused two-lane kernel checked on x86-64 with numpy
-    2.4.6. A build whose kernel fuses the multiply-add or uses wider
-    vectors adds in another order; there distances still have the same
-    bits on every run, but not the einsum's, and
-    ``test_dense_distances_are_einsum_row_order`` fails first.
-    """
-    full = d - d % 8
-    even = [b + k for b in range(0, full, 8) for k in (6, 4, 2, 0)]
-    even += range(full, d, 2)
-    return even + [i + 1 for i in even if i + 1 < d]
 
 
 def _prepared(x: _Points, n_clusters: int) -> np.ndarray | _DensePoints:
@@ -398,9 +367,8 @@ def _sq_dists(
     """Squared Euclidean distances, cluster-major: shape (n_clusters, n_points).
 
     ``out`` receives the distances and ``prepared`` is :func:`_prepared` of
-    ``x``; each is made when not given. Dense distances have the bits of
-    ``einsum("nd,nd->n")`` over each C-order difference row
-    (:meth:`_DensePoints.sq_dists`).
+    ``x``; each is made when not given. Dense distances add each point's
+    squared differences in dimension order (:meth:`_DensePoints.sq_dists`).
     """
     n, c = x.shape[0], centers.shape[0]
     if out is None:
@@ -414,38 +382,12 @@ def _sq_dists(
     return prepared.sq_dists(centers, out)
 
 
-def _pairwise_sum(w: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 of a (c, n) array, adding each column's c values in
-    the order numpy's pairwise ``add.reduce`` adds a contiguous row: one by
-    one below 8 values, in eight interleaved partial sums up to 128, and
-    as two halves split at a multiple of 8 above that.
-    """
-    c = w.shape[0]
-    if c < 8:
-        # A reduction over the outer axis also adds one by one.
-        return np.add.reduce(w, axis=0)
-    if c <= 128:
-        full = c - c % 8
-        r = w[:8]
-        for i in range(8, full, 8):
-            r = r + w[i : i + 8]
-        r = r[0::2] + r[1::2]
-        r = r[0::2] + r[1::2]
-        total = r[0] + r[1]
-        for row in w[full:]:
-            total += row
-        return total
-    half = c // 2
-    half -= half % 8
-    return _pairwise_sum(w[:half]) + _pairwise_sum(w[half:])
-
-
 def _memberships(d2: np.ndarray, fuzzifier: float) -> np.ndarray:
-    """Membership rows, shape (n_points, n_clusters), from cluster-major
-    squared distances, shape (n_clusters, n_points).
+    """Cluster-major memberships, shape (n_clusters, n_points), from
+    cluster-major squared distances of that shape.
 
     For point j with all distances positive:
-        u_jk = (dmin_j / d2_jk)^(1/(q-1)) / sum_l (dmin_j / d2_jl)^(1/(q-1))
+        u_kj = (dmin_j / d2_kj)^(1/(q-1)) / sum_l (dmin_j / d2_lj)^(1/(q-1))
     which equals the reciprocal-ratio update written on unsquared
     distances, but never divides by a tiny d2. A point at distance zero
     from one or more centers splits its membership equally among those
@@ -456,29 +398,30 @@ def _memberships(d2: np.ndarray, fuzzifier: float) -> np.ndarray:
     # One test keeps the search for a point on a center, and the error
     # state for its 0/0, off the common path; ``initial`` serves no points.
     if dmin.min(initial=np.inf) > 0.0:
-        return _ratio_weights(d2, dmin, expo).T.copy()
+        return _ratio_weights(d2, dmin, expo)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = _ratio_weights(d2, dmin, expo)
     singular = np.flatnonzero(dmin <= 0.0)
     hits = d2[:, singular] == 0.0
     w[:, singular] = hits / hits.sum(axis=0)
-    return w.T.copy()
+    return w
 
 
 def _ratio_weights(d2: np.ndarray, dmin: np.ndarray, expo: float) -> np.ndarray:
-    """(dmin_j / d2_kj)^expo, each column normalised to sum to 1."""
+    """(dmin_j / d2_kj)^expo, each column normalised by the sum of its
+    values added in cluster order."""
     w = dmin / d2
     # x ** 1.0 is x exactly; q = 2 needs no power.
     if expo != 1.0:
         w **= expo
-    w /= _pairwise_sum(w)
+    w /= np.add.reduce(w, axis=0)
     return w
 
 
 def _objective(d2: np.ndarray, um: np.ndarray) -> float:
-    """Weighted within-cluster scatter sum_jk u_jk^q d2_jk, from cluster-major
-    ``d2`` and point-major ``um`` = u^q, summed in point-major order."""
-    return float(np.multiply(um, d2.T, out=np.empty_like(um)).sum())
+    """Weighted within-cluster scatter sum_kj u_kj^q d2_kj, from cluster-major
+    ``d2`` and ``um`` = u^q, summed in that cluster-major order."""
+    return float(np.multiply(um, d2, out=np.empty_like(um)).sum())
 
 
 def _centers(
@@ -487,20 +430,19 @@ def _centers(
     rng: np.random.Generator,
     prepared: np.ndarray | _DensePoints,
 ) -> np.ndarray:
-    """C-order centers from the powered memberships ``um`` = u^q;
-    ``prepared`` is :func:`_prepared` of ``x``.
+    """C-order centers from the cluster-major powered memberships ``um`` =
+    u^q; ``prepared`` is :func:`_prepared` of ``x``.
 
-    center_k = sum_j u_jk^q x_j / sum_j u_jk^q. For dense points one
-    einsum over [x | 1] gives both sums: its last column adds u_jk^q over
-    the points in sequence, as ``um.sum(axis=0)`` does, and so has its
-    bits. A cluster with zero total membership mass has no defined center;
-    it restarts at a data point drawn from ``rng`` rather than dividing by
+    center_k = sum_j u_kj^q x_j / sum_j u_kj^q. For dense points one
+    einsum over [x | 1]ᵀ gives both sums, the mass in its last column. A
+    cluster with zero total membership mass has no defined center; it
+    restarts at a data point drawn from ``rng`` rather than dividing by
     zero.
     """
     if sp.issparse(x):
-        wsum, sums = um.sum(axis=0), (x.T @ um).T
+        wsum, sums = np.add.reduce(um, axis=1), (x.T @ um.T).T
     else:
-        sums = np.einsum("nc,nd->cd", um, prepared.ones)
+        sums = np.einsum("cn,dn->cd", um, prepared.ones)
         wsum, sums = sums[:, -1], sums[:, :-1]
     centers = np.empty(sums.shape)
     # One test keeps the search for a massless cluster off the common path.
@@ -528,7 +470,7 @@ def update_memberships(
     limit = _scale_limit(x.shape)
     _check_scale(x, "data", limit)
     _check_scale(centers, "centers", limit)
-    return _memberships(_sq_dists(x, centers), fuzzifier)
+    return _memberships(_sq_dists(x, centers), fuzzifier).T.copy()
 
 
 def fcm_run(
@@ -540,8 +482,8 @@ def fcm_run(
     """Run the full alternating loop.
 
     ``on_iteration(iteration, membership, centers, objective, max_delta)``
-    is called after each completed iteration. Results are a pure function
-    of ``data`` and ``config``.
+    is called after each completed iteration, with an (n, c) copy of the
+    memberships. Results are a pure function of ``data`` and ``config``.
     """
     x = _check_data(data, config.n_clusters)
     q = config.fuzzifier
@@ -565,12 +507,12 @@ def fcm_run(
         u = u_new
         iterations = iteration
         if on_iteration is not None:
-            on_iteration(iteration, u, centers, value, max_delta)
+            on_iteration(iteration, u.T.copy(), centers, value, max_delta)
         if max_delta <= config.threshold:
             converged = True
             break
     return FcmResult(
-        membership=u,
+        membership=u.T.copy(),
         centers=centers,
         objective_trace=tuple(trace),
         iterations=iterations,

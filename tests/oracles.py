@@ -2,9 +2,9 @@
 
 Everything here is written as literal per-element loops over the defining
 formulas, deliberately sharing no code with the package. Slow and clear.
-The one exception is ``reference_fcm_dense``: it pins the exact numpy
-expressions of the point-major dense FCM loop, so that a rearranged
-kernel can be held to the same bits.
+The one exception is the dense FCM steps, ``reference_fcm_centers`` and
+``reference_fcm_memberships``: numpy expressions of the point-major
+loop, fast enough to follow a whole run iteration by iteration.
 """
 
 from __future__ import annotations
@@ -132,51 +132,43 @@ def fuzzy_objective(
     return total
 
 
-def reference_fcm_dense(x: np.ndarray, n_clusters: int, fuzzifier: float,
-                        threshold: float, max_iterations: int, seed: int):
-    """The dense FCM loop written point-major, as numpy expressions on
-    (n, c) arrays: a per-cluster einsum into an (n, c) distance array,
-    ``d2.min(axis=1)``, ``(dmin / d2) ** expo`` and ``w.sum(axis=1)``
-    for memberships, and ``((u**q) * d2).sum()`` for the objective.
-
-    Returns (membership, centers, objective_trace, iterations), which
-    ``fcm_run`` on the same dense input must reproduce bit for bit.
+def reference_fcm_centers(x: np.ndarray, u: np.ndarray, fuzzifier: float,
+                          rng: np.random.Generator) -> np.ndarray:
+    """The center update of the dense FCM loop written point-major, from
+    (n, c) memberships: ``einsum("nc,nd->cd")`` over u^q divided by
+    ``um.sum(axis=0)``; a cluster without mass restarts at the data point
+    ``rng`` draws.
     """
-    x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-    n = x.shape[0]
-    rng = np.random.default_rng(seed)
-    u = rng.random((n, n_clusters))
-    u = u / u.sum(axis=1, keepdims=True)
-    trace = []
-    centers = np.zeros((n_clusters, x.shape[1]))
-    iterations = 0
-    for iteration in range(1, max_iterations + 1):
-        um = u**fuzzifier
-        wsum = um.sum(axis=0)
-        centers = np.einsum("nc,nd->cd", um, x)
-        centers /= np.where(wsum > 0.0, wsum, 1.0)[:, None]
-        for k in np.flatnonzero(wsum == 0.0):
-            centers[k] = x[int(rng.integers(n))]
-        d2 = np.empty((n, n_clusters))
-        for k in range(n_clusters):
-            diff = x - centers[k]
-            d2[:, k] = np.einsum("nd,nd->n", diff, diff)
-        expo = 1.0 / (fuzzifier - 1.0)
-        dmin = d2.min(axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = (dmin / d2) ** expo
-            u_new = w / w.sum(axis=1, keepdims=True)
-        singular = np.flatnonzero(dmin.ravel() <= 0.0)
-        if singular.size:
-            hits = d2[singular] == 0.0
-            u_new[singular] = hits / hits.sum(axis=1, keepdims=True)
-        max_delta = float(np.abs(u_new - u).max())
-        trace.append(float(((u_new**fuzzifier) * d2).sum()))
-        u = u_new
-        iterations = iteration
-        if max_delta <= threshold:
-            break
-    return u, centers, tuple(trace), iterations
+    um = u**fuzzifier
+    wsum = um.sum(axis=0)
+    centers = np.einsum("nc,nd->cd", um, x)
+    centers /= np.where(wsum > 0.0, wsum, 1.0)[:, None]
+    for k in np.flatnonzero(wsum == 0.0):
+        centers[k] = x[int(rng.integers(x.shape[0]))]
+    return centers
+
+
+def reference_fcm_memberships(x: np.ndarray, centers: np.ndarray,
+                              fuzzifier: float) -> tuple[np.ndarray, np.ndarray]:
+    """The membership update of the dense FCM loop written point-major:
+    a per-cluster einsum into an (n, c) distance array,
+    ``d2.min(axis=1)``, ``(dmin / d2) ** expo`` and ``w.sum(axis=1)``.
+    Returns the (n, c) memberships and distances.
+    """
+    d2 = np.empty((x.shape[0], centers.shape[0]))
+    for k in range(centers.shape[0]):
+        diff = x - centers[k]
+        d2[:, k] = np.einsum("nd,nd->n", diff, diff)
+    expo = 1.0 / (fuzzifier - 1.0)
+    dmin = d2.min(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = (dmin / d2) ** expo
+        u = w / w.sum(axis=1, keepdims=True)
+    singular = np.flatnonzero(dmin.ravel() <= 0.0)
+    if singular.size:
+        hits = d2[singular] == 0.0
+        u[singular] = hits / hits.sum(axis=1, keepdims=True)
+    return u, d2
 
 
 def mixed_topic_given_doc(ptw: np.ndarray, pwd: np.ndarray) -> np.ndarray:

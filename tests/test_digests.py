@@ -84,17 +84,17 @@ HELP = [
 
 DIGESTS = {
     "corpus.tsv": "35a0bfb0e62383f703de061ba57b6cb30109d33436569d633fcac9602c3e1d92",
-    "model-default.json": "a6276536774a6909d18cfb9fe780d5c6d76e108a1143811dee1bde1acca7ad66",
-    "model-no-cascade.json": "0c56b0d32b982246661b805614229662cc28ac5a078402b5b8c805e7ee5b6939",
-    "model-fuzzifier-1.5.json": "dd1e084646f0b7178febea19e1e6307d455947da688fa0d5935dc8535cf6cbc9",
-    "model-gtw-gfidf.json": "2ca7380e8bed51fd0c976e0609d7b5eeab935b1c5ee2eef6b1adb3cefb56b063",
-    "model-min-df-2.json": "74ad5b3a88df40c983458081d7e9ce94432413975b31aea3e2323bff3a6ad8d6",
-    "infer-default.csv": "5635b4bb92f49003d6673bae47d8f74e8e192c5d06ca8d5726f4a39f873edbed",
-    "infer-lines.csv": "f36d765615b7dfe5971257bb4e0afb106c440290745f3539d29f385245e06b95",
+    "model-default.json": "e6b0b7f2a01c53ae296b99f361a3645837819a9cdc6c79ecb22892d3dbaf0d87",
+    "model-no-cascade.json": "f6887e568769831977c7e22609cb09012326cc37dc2cf07fd5011e392ca1e259",
+    "model-fuzzifier-1.5.json": "5dbb0aa4af75adf97f7ac6165b3319ecfe17073d2852af168d1ff43b5f23963b",
+    "model-gtw-gfidf.json": "87f31901696fa602fca2614e0d7c3774d6403024cf58cd107bc10c872062f90c",
+    "model-min-df-2.json": "976733759dd6acc615613bf4c9551d811caf0430dc5b6694b9f280e641dc1d7f",
+    "infer-default.csv": "f2505d1b3cb4fa1c70ebb11c1dfdbead5267ddf75c83b3ef902b4c83757ec796",
+    "infer-lines.csv": "6e5d7f8a85d34a1618750442f7ec5902e757f0b25fc0981b7ce037134712bb16",
     # The worker count never moves a byte: the digest of infer-lines.csv.
-    "infer-lines-threads-2.csv": "f36d765615b7dfe5971257bb4e0afb106c440290745f3539d29f385245e06b95",
+    "infer-lines-threads-2.csv": "6e5d7f8a85d34a1618750442f7ec5902e757f0b25fc0981b7ce037134712bb16",
     "eval-classify.json": "3642a463690cbe33454f5ae17105ac4303edc77072d466a0eb8768955c148d8a",
-    "eval-loglik.json": "e8c852358373f8c59b3a2df9d45b2324102b708fcd15e65d935c926994d6fbb5",
+    "eval-loglik.json": "ef0d7cfc56e5d166953cbb1d953efef7bce89eb34cf6dbc77e420d7e59685ff0",
     "help-flatm": "a06431fb221f1661a9cbc7b816adb856f58300ee20dce986db2ff1935d0ceef5",
     "help-train": "6afc4c2f32aea9ad1204873bc29567a518dac7737891d28fd250d61df673ef67",
     "help-infer": "4fa64ffba5916f21dd1f43000e0cf27368ef3eb9a9c0533b18b074aaea5f0c06",

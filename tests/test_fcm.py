@@ -23,8 +23,9 @@ from flatm import (
 
 
 def centers_of(x, um, rng):
-    """``fcm._centers`` through the run's prepared object, as ``fcm_run`` calls it."""
-    return fcm._centers(x, um, rng, fcm._prepared(x, um.shape[1]))
+    """``fcm._centers`` of cluster-major ``um`` through the run's prepared
+    object, as ``fcm_run`` calls it."""
+    return fcm._centers(x, um, rng, fcm._prepared(x, um.shape[0]))
 
 
 def blob_pair(rng, n_per=30, dims=3, separation=10.0):
@@ -199,7 +200,7 @@ class TestCenterUpdate:
     def test_hard_memberships_give_cluster_means(self):
         data = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 4.0], [12.0, 4.0]])
         u = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        centers = centers_of(data, u**2.0, np.random.default_rng(0))
+        centers = centers_of(data, (u**2.0).T, np.random.default_rng(0))
         np.testing.assert_allclose(
             centers, [[1.0, 0.0], [11.0, 4.0]], atol=1e-12
         )
@@ -208,7 +209,7 @@ class TestCenterUpdate:
         rng = np.random.default_rng(3)
         data = rng.normal(size=(12, 3))
         u = np.full((12, 2), 0.5)
-        centers = centers_of(data, u**2.0, np.random.default_rng(0))
+        centers = centers_of(data, (u**2.0).T, np.random.default_rng(0))
         mean = data.mean(axis=0)
         np.testing.assert_allclose(centers, [mean, mean], atol=1e-12)
 
@@ -219,7 +220,7 @@ class TestCenterUpdate:
             u = rng.random((15, 4))
             u /= u.sum(axis=1, keepdims=True)
             q = float(rng.uniform(1.2, 3.0))
-            got = centers_of(x, u**q, np.random.default_rng(0))
+            got = centers_of(x, (u**q).T, np.random.default_rng(0))
             np.testing.assert_allclose(
                 got, oracles.fuzzy_centers(x, u, q), atol=1e-12
             )
@@ -231,7 +232,7 @@ class TestCenterUpdate:
             rng = np.random.default_rng(123)
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="flatm.fcm"):
-                centers = centers_of(kind(data), u**2.0, rng)
+                centers = centers_of(kind(data), (u**2.0).T, rng)
             assert "lost all membership mass" in caplog.text
             np.testing.assert_allclose(centers[0], data.mean(axis=0), atol=1e-12)
             assert any((centers[1] == row).all() for row in data)
@@ -245,13 +246,13 @@ class TestObjective:
         data = np.array([[0.0, 0.0], [5.0, 5.0]])
         centers = data.copy()
         u = np.eye(2)
-        assert fcm._objective(fcm._sq_dists(data, centers), u**2.0) == 0.0
+        assert fcm._objective(fcm._sq_dists(data, centers), (u**2.0).T) == 0.0
 
     def test_single_point_unit_distance(self):
         data = np.array([[1.0]])
         centers = np.array([[0.0], [3.0]])
         u = np.array([[1.0, 0.0]])
-        assert fcm._objective(fcm._sq_dists(data, centers), u**2.0) == pytest.approx(
+        assert fcm._objective(fcm._sq_dists(data, centers), (u**2.0).T) == pytest.approx(
             1.0, abs=1e-15
         )
 
@@ -261,8 +262,8 @@ class TestObjective:
         centers = rng.normal(size=(3, 2))
         u = rng.random((10, 3))
         u /= u.sum(axis=1, keepdims=True)
-        small = fcm._objective(fcm._sq_dists(data, centers), u**2.0)
-        big = fcm._objective(fcm._sq_dists(2 * data, 2 * centers), u**2.0)
+        small = fcm._objective(fcm._sq_dists(data, centers), (u**2.0).T)
+        big = fcm._objective(fcm._sq_dists(2 * data, 2 * centers), (u**2.0).T)
         assert big == pytest.approx(4 * small, rel=1e-12)
 
     def test_matches_loop_oracle(self):
@@ -272,7 +273,7 @@ class TestObjective:
         u = rng.random((12, 4))
         u /= u.sum(axis=1, keepdims=True)
         for q in (1.5, 2.0, 2.8):
-            got = fcm._objective(fcm._sq_dists(data, centers), u**q)
+            got = fcm._objective(fcm._sq_dists(data, centers), (u**q).T)
             want = oracles.fuzzy_objective(data, u, centers, q)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -441,27 +442,64 @@ def distance_path(request, monkeypatch):
     return request.param
 
 
+# Tolerances of one dense step against the reference arithmetic, from
+# float64 rounding (eps = 1.1e-16) on the inputs below: n <= 400 points of
+# non-negative values and 2 to 137 clusters on at most 10 dims.
+# - Centers: two sums of n non-negative terms in another order, each off
+#   by at most n·eps: below 1e-13 relative.
+# - Memberships from the run's own centers: distances of d non-negative
+#   squares, each order off by at most d·eps, which the ratio doubles and
+#   the power 1/(q-1) multiplies (50 at q = 1.02), then a sum of c
+#   weights: below 6e-13 relative. Weights that underflow to subnormals
+#   keep no relative precision, so values below 1e-300 are compared
+#   absolutely.
+# - Objective: c·n non-negative products, off by at most c·n·eps.
+CENTER_RTOL = 1e-12
+MEMBERSHIP_RTOL, MEMBERSHIP_ATOL = 1e-11, 1e-300
+OBJECTIVE_RTOL = 1e-11
+
+
 @pytest.mark.usefixtures("distance_path")
-class TestDenseMatchesPointMajorLoop:
-    """Dense ``fcm_run`` works cluster-major, yet returns the bits of the
-    point-major loop in ``oracles.reference_fcm_dense``, on both distance
-    paths."""
+class TestDenseStepsMatchReferenceLoop:
+    """Each iteration of a dense ``fcm_run`` is one step of the point-major
+    loop of ``oracles.reference_fcm_centers`` and
+    ``oracles.reference_fcm_memberships`` to rounding, on both distance
+    paths. Each step starts from the run's own memberships and centers, so
+    rounding is not carried from one iteration to the next, where the
+    cascade's nearly equal rows would amplify it."""
 
     @staticmethod
-    def assert_same_bits(x, config, on_iteration=None):
-        got = fcm_run(x, config, on_iteration=on_iteration)
-        u, centers, trace, iterations = oracles.reference_fcm_dense(
-            x,
-            config.n_clusters,
-            config.fuzzifier,
-            config.threshold,
-            config.max_iterations,
-            config.seed,
-        )
+    def assert_steps_match(x, config, on_iteration=None):
+        steps = []
+
+        def record(*args):
+            steps.append(args)
+            if on_iteration is not None:
+                on_iteration(*args)
+
+        got = fcm_run(x, config, on_iteration=record)
+        q = config.fuzzifier
+        rng = np.random.default_rng(config.seed)
+        u = rng.random((x.shape[0], config.n_clusters))
+        u = u / u.sum(axis=1, keepdims=True)
+        for iteration, u_run, centers, value, delta in steps:
+            # The same clusters lose their mass, so rng draws the same
+            # restart points as the run's.
+            want = oracles.reference_fcm_centers(x, u, q, rng)
+            np.testing.assert_allclose(centers, want, rtol=CENTER_RTOL, atol=0)
+            want, d2 = oracles.reference_fcm_memberships(x, centers, q)
+            np.testing.assert_allclose(
+                u_run, want, rtol=MEMBERSHIP_RTOL, atol=MEMBERSHIP_ATOL
+            )
+            assert value == pytest.approx(
+                float(((u_run**q) * d2).sum()), rel=OBJECTIVE_RTOL
+            )
+            assert delta == float(np.abs(u_run - u).max())
+            u = u_run
         assert got.membership.tobytes() == u.tobytes()
-        assert got.centers.tobytes() == centers.tobytes()
-        assert got.objective_trace == trace
-        assert got.iterations == iterations
+        assert got.centers.tobytes() == steps[-1][2].tobytes()
+        assert got.objective_trace == tuple(step[3] for step in steps)
+        assert got.iterations == len(steps)
 
     @pytest.mark.parametrize("q", [2.0, 1.5, 3.0, 1.02])
     def test_cluster_counts_2_to_12(self, q):
@@ -469,14 +507,13 @@ class TestDenseMatchesPointMajorLoop:
         for c in range(2, 13):
             x = _cascade_rows(rng, 300, 10)
             config = FcmConfig(n_clusters=c, fuzzifier=q, seed=c, max_iterations=40)
-            self.assert_same_bits(x, config)
+            self.assert_steps_match(x, config)
 
     @pytest.mark.parametrize("q", [2.0, 1.5])
     def test_more_than_128_clusters(self, q):
-        # 137 clusters: the normalising sum splits into halves of 64 and 73.
         x = _cascade_rows(np.random.default_rng(137), 400, 6)
         config = FcmConfig(n_clusters=137, fuzzifier=q, seed=3, max_iterations=6)
-        self.assert_same_bits(x, config)
+        self.assert_steps_match(x, config)
 
     @pytest.mark.parametrize(
         "points, c, q",
@@ -498,31 +535,34 @@ class TestDenseMatchesPointMajorLoop:
 
         config = FcmConfig(n_clusters=c, fuzzifier=q, seed=0, max_iterations=30)
         with caplog.at_level(logging.WARNING, logger="flatm.fcm"):
-            self.assert_same_bits(x, config, on_iteration=record)
+            self.assert_steps_match(x, config, on_iteration=record)
         assert "lost all membership mass" in caplog.text
         assert any(on_center)
 
 
-def test_pairwise_sum_is_numpy_row_sum_order():
-    # The normalising sum must add in numpy's order for a C-order row, so
-    # the cluster-major memberships keep the point-major bits; c = 2..300
-    # takes the sequential, eight-accumulator and halving branches.
-    from flatm.fcm import _pairwise_sum
-
+@pytest.mark.parametrize("q", [2.0, 1.5, 1.02])
+def test_normalising_sum_adds_the_clusters_in_order(q):
+    # Each point's c weights are added in cluster order, the first stored:
+    # the memberships have the bits of dividing by that plain loop's sum.
+    # c = 2..300 covers the counts numpy's own sum(axis=1) would add in
+    # eight interleaved partial sums or as two halves.
     rng = np.random.default_rng(300)
+    expo = 1.0 / (q - 1.0)
     for c in range(2, 301):
-        w = rng.random((33, c)) ** 3
-        want = np.add.reduce(w, axis=1)
-        got = _pairwise_sum(np.ascontiguousarray(w.T))
-        assert got.tobytes() == want.tobytes(), c
+        d2 = rng.random((c, 33)) ** 3 + 1e-3
+        weights = (d2.min(axis=0) / d2) ** expo
+        total = weights[0].copy()
+        for row in weights[1:]:
+            total += row
+        got = fcm._memberships(d2, q)
+        assert got.tobytes() == (weights / total).tobytes(), c
 
 
-def test_dense_distances_are_einsum_row_order(distance_path):
-    # Dense distances add a point's squared differences in lane order, so
-    # each must have the bits of einsum over its C-order difference row.
-    # d = 1..32 takes the pairs, the blocks of eight and both mixed; an
-    # odd d starts every other row of the (n, d) array unaligned; d = 0
-    # is the empty sum, which always takes the one pass.
+def test_dense_distances_add_dimensions_in_order(distance_path):
+    # Each distance must have the bits of its squared differences added
+    # over dimensions 0..d-1 in order. d = 1..32 gives single dimensions,
+    # odd and even counts and runs longer than numpy's blocks of eight;
+    # d = 0 is the empty sum, which always takes the one pass.
     rng = np.random.default_rng(32)
     for d in range(0, 33):
         for _ in range(20):
@@ -535,7 +575,9 @@ def test_dense_distances_are_einsum_row_order(distance_path):
             got = fcm._sq_dists(x, centers, np.full((3, 37), np.nan), prepared)
             for k in range(3):
                 diff = x - centers[k]
-                want = np.einsum("nd,nd->n", diff, diff)
+                want = np.zeros(37)
+                for i in range(d):
+                    want += diff[:, i] * diff[:, i]
                 assert got[k].tobytes() == want.tobytes(), (d, k)
 
 
@@ -556,22 +598,19 @@ def test_both_distance_paths_give_the_same_run(monkeypatch):
 
 
 @pytest.mark.parametrize("c", range(2, 13))
-def test_center_einsum_mass_column_is_the_row_sum(c):
-    # The centers' einsum over [x | 1] also gives the cluster masses: its
-    # last column has the bits of um.sum(axis=0), and the rest those of
-    # the einsum over x alone. n = 13, 361 and 1001 are not multiples of 8.
+def test_centers_match_the_reference_update(c):
+    # One einsum over [x | 1]ᵀ gives the weighted sums and the masses;
+    # the centers agree with the point-major update to rounding and are
+    # C-contiguous. n = 13, 361 and 1001 are not multiples of 8.
     rng = np.random.default_rng(c)
     for n in (13, 361, 1001):
         x = _cascade_rows(rng, n, 10)
-        um = rng.random((n, c)) ** 2
-        prepared = fcm._prepared(x, c)
-        sums = np.einsum("nc,nd->cd", um, prepared.ones)
-        mass, weighted = um.sum(axis=0), np.einsum("nc,nd->cd", um, x)
-        assert sums[:, -1].tobytes() == mass.tobytes()
-        assert np.ascontiguousarray(sums[:, :-1]).tobytes() == weighted.tobytes()
-        centers = fcm._centers(x, um, rng, prepared)
+        u = rng.random((n, c))
+        u /= u.sum(axis=1, keepdims=True)
+        centers = centers_of(x, np.ascontiguousarray((u**2.0).T), rng)
         assert centers.flags.c_contiguous
-        assert centers.tobytes() == (weighted / mass[:, None]).tobytes()
+        want = oracles.reference_fcm_centers(x, u, 2.0, rng)
+        np.testing.assert_allclose(centers, want, rtol=CENTER_RTOL, atol=0)
 
 
 class TestRowNorms:
@@ -665,9 +704,9 @@ class TestSparseInput:
         csr = sp.csr_matrix(dense)
         u = rng.random((80, 3))
         u /= u.sum(axis=1, keepdims=True)
-        centers = centers_of(dense, u**2.0, np.random.default_rng(0))
+        centers = centers_of(dense, (u**2.0).T, np.random.default_rng(0))
         np.testing.assert_allclose(
-            centers_of(csr, u**2.0, np.random.default_rng(0)),
+            centers_of(csr, (u**2.0).T, np.random.default_rng(0)),
             centers,
             atol=1e-12,
             rtol=0,
@@ -678,8 +717,8 @@ class TestSparseInput:
             atol=1e-12,
             rtol=0,
         )
-        assert fcm._objective(fcm._sq_dists(csr, centers), u**2.0) == pytest.approx(
-            fcm._objective(fcm._sq_dists(dense, centers), u**2.0), rel=1e-12
+        assert fcm._objective(fcm._sq_dists(csr, centers), (u**2.0).T) == pytest.approx(
+            fcm._objective(fcm._sq_dists(dense, centers), (u**2.0).T), rel=1e-12
         )
         config = FcmConfig(n_clusters=2, seed=5)
         a = fcm_run(dense, config)
